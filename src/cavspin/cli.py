@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,17 +32,21 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _COMMON_OPTIONAL = ("command", "label")
+_GRID_OPTIONAL = frozenset({"t_max", "n_steps", "max_extensions", "ref_rate_hz"})
+_SEARCH_OPTIONAL = frozenset({"g_a", "g_b", "gamma_split", "r_min", "r_max", "delta_min",
+                              "delta_max", "delta1_min", "delta1_max", "restarts",
+                              "max_evals", "seed", "n_steps"})
 
 #: accepted config keys per subcommand (besides the common optional ones)
 COMMAND_KEYS = {
     "evolve": {
         "required": set(CONFIG_KEYS),
-        "optional": {"t_max", "n_steps", "max_extensions", "ref_rate_hz"},
+        "optional": _GRID_OPTIONAL,
     },
     "budget": {
         # grid keys tolerated so evolve configs can be re-used for budgeting
         "required": set(CONFIG_KEYS),
-        "optional": {"t_max", "n_steps", "max_extensions", "ref_rate_hz"},
+        "optional": _GRID_OPTIONAL,
     },
     "oracle": {
         "required": set(CONFIG_KEYS) | {"atom_levels", "cavity_cutoff",
@@ -50,15 +55,11 @@ COMMAND_KEYS = {
     },
     "optimize": {
         "required": {"n_atoms", "omega_ab", "kappa", "gamma_total"},
-        "optional": {"g_a", "g_b", "gamma_split", "r_min", "r_max", "delta_min",
-                     "delta_max", "delta1_min", "delta1_max", "restarts",
-                     "max_evals", "seed", "n_steps", "fixed_delta"},
+        "optional": _SEARCH_OPTIONAL | {"fixed_delta"},
     },
     "sweep": {
         "required": {"n_atoms", "omega_ab", "cooperativities", "kappa_over_gamma"},
-        "optional": {"g_a", "g_b", "gamma_split", "r_min", "r_max", "delta_min",
-                     "delta_max", "delta1_min", "delta1_max", "restarts",
-                     "max_evals", "seed", "n_steps"},
+        "optional": _SEARCH_OPTIONAL,
     },
 }
 
@@ -219,13 +220,20 @@ def cmd_oracle(config: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
+#: config key pairs of each search box, as (lower key, upper key, problem field)
+_BOUND_KEYS = (("r_min", "r_max", "r_bounds"),
+               ("delta_min", "delta_max", "delta_bounds"),
+               ("delta1_min", "delta1_max", "delta1_bounds"))
+
+
 def _problem_from_config(config: dict, seed_override: int | None,
                          need_rates: bool) -> OptimizationProblem:
+    defaults = {f.name: f.default for f in fields(OptimizationProblem)}
     kwargs = dict(
         n_atoms=_int(config, "n_atoms"),
         omega_ab=_float(config, "omega_ab"),
-        g_a=_float(config, "g_a", 1.0),
-        g_b=_float(config, "g_b", 1.0),
+        g_a=_float(config, "g_a", defaults["g_a"]),
+        g_b=_float(config, "g_b", defaults["g_b"]),
     )
     if need_rates:
         kwargs["kappa"] = _float(config, "kappa")
@@ -235,20 +243,17 @@ def _problem_from_config(config: dict, seed_override: int | None,
         if len(split) != 3:
             raise ConfigError("gamma_split needs exactly three weights")
         kwargs["gamma_split"] = tuple(split)
-    if "r_min" in config or "r_max" in config:
-        kwargs["r_bounds"] = (_float(config, "r_min", 0.2), _float(config, "r_max", 30.0))
-    if "delta_min" in config or "delta_max" in config:
-        kwargs["delta_bounds"] = (_float(config, "delta_min", -4000.0),
-                                  _float(config, "delta_max", 4000.0))
-    if "delta1_min" in config or "delta1_max" in config:
-        kwargs["delta1_bounds"] = (_float(config, "delta1_min", 1e4),
-                                   _float(config, "delta1_max", 3e6))
+    for lo_key, hi_key, name in _BOUND_KEYS:
+        if lo_key in config or hi_key in config:
+            lo, hi = defaults[name]
+            kwargs[name] = (_float(config, lo_key, lo), _float(config, hi_key, hi))
     for key in ("restarts", "max_evals", "n_steps"):
         if key in config:
             kwargs[key] = _int(config, key)
     if "fixed_delta" in config:
         kwargs["fixed_delta"] = _float(config, "fixed_delta")
-    seed = seed_override if seed_override is not None else _int(config, "seed", 2024)
+    seed = seed_override if seed_override is not None else _int(config, "seed",
+                                                                defaults["seed"])
     kwargs["seed"] = seed
     return OptimizationProblem(**kwargs)
 

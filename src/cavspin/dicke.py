@@ -5,12 +5,14 @@ The effective ground-state Hamiltonian of the bichromatic scheme,
     H = c_pm J+J- + c_mp J-J+ + c_pp J+J+ + c_mm J-J-,
 
 is permutation symmetric, so the (N+1)-dimensional symmetric subspace is
-exact.  In the J_z ladder basis the Hamiltonian is pentadiagonal Hermitian;
-states are evolved either through a banded eigendecomposition or, for large
-N, by Krylov propagation.  With matched drives all four coefficients are
-equal and H reduces to one-axis twisting, chi * J_x^2 with chi = 4 c; that
-special case additionally admits an exact product-state solution for all six
-collective moments, used for the large-N twisting scans.
+exact.  In the J_z ladder basis H couples m only to m and m +- 2, so the
+ladder splits into an even-index and an odd-index parity sector, each a
+Hermitian tridiagonal matrix.  A diagonal phase gauge makes each sector real
+symmetric; its tridiagonal eigendecomposition then propagates any state to
+any set of times, for every N up to ``MAX_ATOMS``.  With matched drives all
+four coefficients are equal and H reduces to one-axis twisting, chi * J_x^2
+with chi = 4 c; that special case additionally admits an exact product-state
+solution for all six collective moments, used for the large-N twisting scans.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded
-from scipy.sparse import diags
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import eigh_tridiagonal
 
 from .moments import MomentState, _golden_min, squeezing_parameter
 from .params import PhysicalParams
@@ -30,7 +30,6 @@ from .params import PhysicalParams
 logger = logging.getLogger(__name__)
 
 MAX_ATOMS = 10_000
-_DENSE_EIG_LIMIT = 3_000
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def _ladder_up(j: float, m: np.ndarray) -> np.ndarray:
 
 
 def _hamiltonian_bands(coeffs: EffectiveCoeffs, n_atoms: int):
-    """Diagonal and second off-diagonal of H in the ladder basis."""
+    """Real diagonal and complex second off-diagonal of H in the ladder basis."""
     j = n_atoms / 2.0
     m = np.arange(n_atoms + 1) - j
     jj = j * (j + 1.0)
@@ -119,20 +118,34 @@ def _hamiltonian_bands(coeffs: EffectiveCoeffs, n_atoms: int):
     up = _ladder_up(j, m)
     # <m+2| J+J+ |m> couples index i -> i+2
     off2_lower = coeffs.c_pp * up[:-2] * up[1:-1]
-    return diag.astype(complex), off2_lower
+    return diag, off2_lower
 
 
 def _dense_hamiltonian(coeffs: EffectiveCoeffs, n_atoms: int) -> np.ndarray:
     diag, off2 = _hamiltonian_bands(coeffs, n_atoms)
-    h = np.diag(diag)
+    h = np.diag(diag.astype(complex))
     idx = np.arange(n_atoms - 1)
     h[idx + 2, idx] = off2
     h[idx, idx + 2] = np.conj(off2)
     return h
 
 
+def _times_real(z: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """``z @ real`` for complex ``z`` without a complex copy of ``real``."""
+    return z.real @ real + 1j * (z.imag @ real)
+
+
 class DickePropagator:
-    """Reusable exact propagator for one Hamiltonian (eigendecomposition or Krylov)."""
+    """Reusable exact propagator for one Hamiltonian, one parity sector at a time.
+
+    Each sector (ladder indices p, p+2, ...) is Hermitian tridiagonal with
+    real diagonal d and complex off-diagonal e.  With the gauge G = diag(g),
+    g_0 = 1 and g_{k+1} = g_k exp(i arg e_k), the sector is G S G* for the
+    real symmetric S with off-diagonal |e|, and S = V diag(w) V^T.  A sector
+    evolves as G V exp(-i w t) V^T G* a_0.  A sector is decomposed the first
+    time an amplitude vector populates it and is kept for later calls; the
+    stretched state populates only one.
+    """
 
     def __init__(self, coeffs: EffectiveCoeffs, n_atoms: int):
         if n_atoms > MAX_ATOMS:
@@ -141,18 +154,16 @@ class DickePropagator:
         self.coeffs = coeffs
         self.n_atoms = n_atoms
         self._diag, self._off2 = _hamiltonian_bands(coeffs, n_atoms)
-        self._eig = None
-        if n_atoms + 1 <= _DENSE_EIG_LIMIT + 1:
-            band = np.zeros((3, n_atoms + 1), dtype=complex)
-            band[0, :] = self._diag
-            band[2, :-2] = self._off2            # lower form: band[k, j] = H[j+k, j]
-            w, v = eig_banded(band, lower=True)
-            self._eig = (w, v)
+        self._sectors: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def _sparse(self):
-        n = self.n_atoms
-        return diags([self._off2, self._diag, np.conj(self._off2)],
-                     offsets=[-2, 0, 2], format="csr", dtype=complex)
+    def _sector(self, parity: int):
+        """Gauge phases g, eigenvalues w and real eigenvectors V of one sector."""
+        if parity not in self._sectors:
+            off = self._off2[parity::2]
+            gauge = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(off)))))
+            w, v = eigh_tridiagonal(self._diag[parity::2], np.abs(off))
+            self._sectors[parity] = (gauge, w, v)
+        return self._sectors[parity]
 
     def evolve(self, state: DickeState, t: float) -> DickeState:
         return DickeState(self.n_atoms, self.evolve_amplitudes(state.amplitudes, [t])[0])
@@ -162,15 +173,18 @@ class DickePropagator:
         times = np.asarray(times, dtype=float)
         if np.any(times < 0):
             raise ValueError("evolution times must be nonnegative")
-        if self._eig is not None:
-            w, v = self._eig
-            proj = v.conj().T @ amps
-            phases = np.exp(-1j * np.outer(times, w))
-            return (phases * proj) @ v.T
-        h = self._sparse()
-        out = np.empty((len(times), self.n_atoms + 1), dtype=complex)
-        for k, t in enumerate(times):
-            out[k] = expm_multiply(-1j * t * h, amps.astype(complex))
+        amps = np.asarray(amps, dtype=complex)
+        if amps.shape != (self.n_atoms + 1,):
+            raise ValueError("amplitude vector must have length N + 1")
+        out = np.zeros((len(times), self.n_atoms + 1), dtype=complex)
+        for parity in (0, 1):
+            start = amps[parity::2]
+            if not start.any():
+                continue
+            gauge, w, v = self._sector(parity)
+            proj = _times_real(gauge.conj() * start, v)          # V^T G* a_0
+            phased = np.exp(-1j * np.outer(times, w)) * proj
+            out[:, parity::2] = gauge * _times_real(phased, v.T)
         return out
 
 
@@ -252,7 +266,7 @@ def _oat_xi2(n_atoms: int, chi_t) -> np.ndarray:
     jz = mom[:, 0].real
     var = (mom[:, 4].real + mom[:, 5].real) / 4.0 - np.abs(mom[:, 2]) / 2.0
     var = np.maximum(var, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xi2 = n_atoms * var / jz ** 2
     xi2[~np.isfinite(xi2)] = np.inf
     return xi2

@@ -18,7 +18,6 @@ minimal variance is (jpm + jmp)/4 - |jpp|/2 at 2*theta = arg(jpp) + pi.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -218,7 +217,10 @@ def squeezing_parameter(v: MomentState, n_atoms: int,
                 RuntimeWarning, stacklevel=2)
         var_min = 0.0
     xi2 = n_atoms * var_min / jz ** 2
-    theta = (math.pi + cmath.phase(complex(v.jpp))) / 2.0
+    # math.atan2 rather than cmath.phase: the latter raises OverflowError
+    # when the imaginary part underflows to a subnormal.
+    jpp = complex(v.jpp)
+    theta = (math.pi + math.atan2(jpp.imag, jpp.real)) / 2.0
     theta %= math.pi
     return xi2, theta
 

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from cavspin.cli import main
+from cavspin.cli import COMMAND_KEYS, _problem_from_config, main
 from cavspin.params import params_to_mapping, demo_params
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -168,6 +168,25 @@ class TestOptimizeCommand:
                    "restarts": "1", "max_evals": "15", "n_steps": "60"}
         cfg = write_config(tmp_path, "opt.cfg", mapping)
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+class TestProblemFromConfig:
+    def test_half_given_bounds_and_seed_fall_back_to_problem_defaults(self):
+        config = {"n_atoms": "1000", "omega_ab": "100000", "kappa": "1",
+                  "gamma_total": "1", "r_min": "0.5", "delta1_max": "2e6"}
+        problem = _problem_from_config(config, None, need_rates=True)
+        assert problem.r_bounds == (0.5, 30.0)
+        assert problem.delta_bounds == (-4000.0, 4000.0)
+        assert problem.delta1_bounds == (1e4, 2e6)
+        assert problem.seed == 2024
+        assert (problem.g_a, problem.g_b) == (1.0, 1.0)
+
+    def test_search_keys_of_optimize_and_sweep(self):
+        search = {"g_a", "g_b", "gamma_split", "r_min", "r_max", "delta_min",
+                  "delta_max", "delta1_min", "delta1_max", "restarts",
+                  "max_evals", "seed", "n_steps"}
+        assert COMMAND_KEYS["sweep"]["optional"] == search
+        assert COMMAND_KEYS["optimize"]["optional"] == search | {"fixed_delta"}
 
 
 class TestSweepCommand:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-import cavspin.dicke as dicke_mod
 from cavspin.dicke import (DickePropagator, DickeState, EffectiveCoeffs,
                            _dense_hamiltonian, dicke_evolve, dicke_moments,
                            dicke_xi2, dicke_xi2_trace, effective_coeffs,
@@ -56,6 +58,11 @@ class TestEffectiveCoeffs:
             EffectiveCoeffs(c_pm=1j, c_mp=1.0, c_pp=0.0, c_mm=0.0)
 
 
+def random_state(rng, n):
+    amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return amps / np.linalg.norm(amps)
+
+
 class TestDickeEvolve:
     def test_time_zero(self):
         co = EffectiveCoeffs(0.1, 0.1, 0.1, 0.1)
@@ -89,13 +96,37 @@ class TestDickeEvolve:
         amps = prop.evolve_amplitudes(stretched_state(60).amplitudes, [1e3])[0]
         assert abs(np.linalg.norm(amps) - 1.0) < 1e-9
 
-    def test_krylov_path_matches_eig_path(self, monkeypatch):
-        co = EffectiveCoeffs(0.01, 0.02, complex(0.005, -0.002),
-                             complex(0.005, 0.002))
-        reference = dicke_evolve(co, 30, 5.0).amplitudes
-        monkeypatch.setattr(dicke_mod, "_DENSE_EIG_LIMIT", 10)
-        sparse_path = dicke_evolve(co, 30, 5.0).amplitudes
-        assert np.abs(sparse_path - reference).max() < 1e-9
+    @pytest.mark.parametrize("coeffs", [
+        EffectiveCoeffs(0.01, 0.02, complex(0.005, -0.002), complex(0.005, 0.002)),
+        EffectiveCoeffs(0.013, -0.004, 0.0, 0.0),
+    ], ids=["complex-pair-term", "diagonal-sectors"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 30, 31])
+    def test_mixed_parity_states_match_dense_expm(self, n, coeffs):
+        rng = np.random.default_rng(n)
+        amps = random_state(rng, n)
+        times = [0.0, 0.7, 5.0, 42.0]
+        got = DickePropagator(coeffs, n).evolve_amplitudes(amps, times)
+        h = _dense_hamiltonian(coeffs, n)
+        for t, row in zip(times, got):
+            assert np.abs(row - expm(-1j * t * h) @ amps).max() <= 1e-10
+
+    def test_stretched_state_matches_twisting_closed_form_at_3001(self):
+        n, c = 3001, 0.37
+        co = EffectiveCoeffs(c, c, c, c)
+        times = [f * n ** (-2.0 / 3.0) / (4.0 * c) for f in (0.6, 1.2, 1.8)]
+        amps = DickePropagator(co, n).evolve_amplitudes(stretched_state(n).amplitudes,
+                                                        times)
+        for t, vec in zip(times, amps):
+            exact = dicke_moments(DickeState(n, vec / np.linalg.norm(vec))).as_array()
+            closed = oat_moments(n, 4.0 * c * t)[0]
+            scale = np.maximum(np.abs(closed), float(n))
+            assert np.max(np.abs(exact - closed) / scale) <= 1e-10
+
+    def test_amplitude_length_checked(self):
+        # an odd-sector-only vector one entry short fits that sector's length
+        prop = DickePropagator(EffectiveCoeffs(0.1, 0.1, 0.1, 0.1), 4)
+        with pytest.raises(ValueError):
+            prop.evolve_amplitudes(np.array([0.0, 1.0, 0.0, 0.0]), [1.0])
 
     def test_refuses_oversized_systems(self):
         with pytest.raises(ValueError):
@@ -165,6 +196,13 @@ class TestTwisting:
     def test_monotone_improvement(self):
         assert oat_min_squeezing(1000)[0] < oat_min_squeezing(100)[0]
 
+    def test_no_overflow_warning_where_jz_underflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in range(63, 67):
+                xi2, _ = oat_min_squeezing(n)
+                assert 0.0 < xi2 < 1.0
+
     def test_size_limits(self):
         with pytest.raises(ValueError):
             oat_min_squeezing(1)
@@ -178,6 +216,44 @@ class TestTwisting:
         xi2, theta = squeezing_parameter(MomentState.from_array(mom), n)
         assert 0.0 < xi2 < 1.0
         assert 0.0 <= theta < np.pi
+
+
+@st.composite
+def propagators_and_states(draw):
+    n = draw(st.integers(1, 60))
+    rate = st.floats(-1.0, 1.0, allow_nan=False)
+    c_pp = complex(draw(rate), draw(rate))
+    coeffs = EffectiveCoeffs(draw(rate), draw(rate), c_pp, c_pp.conjugate())
+    amps = random_state(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), n)
+    return DickePropagator(coeffs, n), amps
+
+
+class TestPropagatorProperties:
+    times = st.floats(0.0, 5.0, allow_nan=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(propagators_and_states(), times)
+    def test_norm_preserved(self, case, t):
+        prop, amps = case
+        out = prop.evolve_amplitudes(amps, [t])[0]
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(propagators_and_states(), times, times)
+    def test_semigroup(self, case, t1, t2):
+        prop, amps = case
+        stepped = prop.evolve_amplitudes(prop.evolve_amplitudes(amps, [t2])[0], [t1])[0]
+        direct = prop.evolve_amplitudes(amps, [t1 + t2])[0]
+        assert np.abs(stepped - direct).max() <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(propagators_and_states(), times)
+    def test_evolved_jmm_is_conjugate_of_jpp(self, case, t):
+        prop, amps = case
+        out = prop.evolve_amplitudes(amps, [t])[0]
+        m = dicke_moments(DickeState(prop.n_atoms, out / np.linalg.norm(out)))
+        n = prop.n_atoms
+        assert abs(m.jmm - np.conj(m.jpp)) <= 1e-12 * max(1.0, n * n / 4)
 
 
 def _linear_vs_exact(n_atoms):
