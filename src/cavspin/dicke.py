@@ -99,6 +99,8 @@ class DickeState:
 
 def stretched_state(n_atoms: int) -> DickeState:
     """All atoms in |a>: the m = +N/2 ladder edge."""
+    if n_atoms < 1:
+        raise ValueError("n_atoms must be >= 1")
     amps = np.zeros(n_atoms + 1, dtype=complex)
     amps[-1] = 1.0
     return DickeState(n_atoms=n_atoms, amplitudes=amps)
@@ -148,6 +150,8 @@ class DickePropagator:
     """
 
     def __init__(self, coeffs: EffectiveCoeffs, n_atoms: int):
+        if n_atoms < 1:
+            raise ValueError("n_atoms must be >= 1")
         if n_atoms > MAX_ATOMS:
             raise ValueError(f"n_atoms = {n_atoms} exceeds the exact-evolution budget "
                              f"({MAX_ATOMS})")

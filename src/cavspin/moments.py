@@ -6,14 +6,19 @@ around the fully polarized state (J_z ~ N/2), the six expectation values
     v = (<J_z>, <N_a + N_b>, <J+J+>, <J-J->, <J+J->, <J-J+>)
 
 obey d/dt v = M v with a constant complex 6x6 generator M.  This module
-assembles M, propagates v by matrix exponentiation, and evaluates the
-squeezing parameter
+assembles M, propagates v, and evaluates the squeezing parameter
 
     xi^2 = N * min_theta <J_theta^2> / <J_z>^2
 
 along the evolution.  For the transverse plane the minimum is available in
 closed form: <J_theta^2> = (jpm + jmp)/4 + Re(jpp e^{-2 i theta})/2, so the
 minimal variance is (jpm + jmp)/4 - |jpp|/2 at 2*theta = arg(jpp) + pi.
+
+A squeezing trace diagonalizes M once, M = V diag(w) V^-1, and evaluates
+v(t) = V e^{w t} V^-1 v(0) for all grid times at once; the minimum is refined
+from the nearest grid point with the same eigenbasis.  When V is
+ill-conditioned (M nearly defective) the trace falls back to stepping with
+expm(M dt); the one-off ``propagate`` always uses expm.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ MOMENT_ORDER = ("jz", "nab", "jpp", "jmm", "jpm", "jmp")
 PHYSICALITY_TOL = 1e-8
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: largest ||V||_1 ||V^-1||_1 of the generator's eigenbasis that is trusted
+_COND_LIMIT = 1e4
 
 
 class PropagationError(RuntimeError):
@@ -65,12 +73,14 @@ class MomentState:
 
     def physicality_violation(self, n_atoms: int) -> float:
         """Largest violation of the reality/conjugation constraints, in units of N."""
-        worst = max(
-            abs(self.jz.imag), abs(self.nab.imag),
-            abs(self.jpm.imag), abs(self.jmp.imag),
-            abs(self.jmm - self.jpp.conjugate()),
-        )
-        return worst / n_atoms
+        return float(_physicality_violation(self.as_array(), n_atoms))
+
+
+def _physicality_violation(moments: np.ndarray, n_atoms: int) -> np.ndarray:
+    """``MomentState.physicality_violation`` of each moment vector (last axis)."""
+    worst = np.maximum(np.abs(moments[..., [0, 1, 4, 5]].imag).max(axis=-1),
+                       np.abs(moments[..., 3] - moments[..., 2].conj()))
+    return worst / n_atoms
 
 
 @dataclass(frozen=True)
@@ -284,13 +294,62 @@ def _golden_min(f, a: float, b: float, rel_tol: float = 1e-10, max_iter: int = 1
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
+def _moment_kernel(m: np.ndarray, v0: np.ndarray, dt: float, n_steps: int):
+    """Moments on the grid t_k = k dt and a propagator from any moment vector.
+
+    Returns ``(grid, from_point)``: ``grid[k] = exp(M t_k) v0`` for
+    k < n_steps, and ``from_point(v)`` is the function s -> exp(M s) v.
+    Normally both come from one eigendecomposition M = V diag(w) V^-1: the
+    grid is V e^{w t} V^-1 v0 and ``from_point(v)`` is anchored at v,
+    s -> v + V (e^{w s} - 1) V^-1 v, so it returns v itself (to rounding) as
+    s -> 0.  Only ``from_point`` is anchored: an unanchored probe next to a
+    grid point can undercut the exact grid value by rounding, while an
+    anchored grid leaves its decayed late rows on an error floor of v0's
+    size.  When the eigenbasis is ill-conditioned (||V||_1 ||V^-1||_1 >
+    ``_COND_LIMIT``, e.g. a nearly defective M) the grid is built by repeated
+    multiplication with expm(M dt) and ``from_point(v)`` calls expm for each
+    s.  Values that overflow are returned as inf/nan.
+    """
+    try:
+        w, vecs = np.linalg.eig(m)
+        inv = np.linalg.inv(vecs)
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    else:
+        cond = np.abs(vecs).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+    if cond <= _COND_LIMIT:
+        times = np.arange(n_steps) * dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = (np.exp(np.outer(times, w)) * (inv @ v0)) @ vecs.T
+        grid[0] = v0
+
+        def from_point(v: np.ndarray):
+            c = inv @ v
+            return lambda s: v + vecs @ (np.expm1(w * s) * c)
+
+        return grid, from_point
+
+    step = expm(m * dt)
+    grid = np.empty((n_steps, 6), dtype=complex)
+    grid[0] = v0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps):
+            grid[k] = step @ grid[k - 1]
+    return grid, lambda v: lambda s: expm(m * s) @ v
+
+
 def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
                      n_steps: int = 400, max_extensions: int = 0) -> SqueezingTrace:
     """Evaluate xi^2 on a uniform time grid and refine its minimum.
 
+    The moments on the whole grid come from one eigendecomposition of the
+    generator, v(t) = V e^{Lambda t} V^-1 v0, with expm stepping as the
+    fallback for an ill-conditioned eigenbasis (see ``_moment_kernel``).
     The grid minimum is polished by golden-section search between the two
-    neighbouring grid points.  If the physicality tolerances are violated at
-    some grid time, the trace is truncated there and flagged.
+    neighbouring grid points, propagating from the left one.  The first grid
+    point that is non-finite raises ``PropagationError``; if instead the
+    physicality tolerances are violated first, the trace is truncated there
+    and flagged.
 
     With ``max_extensions > 0`` the horizon is doubled (up to that many
     times) whenever the discrete minimum falls on the trailing edge of the
@@ -307,26 +366,23 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
     gen = assemble_generator(params)
     v0 = initial_state(params.n_atoms).as_array()
     dt = t_max / (n_steps - 1)
-    step = expm(gen.m * dt)
+    moments, from_point = _moment_kernel(gen.m, v0, dt, n_steps)
 
-    moments = np.empty((n_steps, 6), dtype=complex)
-    moments[0] = v0
+    nonfinite = ~np.isfinite(moments.view(float)).all(axis=1)
+    with np.errstate(invalid="ignore"):
+        bad = nonfinite | (_physicality_violation(moments, params.n_atoms)
+                           > PHYSICALITY_TOL)
     truncated = False
     reason = None
     n_kept = n_steps
-    v = v0
-    for k in range(1, n_steps):
-        v = step @ v
-        if not np.all(np.isfinite(v.view(float))):
+    if bad[1:].any():
+        k = 1 + int(np.argmax(bad[1:]))
+        if nonfinite[k]:
             raise PropagationError(f"non-finite moments at t={k * dt}")
-        state = MomentState.from_array(v)
-        if state.physicality_violation(params.n_atoms) > PHYSICALITY_TOL:
-            # drop the offending point: the exported trace stays physical
-            truncated = True
-            reason = f"physicality tolerance exceeded at t={k * dt:.6g}"
-            n_kept = k
-            break
-        moments[k] = v
+        # drop the offending point: the exported trace stays physical
+        truncated = True
+        reason = f"physicality tolerance exceeded at t={k * dt:.6g}"
+        n_kept = k
 
     moments = moments[:n_kept]
     times = np.arange(n_kept) * dt
@@ -334,15 +390,17 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
 
     i_min = int(np.argmin(xi2))
     if max_extensions > 0 and not truncated and i_min >= n_kept - 2:
+        # re-entered through the module-level name, so a wrapper installed
+        # on it sees every extension
         return evolve_squeezing(params, t_max=2.0 * t_max, n_steps=n_steps,
                                 max_extensions=max_extensions - 1)
     lo = max(i_min - 1, 0)
     hi = min(i_min + 1, n_kept - 1)
     if hi > lo:
-        v_lo = moments[lo]
+        from_lo = from_point(moments[lo])
 
         def f(t: float) -> float:
-            vt = expm(gen.m * (t - times[lo])) @ v_lo
+            vt = from_lo(t - times[lo])
             jz = vt[0].real
             var = max((vt[4].real + vt[5].real) / 4.0 - abs(vt[2]) / 2.0, 0.0)
             return params.n_atoms * var / jz ** 2

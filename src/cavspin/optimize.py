@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .moments import PropagationError, evolve_squeezing
 from .params import PhysicalParams, check_validity, kappa_prime
@@ -170,6 +169,9 @@ class _Objective:
 
 def _start_points(problem: OptimizationProblem) -> np.ndarray:
     """Deterministic low-discrepancy starts in the (log r, delta, log D1) box."""
+    # imported here: scipy.stats would roughly double the package import time
+    from scipy.stats import qmc
+
     sampler = qmc.Sobol(d=3, scramble=True, seed=problem.seed)
     with warnings.catch_warnings():
         # restart counts need not be powers of two; balance is irrelevant here

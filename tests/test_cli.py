@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -231,3 +233,13 @@ class TestValidate:
         assert main(["budget", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is needed only for the Sobol starts of optimize and would
+    # roughly double the import time of every command
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import sys, cavspin, cavspin.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -132,6 +132,16 @@ class TestDickeEvolve:
         with pytest.raises(ValueError):
             dicke_evolve(EffectiveCoeffs(0.1, 0.1, 0.1, 0.1), 10 ** 4 + 1, 1.0)
 
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_refuses_empty_systems(self, n):
+        coeffs = EffectiveCoeffs(0.1, 0.1, 0.1, 0.1)
+        with pytest.raises(ValueError, match="n_atoms must be >= 1"):
+            DickePropagator(coeffs, n)
+        with pytest.raises(ValueError, match="n_atoms must be >= 1"):
+            stretched_state(n)
+        with pytest.raises(ValueError, match="n_atoms must be >= 1"):
+            dicke_evolve(coeffs, n, 1.0)
+
     def test_state_normalization_checked(self):
         with pytest.raises(ValueError):
             DickeState(3, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
+import cavspin.moments as moments_mod
 from cavspin.dicke import effective_coeffs
 from cavspin.moments import (MomentState, PropagationError, assemble_generator,
                              default_t_max, evolve_squeezing, initial_state,
@@ -398,3 +399,129 @@ class TestEvolveSqueezing:
         assert float(first[0]) == 0.0
         assert float(first[1]) == pytest.approx(1.0)
         assert float(first[9]) == 0.0
+
+
+def stepped_moments(m, v0, dt, n_steps):
+    """Reference grid by repeated multiplication with expm(M dt)."""
+    step = expm(m * dt)
+    rows = [v0]
+    for _ in range(n_steps - 1):
+        rows.append(step @ rows[-1])
+    return np.array(rows)
+
+
+@st.composite
+def demo_perturbations(draw):
+    """demo_params() with N in [1e5, 1e7] and every rate moved by up to ~25%."""
+    base = demo_params(dissipation=draw(st.booleans()))
+
+    def nudge(x):
+        return x * 10.0 ** draw(st.floats(-0.1, 0.1))
+
+    return PhysicalParams(
+        n_atoms=int(10.0 ** draw(st.floats(5.0, 7.0))), g_a=base.g_a, g_b=base.g_b,
+        omega_1=nudge(base.omega_1), omega_2=nudge(base.omega_2),
+        delta_1=nudge(base.delta_1), omega_ab=nudge(base.omega_ab),
+        delta=nudge(base.delta), kappa=nudge(base.kappa),
+        gamma_a=nudge(base.gamma_a), gamma_b=nudge(base.gamma_b),
+        gamma_o=nudge(base.gamma_o))
+
+
+def inject_generator(monkeypatch, n_atoms, m):
+    """Make evolve_squeezing use the generator m instead of the assembled one."""
+    gen = moments_mod.MomentGenerator(m=np.asarray(m, dtype=complex),
+                                      n_atoms=n_atoms, kappa_prime=1.0)
+    monkeypatch.setattr(moments_mod, "assemble_generator", lambda params: gen)
+
+
+def count_expm(monkeypatch):
+    calls = []
+    monkeypatch.setattr(moments_mod, "expm", lambda a: calls.append(1) or expm(a))
+    return calls
+
+
+@pytest.fixture(params=["spectral", "stepping"])
+def kernel_path(request, monkeypatch):
+    """Run a test on the eigenbasis path and, with no basis trusted, on the fallback."""
+    if request.param == "stepping":
+        monkeypatch.setattr(moments_mod, "_COND_LIMIT", 0.0)
+    return request.param
+
+
+class TestSpectralKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(demo_perturbations())
+    def test_matches_expm_stepping(self, p):
+        trace = evolve_squeezing(p)
+        ref = stepped_moments(assemble_generator(p).m, trace.moments[0],
+                              trace.times[1], len(trace.times))
+        row_err = np.abs(trace.moments - ref).max(axis=1)
+        assert np.all(row_err <= 1e-12 * np.abs(ref).max(axis=1))
+
+    @settings(max_examples=20, deadline=None)
+    @given(demo_perturbations(), st.integers(0, 398), st.integers(1, 399))
+    def test_semigroup(self, p, j, span):
+        # exp(M (t_k - t_j)) v(t_j) = v(t_k): the anchored propagator used by
+        # the refinement continues the grid
+        gen = assemble_generator(p)
+        n_steps = 400
+        k = min(j + span, n_steps - 1)
+        assume(k > j)
+        dt = default_t_max(p) / (n_steps - 1)
+        v0 = initial_state(p.n_atoms).as_array()
+        grid, from_point = moments_mod._moment_kernel(gen.m, v0, dt, n_steps)
+        continued = from_point(grid[j])((k - j) * dt)
+        assert np.abs(continued - grid[k]).max() <= 1e-12 * np.abs(grid[k]).max()
+
+    @settings(max_examples=20, deadline=None)
+    @given(demo_perturbations())
+    def test_jmm_is_conjugate_of_jpp(self, p):
+        mom = evolve_squeezing(p).moments
+        scale = np.abs(mom).max(axis=1)
+        assert np.all(np.abs(mom[:, 3] - np.conj(mom[:, 2])) <= 1e-12 * scale)
+
+    @settings(max_examples=20, deadline=None)
+    @given(demo_perturbations(), st.floats(0.1, 10.0))
+    def test_drive_scale_invariance(self, p, s):
+        # M scales as s^2 and the default horizon as 1/s^2
+        scaled = p.with_drives(s * p.omega_1, s * p.omega_2)
+        assert evolve_squeezing(scaled).min_xi2 == pytest.approx(
+            evolve_squeezing(p).min_xi2, rel=1e-9)
+
+    def test_demo_takes_the_eigenbasis_path(self, monkeypatch):
+        calls = count_expm(monkeypatch)
+        evolve_squeezing(demo_params(), max_extensions=2)
+        assert calls == []
+
+    def test_defective_generator_falls_back_to_stepping(self, monkeypatch):
+        # a Jordan block in (jz, nab): eig returns two (nearly) parallel vectors
+        n = 1000
+        m = -np.eye(6)
+        m[0, 1] = 0.3
+        inject_generator(monkeypatch, n, m)
+        calls = count_expm(monkeypatch)
+        trace = evolve_squeezing(demo_params(n_atoms=n), t_max=2.0, n_steps=50)
+        assert len(calls) > 1          # the grid step plus one per probe
+        assert not trace.truncated
+        v0 = initial_state(n).as_array()
+        direct = np.array([expm(m * t) @ v0 for t in trace.times])
+        assert np.abs(trace.moments - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    def test_physicality_violation_before_overflow_truncates(self, kernel_path,
+                                                             monkeypatch):
+        # Im <J_z> / N = 7.5e-9 t leaves the tolerance at k = 2; <N_a + N_b>
+        # overflows at k = 8
+        n = 100
+        inject_generator(monkeypatch, n, np.diag([1.5e-8j, 100.0, 0, 0, 0, 0]))
+        trace = evolve_squeezing(demo_params(n_atoms=n), t_max=9.0, n_steps=10)
+        assert trace.truncated
+        assert len(trace.times) == 2
+        assert trace.truncation_reason == "physicality tolerance exceeded at t=2"
+
+    def test_overflow_first_raises(self, kernel_path, monkeypatch):
+        # <N_a + N_b> overflows at k = 2, before Im <J_z> / N = 3.75e-9 t
+        # leaves the tolerance at k = 3
+        n = 100
+        inject_generator(monkeypatch, n, np.diag([0.75e-8j, 400.0, 0, 0, 0, 0]))
+        with pytest.raises(PropagationError, match="non-finite moments at t=2"):
+            evolve_squeezing(demo_params(n_atoms=n), t_max=9.0, n_steps=10)
