@@ -299,6 +299,8 @@ def cmd_sweep(config: dict, out_dir: str, seed: int | None) -> int:
     if not coops:
         raise ConfigError("cooperativities list is empty")
     ratio = _float(config, "kappa_over_gamma")
+    if not (0 < ratio < math.inf):
+        raise ConfigError("kappa_over_gamma must be positive and finite")
     result = scaling_sweep(coops, template, kappa_over_gamma=ratio)
     _atomic_write(os.path.join(out_dir, "sweep.csv"),
                   _csv_text(config, _sweep_rows(result)))

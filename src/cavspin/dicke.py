@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .moments import MomentState, _golden_min, squeezing_parameter
+from .moments import (MomentState, SqueezingTrace, _golden_min, _jz_undefined,
+                      _theta, _undefined_reason, _xi2, squeezing_parameter)
 from .params import PhysicalParams
 
 logger = logging.getLogger(__name__)
@@ -206,25 +207,32 @@ def dicke_evolve(coeffs: EffectiveCoeffs, n_atoms: int, t: float,
     return prop.evolve(state, t)
 
 
+def _moment_array(amps: np.ndarray, n_atoms: int) -> np.ndarray:
+    """The six collective moments of normalized amplitude rows.
+
+    ``amps`` has shape (..., N+1) and the result (..., 6), in the moment
+    ordering of ``cavspin.moments``, from exact ladder-operator matrix
+    elements.
+    """
+    j = n_atoms / 2.0
+    m = np.arange(n_atoms + 1) - j
+    up = _ladder_up(j, m)
+    up_amp = up[:-1] * amps[..., :-1]    # (J+ a)[i+1] = up[i] a[i]
+    down_amp = up[:-1] * amps[..., 1:]   # (J- a)[i]   = up[i] a[i+1]
+    w2 = up[:-2] * up[1:-1]              # <J+J+>: coherence between m and m+2
+    out = np.empty(amps.shape[:-1] + (6,), dtype=complex)
+    out[..., 0] = np.abs(amps) ** 2 @ m
+    out[..., 1] = n_atoms
+    out[..., 2] = np.sum(np.conj(amps[..., 2:]) * w2 * amps[..., :-2], axis=-1)
+    out[..., 3] = np.sum(np.conj(amps[..., :-2]) * w2 * amps[..., 2:], axis=-1)
+    out[..., 4] = np.sum(np.abs(down_amp) ** 2, axis=-1)    # <J+J-> = ||J- psi||^2
+    out[..., 5] = np.sum(np.abs(up_amp) ** 2, axis=-1)      # <J-J+> = ||J+ psi||^2
+    return out
+
+
 def dicke_moments(state: DickeState) -> MomentState:
     """All six collective moments from exact ladder-operator matrix elements."""
-    a = state.amplitudes
-    n = state.n_atoms
-    j = n / 2.0
-    m = state.m_values
-    up = _ladder_up(j, m)
-
-    p = np.abs(a) ** 2
-    jz = float(p @ m)
-    up_amp = up[:-1] * a[:-1]            # (J+ a)[i+1] = up[i] a[i]
-    down_amp = up[:-1] * a[1:]           # (J- a)[i]   = up[i] a[i+1]
-    jmp = float(np.vdot(up_amp, up_amp).real)    # <J-J+> = ||J+ psi||^2
-    jpm = float(np.vdot(down_amp, down_amp).real)
-    # <J+J+>: coherence between m and m+2
-    w2 = up[:-2] * up[1:-1]
-    jpp = complex(np.sum(np.conj(a[2:]) * w2 * a[:-2]))
-    jmm = complex(np.sum(np.conj(a[:-2]) * w2 * a[2:]))
-    return MomentState(jz=jz, nab=float(n), jpp=jpp, jmm=jmm, jpm=jpm, jmp=jmp)
+    return MomentState.from_array(_moment_array(state.amplitudes, state.n_atoms))
 
 
 def dicke_xi2(state: DickeState) -> tuple[float, float]:
@@ -265,34 +273,28 @@ def oat_moments(n_atoms: int, chi_t) -> np.ndarray:
     return out
 
 
-def _oat_xi2(n_atoms: int, chi_t) -> np.ndarray:
-    mom = oat_moments(n_atoms, chi_t)
-    jz = mom[:, 0].real
-    var = (mom[:, 4].real + mom[:, 5].real) / 4.0 - np.abs(mom[:, 2]) / 2.0
-    var = np.maximum(var, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xi2 = n_atoms * var / jz ** 2
-    xi2[~np.isfinite(xi2)] = np.inf
-    return xi2
-
-
 def oat_min_squeezing(n_atoms: int) -> tuple[float, float]:
     """Minimal squeezing parameter of one-axis twisting at unit rate.
 
-    Scans chi*t logarithmically around the N**(-2/3) scaling guess and
-    refines by golden section.  Returns ``(xi2_min, t_min)``.
+    Scans chi*t logarithmically around the N**(-2/3) scaling guess, scoring
+    grid times at which xi^2 is undefined (|<J_z>| < 1e-12 N) as +inf, and
+    refines by golden section between the neighbours of the grid minimum.
+    Returns ``(xi2_min, t_min)``.
     """
     if not 2 <= n_atoms <= MAX_ATOMS:
         raise ValueError(f"n_atoms must lie in [2, {MAX_ATOMS}]")
     guess = n_atoms ** (-2.0 / 3.0)
     grid = np.geomspace(guess / 30.0, min(30.0 * guess, 0.499 * math.pi), 220)
-    xi2 = _oat_xi2(n_atoms, grid)
+    mom = oat_moments(n_atoms, grid)
+    defined = ~_jz_undefined(mom, n_atoms)
+    xi2 = np.full(len(grid), np.inf)
+    xi2[defined] = _xi2(mom[defined], n_atoms)
     i = int(np.argmin(xi2))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
 
     def f(t):
-        return float(_oat_xi2(n_atoms, [t])[0])
+        return float(_xi2(oat_moments(n_atoms, t), n_atoms)[0])
 
     t_min, xi2_min = _golden_min(f, float(lo), float(hi))
     if xi2[i] < xi2_min:
@@ -303,29 +305,47 @@ def oat_min_squeezing(n_atoms: int) -> tuple[float, float]:
     return float(xi2_min), float(t_min)
 
 
+def _evolved_moments(coeffs: EffectiveCoeffs, n_atoms: int, times) -> np.ndarray:
+    """Moments (len(times), 6) of the stretched state evolved to each time."""
+    prop = DickePropagator(coeffs, n_atoms)
+    amps = prop.evolve_amplitudes(stretched_state(n_atoms).amplitudes, times)
+    return _moment_array(amps / np.linalg.norm(amps, axis=1, keepdims=True), n_atoms)
+
+
 def dicke_xi2_trace(coeffs: EffectiveCoeffs, n_atoms: int, times) -> np.ndarray:
-    """xi^2 along the exact Dicke evolution, reusing one decomposition."""
-    prop = DickePropagator(coeffs, n_atoms)
-    amps = prop.evolve_amplitudes(stretched_state(n_atoms).amplitudes, times)
-    out = np.empty(len(amps))
-    for k, vec in enumerate(amps):
-        state = DickeState(n_atoms, vec / np.linalg.norm(vec))
-        out[k] = dicke_xi2(state)[0]
-    return out
+    """xi^2 along the exact Dicke evolution, reusing one decomposition.
+
+    Raises ``ValueError`` if xi^2 is undefined (|<J_z>| < 1e-12 N) at any of
+    the times.
+    """
+    moments = _evolved_moments(coeffs, n_atoms, times)
+    if _jz_undefined(moments, n_atoms).any():
+        raise ValueError("squeezing parameter undefined: <J_z> is (numerically) zero")
+    return _xi2(moments, n_atoms)
 
 
-def ideal_trace(coeffs: EffectiveCoeffs, n_atoms: int, times):
-    """Exact-evolution squeezing trace in the moment-trace export format."""
-    from .moments import SqueezingTrace, _xi2_grid
+def ideal_trace(coeffs: EffectiveCoeffs, n_atoms: int, times) -> SqueezingTrace:
+    """Exact-evolution squeezing trace in the moment-trace export format.
 
+    The domain rule of ``cavspin.moments`` applies: the trace ends before the
+    first time after the earliest one at which xi^2 is undefined
+    (|<J_z>| < 1e-12 N) and is flagged ``truncated`` with a reason that names
+    <J_z>, so its xi2 column stays finite.  An undefined earliest time raises
+    ``ValueError``.
+    """
     times = np.asarray(sorted(float(t) for t in times))
-    prop = DickePropagator(coeffs, n_atoms)
-    amps = prop.evolve_amplitudes(stretched_state(n_atoms).amplitudes, times)
-    moments = np.empty((len(times), 6), dtype=complex)
-    for k, vec in enumerate(amps):
-        state = DickeState(n_atoms, vec / np.linalg.norm(vec))
-        moments[k] = dicke_moments(state).as_array()
-    xi2, theta = _xi2_grid(moments, n_atoms)
+    moments = _evolved_moments(coeffs, n_atoms, times)
+    undefined = _jz_undefined(moments, n_atoms)
+    truncated, reason = False, None
+    if undefined.any():
+        k = int(np.argmax(undefined))
+        if k == 0:
+            raise ValueError("squeezing parameter undefined at the earliest time: "
+                             "<J_z> is (numerically) zero")
+        truncated, reason = True, _undefined_reason(times[k])
+        times, moments = times[:k], moments[:k]
+    xi2 = _xi2(moments, n_atoms)
     i = int(np.argmin(xi2))
-    return SqueezingTrace(times=times, xi2=xi2, theta_min=theta, moments=moments,
-                          min_xi2=float(xi2[i]), t_min=float(times[i]))
+    return SqueezingTrace(times=times, xi2=xi2, theta_min=_theta(moments),
+                          moments=moments, min_xi2=float(xi2[i]), t_min=float(times[i]),
+                          truncated=truncated, truncation_reason=reason)

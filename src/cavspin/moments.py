@@ -13,6 +13,16 @@ assembles M, propagates v, and evaluates the squeezing parameter
 along the evolution.  For the transverse plane the minimum is available in
 closed form: <J_theta^2> = (jpm + jmp)/4 + Re(jpp e^{-2 i theta})/2, so the
 minimal variance is (jpm + jmp)/4 - |jpp|/2 at 2*theta = arg(jpp) + pi.
+This module holds the one copy of that formula (``_xi2`` and ``_theta``);
+the exact Dicke layer calls it too.  A negative minimal variance, which the
+linearized dynamics can produce, is clamped to zero.  One domain rule
+applies everywhere: xi^2 is undefined where |<J_z>| < 1e-12 N
+(``_jz_undefined``).  ``squeezing_parameter`` raises ``ValueError`` there.
+A trace (``evolve_squeezing``, ``dicke.ideal_trace``) ends before its first
+undefined point after the initial one and is flagged truncated with a
+reason that names <J_z>, just as it ends before its first unphysical point,
+so an exported trace never holds an infinite xi^2.  The one-axis-twisting
+scan scores undefined points +inf.
 
 A squeezing trace diagonalizes M once, M = V diag(w) V^-1, and evaluates
 v(t) = V e^{w t} V^-1 v(0) for all grid times at once; the minimum is refined
@@ -42,6 +52,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: largest ||V||_1 ||V^-1||_1 of the generator's eigenbasis that is trusted
 _COND_LIMIT = 1e4
+
+#: |<J_z>| below this fraction of N leaves the squeezing parameter undefined
+_JZ_FLOOR = 1e-12
 
 
 class PropagationError(RuntimeError):
@@ -208,31 +221,64 @@ def propagate(gen: MomentGenerator, v0: MomentState, t: float) -> MomentState:
     return MomentState.from_array(out)
 
 
+def _jz_undefined(moments: np.ndarray, n_atoms: int):
+    """The domain rule: xi^2 is undefined where |<J_z>| < 1e-12 N.
+
+    ``moments`` is one moment vector or stacked rows (last axis in
+    ``MOMENT_ORDER``); the result is a bool or a mask over the rows.
+    """
+    return abs(moments.T[0].real) < _JZ_FLOOR * n_atoms
+
+
+def _undefined_reason(t: float) -> str:
+    """Truncation reason of a trace that reaches an undefined point at t."""
+    return (f"<J_z> below {_JZ_FLOOR:g} N (squeezing parameter undefined) "
+            f"at t={t:.6g}")
+
+
+def _min_variance(m: np.ndarray):
+    """Unclamped minimal transverse variance of ``m = moments.T``."""
+    return (m[4].real + m[5].real) / 4.0 - abs(m[2]) / 2.0
+
+
+def _xi2(moments: np.ndarray, n_atoms: int):
+    """xi^2 of one moment vector or of stacked rows (last axis ``MOMENT_ORDER``).
+
+    Arithmetic only, cheap enough for every refinement probe: the minimal
+    variance is clamped at zero, and the domain rule (``_jz_undefined``) is
+    left to the caller.  A 1-D vector gives a numpy scalar.
+    """
+    m = moments.T
+    var = _min_variance(m)
+    # (var + |var|)/2 is max(var, 0) exactly, for a scalar and an array alike,
+    # and costs a fraction of np.maximum on the scalar of a refinement probe
+    return n_atoms * ((var + abs(var)) / 2.0) / m[0].real ** 2
+
+
+def _theta(moments: np.ndarray):
+    """Optimal transverse angle (pi + arg jpp)/2 mod pi, shaped like ``_xi2``."""
+    return np.mod((np.pi + np.angle(moments.T[2])) / 2.0, np.pi)
+
+
 def squeezing_parameter(v: MomentState, n_atoms: int,
                         clamp_warning: bool = True) -> tuple[float, float]:
     """Squeezing parameter and optimal transverse angle for a moment vector.
 
-    Returns ``(xi2, theta_min)`` with ``theta_min`` in [0, pi).  A slightly
-    negative minimal variance produced by the linearized dynamics is clamped
-    to zero with a warning rather than silently returned.
+    Returns ``(xi2, theta_min)`` with ``theta_min`` in [0, pi).  Raises
+    ``ValueError`` where the domain rule leaves xi^2 undefined
+    (|<J_z>| < 1e-12 N).  A slightly negative minimal variance produced by
+    the linearized dynamics is clamped to zero with a warning rather than
+    silently returned.
     """
-    jz = v.jz.real
-    if jz == 0.0 or abs(jz) < 1e-12 * n_atoms:
+    moments = v.as_array()
+    if _jz_undefined(moments, n_atoms):
         raise ValueError("squeezing parameter undefined: <J_z> is (numerically) zero")
-    var_min = (v.jpm.real + v.jmp.real) / 4.0 - abs(v.jpp) / 2.0
-    if var_min < 0.0:
-        if clamp_warning:
-            warnings.warn(
-                f"minimal transverse variance {var_min:.3e} < 0 clamped to zero",
-                RuntimeWarning, stacklevel=2)
-        var_min = 0.0
-    xi2 = n_atoms * var_min / jz ** 2
-    # math.atan2 rather than cmath.phase: the latter raises OverflowError
-    # when the imaginary part underflows to a subnormal.
-    jpp = complex(v.jpp)
-    theta = (math.pi + math.atan2(jpp.imag, jpp.real)) / 2.0
-    theta %= math.pi
-    return xi2, theta
+    var_min = _min_variance(moments)
+    if var_min < 0.0 and clamp_warning:
+        warnings.warn(
+            f"minimal transverse variance {var_min:.3e} < 0 clamped to zero",
+            RuntimeWarning, stacklevel=2)
+    return float(_xi2(moments, n_atoms)), float(_theta(moments))
 
 
 @dataclass(frozen=True)
@@ -262,16 +308,6 @@ def default_t_max(params: PhysicalParams) -> float:
         raise ValueError("no drive (or no slow scale): supply t_max explicitly")
     chi_eff = num / (abs(params.delta_1 * params.delta_2) * slow)
     return 10.0 / (params.n_atoms * chi_eff)
-
-
-def _xi2_grid(moments: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    jz = moments[:, 0].real
-    var = (moments[:, 4].real + moments[:, 5].real) / 4.0 - np.abs(moments[:, 2]) / 2.0
-    var = np.maximum(var, 0.0)
-    xi2 = n_atoms * var / jz ** 2
-    theta = (np.pi + np.angle(moments[:, 2])) / 2.0
-    theta = np.mod(theta, np.pi)
-    return xi2, theta
 
 
 def _golden_min(f, a: float, b: float, rel_tol: float = 1e-10, max_iter: int = 120):
@@ -346,10 +382,11 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
     generator, v(t) = V e^{Lambda t} V^-1 v0, with expm stepping as the
     fallback for an ill-conditioned eigenbasis (see ``_moment_kernel``).
     The grid minimum is polished by golden-section search between the two
-    neighbouring grid points, propagating from the left one.  The first grid
-    point that is non-finite raises ``PropagationError``; if instead the
-    physicality tolerances are violated first, the trace is truncated there
-    and flagged.
+    neighbouring grid points, propagating from the left one.  The first bad
+    grid point after t = 0 decides: a non-finite one raises
+    ``PropagationError``; one that violates the physicality tolerances, or
+    at which xi^2 is undefined (|<J_z>| < 1e-12 N), ends the trace before
+    it, and the trace is flagged ``truncated`` with the reason.
 
     With ``max_extensions > 0`` the horizon is doubled (up to that many
     times) whenever the discrete minimum falls on the trailing edge of the
@@ -370,8 +407,9 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
 
     nonfinite = ~np.isfinite(moments.view(float)).all(axis=1)
     with np.errstate(invalid="ignore"):
-        bad = nonfinite | (_physicality_violation(moments, params.n_atoms)
-                           > PHYSICALITY_TOL)
+        unphysical = (_physicality_violation(moments, params.n_atoms)
+                      > PHYSICALITY_TOL)
+    bad = nonfinite | unphysical | _jz_undefined(moments, params.n_atoms)
     truncated = False
     reason = None
     n_kept = n_steps
@@ -379,14 +417,16 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
         k = 1 + int(np.argmax(bad[1:]))
         if nonfinite[k]:
             raise PropagationError(f"non-finite moments at t={k * dt}")
-        # drop the offending point: the exported trace stays physical
+        # drop the offending point: the exported trace stays physical and finite
         truncated = True
-        reason = f"physicality tolerance exceeded at t={k * dt:.6g}"
+        reason = (f"physicality tolerance exceeded at t={k * dt:.6g}" if unphysical[k]
+                  else _undefined_reason(k * dt))
         n_kept = k
 
     moments = moments[:n_kept]
     times = np.arange(n_kept) * dt
-    xi2, theta = _xi2_grid(moments, params.n_atoms)
+    xi2 = _xi2(moments, params.n_atoms)
+    theta = _theta(moments)
 
     i_min = int(np.argmin(xi2))
     if max_extensions > 0 and not truncated and i_min >= n_kept - 2:
@@ -400,10 +440,7 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
         from_lo = from_point(moments[lo])
 
         def f(t: float) -> float:
-            vt = from_lo(t - times[lo])
-            jz = vt[0].real
-            var = max((vt[4].real + vt[5].real) / 4.0 - abs(vt[2]) / 2.0, 0.0)
-            return params.n_atoms * var / jz ** 2
+            return _xi2(from_lo(t - times[lo]), params.n_atoms)
 
         t_min, min_xi2 = _golden_min(f, float(times[lo]), float(times[hi]))
         if xi2[i_min] < min_xi2:

@@ -264,6 +264,8 @@ def problem_for_cooperativity(template: OptimizationProblem, cooperativity: floa
     """Set (kappa, Gamma) so that N |g_a g_b| / (kappa Gamma) hits the target."""
     if cooperativity <= 0:
         raise ValueError("cooperativity must be positive")
+    if not (0 < kappa_over_gamma < math.inf):
+        raise ValueError("kappa_over_gamma must be positive and finite")
     product = template.n_atoms * abs(template.g_a * template.g_b) / cooperativity
     kappa = math.sqrt(product * kappa_over_gamma)
     gamma = math.sqrt(product / kappa_over_gamma)
@@ -276,8 +278,10 @@ def scaling_sweep(cooperativities, template: OptimizationProblem,
 
     The primary fit fixes the log-log slope at -1/2 over points with
     cooperativity >= 1 and reports the prefactor; a free-slope least-squares
-    fit is included as a diagnostic.  Individual failures are recorded and
-    the sweep continues.
+    fit is included as a diagnostic.  A point whose optimization fails
+    numerically (``ValueError`` or ``RuntimeError``, which include
+    ``PropagationError`` and ``LinAlgError``) is recorded with its error and
+    the sweep continues; any other exception is a bug and propagates.
     """
     points = []
     for coop in cooperativities:
@@ -287,7 +291,7 @@ def scaling_sweep(cooperativities, template: OptimizationProblem,
         prob = problem_for_cooperativity(template, coop, kappa_over_gamma)
         try:
             points.append(SweepPoint(float(coop), optimize(prob)))
-        except Exception as exc:  # noqa: BLE001 - sweep must survive point failures
+        except (ValueError, RuntimeError) as exc:   # numerical point failures
             points.append(SweepPoint(float(coop), None, str(exc)))
 
     fitted = [(p.cooperativity, p.report.xi2_min) for p in points

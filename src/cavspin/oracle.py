@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import MomentState, assemble_generator, initial_state
+from .moments import MomentState, assemble_generator, initial_state, propagate
 from .params import PhysicalParams, check_validity, stark_shifts
 
 DIM_BUDGET = 1024
@@ -424,31 +424,13 @@ def extract_moments(rho: DensityMatrix, basis: Basis) -> tuple[MomentState, floa
 # unitary fast path: compose the one-period RK4 propagator for periodic H(t)
 # ---------------------------------------------------------------------------
 
-def _rk4_propagator(liou: Liouvillian, t0: float, t1: float, dt_target: float) -> np.ndarray:
-    """RK4 propagator matrix for i dU/dt = H(t) U over [t0, t1]."""
-    dim = liou.basis.dim
-    u = np.eye(dim, dtype=complex)
-    span = t1 - t0
-    if span <= 0.0:
-        return u
-    n_steps = max(1, math.ceil(span / dt_target))
-    h_step = span / n_steps
-    time = t0
-    for _ in range(n_steps):
-        k1 = -1j * (liou.hamiltonian_at(time) @ u)
-        u2 = u + 0.5 * h_step * k1
-        hm = liou.hamiltonian_at(time + 0.5 * h_step)
-        k2 = -1j * (hm @ u2)
-        k3 = -1j * (hm @ (u + 0.5 * h_step * k2))
-        k4 = -1j * (liou.hamiltonian_at(time + h_step) @ (u + h_step * k3))
-        u = u + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        time += h_step
-    return u
-
-
 def _rk4_state(liou: Liouvillian, psi: np.ndarray, t0: float, t1: float,
                dt_target: float) -> np.ndarray:
-    """RK4 on the Schroedinger equation for a single state vector."""
+    """RK4 on the Schroedinger equation for a state vector.
+
+    ``psi`` may also be a matrix whose columns are stepped together; from
+    the identity this gives the RK4 propagator over [t0, t1].
+    """
     span = t1 - t0
     if span <= 0.0:
         return psi
@@ -491,7 +473,8 @@ class _PeriodicUnitaryEvolver:
 
     def _period_power(self, exponent: int) -> np.ndarray:
         if self._u_period is None:
-            self._u_period = _rk4_propagator(self.liou, 0.0, self.period, self.dt)
+            identity = np.eye(self.liou.basis.dim, dtype=complex)
+            self._u_period = _rk4_state(self.liou, identity, 0.0, self.period, self.dt)
             self._powers = [self._u_period]
         result = np.eye(self.liou.basis.dim, dtype=complex)
         bit = 0
@@ -682,12 +665,8 @@ def validate_elimination(params: PhysicalParams, spec: HilbertSpec, t_grid,
     m_full = _frame_aligned(m_full, times, params.omega_ab)
     m_int, ph_int, _ = _run_brute_force(inter, times, dt_intermediate)
 
-    from scipy.linalg import expm
-
-    v0 = initial_state(params.n_atoms).as_array()
-    m_lin = np.empty((len(times), 6), dtype=complex)
-    for i, t in enumerate(times):
-        m_lin[i] = expm(gen.m * t) @ v0
+    v0 = initial_state(params.n_atoms)
+    m_lin = np.array([propagate(gen, v0, t).as_array() for t in times])
 
     scales = {}
     rel_fi = {}

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -64,6 +65,23 @@ class TestEvolve:
         with_loss = json.loads((out_a / "summary.json").read_text())
         lossless = json.loads((out_b / "summary.json").read_text())
         assert lossless["summary"]["min_xi2"] < with_loss["summary"]["min_xi2"]
+
+    def test_decayed_trace_writes_no_inf(self, tmp_path):
+        # dissipative N = 156: <J_z> decays below 1e-12 N inside the default
+        # horizon, and the trace ends there instead of exporting xi2 = inf
+        params = replace(demo_params(n_atoms=156), omega_1=14485.0, omega_2=6982.0,
+                         delta_1=79304.0, omega_ab=11158.0, delta=996.0, kappa=75.8,
+                         gamma_a=31.9, gamma_b=39.8, gamma_o=42.9)
+        mapping = {"command": "evolve", **params_to_mapping(params)}
+        cfg = write_config(tmp_path, "decayed.cfg", mapping)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = [l for l in (tmp_path / "trace.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        assert len(rows) == 1 + 28
+        assert not any("inf" in row or "nan" in row for row in rows)
+        summary = json.loads((tmp_path / "summary.json").read_text())["summary"]
+        assert summary["truncated"]
+        assert summary["truncation_reason"].startswith("<J_z> below 1e-12 N")
 
     def test_empty_grid_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(n_steps=1))
@@ -206,6 +224,15 @@ class TestSweepCommand:
         header = next(l for l in csv_lines if not l.startswith("#"))
         assert header == ("cooperativity,xi2_min,r_opt,delta_opt,delta1_opt,"
                           "t_min,C_fixed_slope")
+
+    @pytest.mark.parametrize("ratio", ["0", "-1", "nan", "inf"])
+    def test_bad_loss_ratio_is_config_error(self, tmp_path, capsys, ratio):
+        mapping = {"command": "sweep", "n_atoms": "1000000", "omega_ab": "100000",
+                   "cooperativities": "100", "kappa_over_gamma": ratio}
+        cfg = write_config(tmp_path, "sweep.cfg", mapping)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "kappa_over_gamma" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
 
     def test_failed_point_exits_numerical(self, tmp_path):
         mapping = {"command": "sweep", "n_atoms": "1000000",

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cavspin.dicke import (DickePropagator, DickeState, EffectiveCoeffs,
-                           _dense_hamiltonian, dicke_evolve, dicke_moments,
-                           dicke_xi2, dicke_xi2_trace, effective_coeffs,
+                           _dense_hamiltonian, _moment_array, dicke_evolve,
+                           dicke_moments, dicke_xi2, dicke_xi2_trace, effective_coeffs,
                            oat_min_squeezing, oat_moments, stretched_state)
 from cavspin.moments import squeezing_parameter
 from cavspin.params import PhysicalParams, demo_params, match_raman
@@ -316,6 +316,22 @@ class TestMomentEquationCrossOracle:
         assert min_dev <= 0.25
 
 
+class TestMomentArray:
+    @settings(max_examples=40, deadline=None)
+    @given(propagators_and_states(),
+           st.lists(st.floats(0.0, 5.0, allow_nan=False), min_size=1, max_size=6))
+    def test_stacked_rows_match_per_state_moments(self, case, times):
+        prop, amps = case
+        n = prop.n_atoms
+        rows = prop.evolve_amplitudes(amps, times)
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        stacked = _moment_array(rows, n)
+        assert stacked.shape == (len(times), 6)
+        for vec, got in zip(rows, stacked):
+            one = dicke_moments(DickeState(n, vec)).as_array()
+            assert np.abs(got - one).max() <= 1e-13 * max(1.0, n * n / 4)
+
+
 class TestIdealTrace:
     def test_export_format_and_exact_commutator(self):
         from cavspin.dicke import ideal_trace
@@ -330,3 +346,32 @@ class TestIdealTrace:
         assert trace.xi2[0] == pytest.approx(1.0, abs=1e-12)
         # exact evolution preserves the ladder commutator identity
         assert np.abs(trace.commutator_residual).max() < 1e-9 * 30
+
+    def test_quarter_turn_truncates_before_undefined_jz(self):
+        # <J_z> = (N/2) cos^(N-1)(chi t) vanishes at chi t = pi/2
+        from cavspin.dicke import ideal_trace
+        n = 30
+        co = effective_coeffs(matched_params(n_atoms=n))
+        chi = co.matched_chi()
+        times = np.linspace(0.0, 0.5 * np.pi / chi, 60)
+        trace = ideal_trace(co, n, times)
+        assert trace.truncated
+        assert trace.truncation_reason.startswith("<J_z> below 1e-12 N")
+        k = len(trace.times)
+        assert 0 < k < len(times)
+        assert np.all(np.abs(trace.moments[:, 0].real) >= 1e-12 * n)
+        assert np.isfinite(trace.xi2).all()
+        assert abs(oat_moments(n, chi * times[k])[0, 0].real) < 1e-12 * n
+        assert trace.min_xi2 == pytest.approx(oat_min_squeezing(n)[0], rel=1e-2)
+        with pytest.raises(ValueError, match="undefined"):
+            dicke_xi2_trace(co, n, times)
+
+    def test_trace_matches_per_state_squeezing(self):
+        n = 40
+        co = effective_coeffs(matched_params(n_atoms=n))
+        times = np.linspace(0.0, 0.3 / co.matched_chi(), 7)
+        xi2 = dicke_xi2_trace(co, n, times)
+        prop = DickePropagator(co, n)
+        for t, got in zip(times, xi2):
+            ref = dicke_xi2(prop.evolve(stretched_state(n), t))[0]
+            assert got == pytest.approx(ref, rel=1e-12)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,6 +314,86 @@ class TestSqueezingParameter:
         v = MomentState(jz=0.0, nab=100, jpp=0, jmm=0, jpm=50, jmp=50)
         with pytest.raises(ValueError):
             squeezing_parameter(v, 100)
+
+
+def circular_gap(a, b):
+    """Distance of two transverse angles on the circle of period pi."""
+    d = abs(a - b) % math.pi
+    return min(d, math.pi - d)
+
+
+class TestSharedFormula:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(physical_moment_states(), min_size=1, max_size=12))
+    def test_stacked_rows_match_squeezing_parameter(self, states):
+        assume(all(abs(v.jz.real) > 1e-3 for v in states))
+        rows = np.array([v.as_array() for v in states])
+        xi2 = moments_mod._xi2(rows, 100)
+        theta = moments_mod._theta(rows)
+        assert xi2.shape == theta.shape == (len(states),)
+        for k, v in enumerate(states):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ref_xi2, ref_theta = squeezing_parameter(v, 100)
+            # the absolute term is the rounding scale of the variance itself,
+            # which matters only where (jpm + jmp)/4 and |jpp|/2 cancel
+            scale = 100 * (abs(v.jpm) + abs(v.jmp) + abs(v.jpp)) / v.jz.real ** 2
+            assert xi2[k] == pytest.approx(ref_xi2, rel=1e-14, abs=1e-15 * scale)
+            assert circular_gap(theta[k], ref_theta) <= 1e-14
+
+    def test_domain_rule_boundary(self):
+        n = 1000
+        below = MomentState(jz=0.99e-9, nab=n, jpp=0, jmm=0, jpm=n / 2, jmp=n / 2)
+        at = MomentState(jz=-1e-9, nab=n, jpp=0, jmm=0, jpm=n / 2, jmp=n / 2)
+        with pytest.raises(ValueError, match="undefined"):
+            squeezing_parameter(below, n)
+        xi2, _ = squeezing_parameter(at, n)
+        assert xi2 == pytest.approx(n * (n / 4) / 1e-18)
+        rows = np.array([below.as_array(), at.as_array()])
+        assert moments_mod._jz_undefined(rows, n).tolist() == [True, False]
+
+
+#: the dissipative N = 156 point at which the decayed tail of the default
+#: horizon used to reach <J_z>^2 = 0 and write xi2 = inf rows to trace.csv
+DECAYED_PARAMS = replace(demo_params(n_atoms=156), omega_1=14485.0, omega_2=6982.0,
+                         delta_1=79304.0, omega_ab=11158.0, delta=996.0, kappa=75.8,
+                         gamma_a=31.9, gamma_b=39.8, gamma_o=42.9)
+
+
+class TestUndefinedTruncation:
+    def test_decayed_trace_ends_before_undefined_jz(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = evolve_squeezing(DECAYED_PARAMS)
+        # row 28 is the first with |<J_z>| < 1e-12 N
+        assert len(trace.times) == 28
+        assert trace.truncated
+        assert trace.truncation_reason.startswith("<J_z> below 1e-12 N")
+        assert np.isfinite(trace.xi2).all()
+        assert np.all(np.abs(trace.moments[:, 0].real) >= 1e-12 * 156)
+        gen = assemble_generator(DECAYED_PARAMS)
+        dropped = expm(gen.m * len(trace.times) * trace.times[1]) @ trace.moments[0]
+        assert abs(dropped[0].real) < 1e-12 * 156
+
+    def test_decaying_jz_truncates_on_both_kernel_paths(self, kernel_path, monkeypatch):
+        # <J_z> = (N/2) e^{-t} drops below 1e-12 N after t = ln(5e11) = 26.9
+        n = 100
+        inject_generator(monkeypatch, n, np.diag([-1.0, 0, 0, 0, 0, 0]))
+        trace = evolve_squeezing(demo_params(n_atoms=n), t_max=40.0, n_steps=41)
+        assert trace.truncated
+        assert len(trace.times) == 27
+        assert trace.truncation_reason == (
+            "<J_z> below 1e-12 N (squeezing parameter undefined) at t=27")
+
+    def test_physicality_reason_wins_on_the_same_row(self, monkeypatch):
+        # both rules first fail at k = 27
+        n = 100
+        inject_generator(monkeypatch, n, np.diag([-1.0, 0, 0, 0, 0, 0]))
+        monkeypatch.setattr(moments_mod, "_physicality_violation",
+                            lambda mom, n_atoms: (np.arange(len(mom)) >= 27) * 1.0)
+        trace = evolve_squeezing(demo_params(n_atoms=n), t_max=40.0, n_steps=41)
+        assert len(trace.times) == 27
+        assert trace.truncation_reason == "physicality tolerance exceeded at t=27"
 
 
 @st.composite

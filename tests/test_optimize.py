@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 
@@ -9,6 +10,9 @@ from cavspin.optimize import (OptimizationProblem, delta_zero_check, optimize,
                               problem_for_cooperativity, scaling_sweep)
 
 warnings.filterwarnings("ignore", message="The balance properties of Sobol")
+
+# the package re-exports the function optimize under the module's own name
+optimize_mod = importlib.import_module("cavspin.optimize")
 
 
 def quick_problem(**overrides):
@@ -29,6 +33,11 @@ class TestProblem:
         prob = problem_for_cooperativity(quick_problem(), 250.0, 4.0)
         assert prob.n_atoms / (prob.kappa * prob.gamma_total) == pytest.approx(250.0)
         assert prob.kappa / prob.gamma_total == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_loss_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="kappa_over_gamma"):
+            problem_for_cooperativity(quick_problem(), 100.0, ratio)
 
     def test_gamma_split(self):
         prob = quick_problem(kappa=1.0, gamma_total=9.0, gamma_split=(1, 2, 0))
@@ -110,6 +119,29 @@ class TestSweep:
         assert result.points[0].report is None
         assert "below sweep range" in result.points[0].error
         assert result.points[1].report is not None
+
+    def test_numerical_failure_recorded_and_sweep_continues(self, monkeypatch,
+                                                              cheap_optimum):
+        _, rep = cheap_optimum
+
+        def flaky(prob):
+            if prob.cooperativity < 50.0:
+                raise RuntimeError("stand-in numerical failure")
+            return rep
+
+        monkeypatch.setattr(optimize_mod, "optimize", flaky)
+        result = scaling_sweep([10.0, 100.0], quick_problem())
+        assert result.points[0].report is None
+        assert result.points[0].error == "stand-in numerical failure"
+        assert result.points[1].report is rep
+
+    def test_programming_errors_surface(self, monkeypatch):
+        def broken(prob):
+            raise TypeError("stand-in bug")
+
+        monkeypatch.setattr(optimize_mod, "optimize", broken)
+        with pytest.raises(TypeError, match="stand-in bug"):
+            scaling_sweep([100.0], quick_problem())
 
     def test_no_usable_points(self):
         with pytest.raises(RuntimeError):
