@@ -83,9 +83,12 @@ def _float(mapping: dict, key: str, default: float | None = None) -> float | Non
     if key not in mapping:
         return default
     try:
-        return float(mapping[key])
+        value = float(mapping[key])
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: not a number: {mapping[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: not a finite number: {mapping[key]!r}")
+    return value
 
 
 def _int(mapping: dict, key: str, default: int | None = None) -> int | None:
@@ -99,9 +102,12 @@ def _int(mapping: dict, key: str, default: int | None = None) -> int | None:
 
 def _float_list(mapping: dict, key: str) -> list[float]:
     try:
-        return [float(tok) for tok in mapping[key].split(",") if tok.strip()]
+        values = [float(tok) for tok in mapping[key].split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: not a comma-separated number list") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"key {key!r}: not a list of finite numbers: {mapping[key]!r}")
+    return values
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -299,8 +305,8 @@ def cmd_sweep(config: dict, out_dir: str, seed: int | None) -> int:
     if not coops:
         raise ConfigError("cooperativities list is empty")
     ratio = _float(config, "kappa_over_gamma")
-    if not (0 < ratio < math.inf):
-        raise ConfigError("kappa_over_gamma must be positive and finite")
+    if ratio <= 0:
+        raise ConfigError("kappa_over_gamma must be positive")
     result = scaling_sweep(coops, template, kappa_over_gamma=ratio)
     _atomic_write(os.path.join(out_dir, "sweep.csv"),
                   _csv_text(config, _sweep_rows(result)))

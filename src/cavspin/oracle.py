@@ -10,9 +10,13 @@ moment equations:
   excited state, with the six composite relaxation operators, made fully
   static by shifting the cavity frame by the two-photon detuning.
 
-Both are integrated as dense Lindblad master equations with a fixed-step
-fourth-order scheme; ``validate_elimination`` compares them, level by level,
-against the linearized moment equations.
+One fixed-step RK4 kernel, ``_rk4``, propagates both, in three ways:
+a dissipative model steps its dense density matrix through the Lindblad
+master equation (``integrate_master``); a dissipation-free periodic model
+steps the identity over one drive period and composes that propagator; a
+dissipation-free static model needs no stepping and is propagated exactly
+with ``eigh``.  ``validate_elimination`` compares the two models, level by
+level, against the linearized moment equations.
 
 Frame bookkeeping: the full model rotates |b> at twice the ground-state
 splitting while the intermediate model (and hence the moment equations)
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moments import MomentState, assemble_generator, initial_state, propagate
-from .params import PhysicalParams, check_validity, stark_shifts
+from .params import PhysicalParams, check_validity, kappa_prime, stark_shifts
 
 DIM_BUDGET = 1024
 
@@ -150,7 +154,14 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(self.entries).min())
 
     def validate(self, herm_tol: float = 1e-10, trace_tol: float = 1e-8,
-                 eig_tol: float = -1e-8) -> None:
+                 eig_tol: float = -1e-8) -> tuple[float, float]:
+        """Check finiteness, Hermiticity, trace and positivity, in that order.
+
+        Returns ``(trace_drift, min_eigenvalue)``; any violation raises
+        :class:`IntegrationError`.
+        """
+        if not np.isfinite(self.entries).all():
+            raise IntegrationError("non-finite density matrix")
         h_err = float(np.abs(self.entries - self.entries.conj().T).max())
         if h_err > herm_tol:
             raise IntegrationError(f"density matrix not Hermitian: residual {h_err:.3e}")
@@ -160,6 +171,7 @@ class DensityMatrix:
         lam = self.min_eigenvalue()
         if lam < eig_tol:
             raise IntegrationError(f"negative eigenvalue {lam:.3e} below {eig_tol:.1e}")
+        return t_err, lam
 
 
 @dataclass(frozen=True)
@@ -212,7 +224,10 @@ class Liouvillian:
         return scale
 
 
-def _levels_for(spec: HilbertSpec, with_excited: bool) -> tuple[str, ...]:
+def _levels_for(params: PhysicalParams, spec: HilbertSpec,
+                with_excited: bool) -> tuple[str, ...]:
+    if params.gamma_o > 0.0 and spec.atom_levels == 3:
+        raise ModelError("gamma_o > 0 requires atom_levels = 4 (state |o> populated)")
     if with_excited:
         return ("a", "b", "e", "o")[: spec.atom_levels]
     return ("a", "b", "o")[: spec.atom_levels - 1]
@@ -233,9 +248,8 @@ def build_full_model(params: PhysicalParams, spec: HilbertSpec,
     """
     if params.omega_ab == 0.0:
         raise ModelError("omega_ab = 0: degenerate ground states break the frame choice")
-    if params.gamma_o > 0.0 and spec.atom_levels == 3:
-        raise ModelError("gamma_o > 0 requires atom_levels = 4 (state |o> populated)")
-    basis = Basis(spec.n_atoms, _levels_for(spec, with_excited=True), spec.cavity_cutoff)
+    basis = Basis(spec.n_atoms, _levels_for(params, spec, with_excited=True),
+                  spec.cavity_cutoff)
 
     c = basis.annihilator()
     num = c.conj().T @ c
@@ -280,9 +294,8 @@ def build_intermediate_model(params: PhysicalParams, spec: HilbertSpec,
     destination k in {a, b, o}.  ``compensate_stark`` applies the same |b>
     retuning as in :func:`build_full_model`.
     """
-    if params.gamma_o > 0.0 and spec.atom_levels == 3:
-        raise ModelError("gamma_o > 0 requires atom_levels = 4 (state |o> populated)")
-    basis = Basis(spec.n_atoms, _levels_for(spec, with_excited=False), spec.cavity_cutoff)
+    basis = Basis(spec.n_atoms, _levels_for(params, spec, with_excited=False),
+                  spec.cavity_cutoff)
     gt = params.gamma_total
     d1, d2 = params.delta_1, params.delta_2
     big_d1 = d1 * d1 + gt * gt / 4.0
@@ -293,11 +306,11 @@ def build_intermediate_model(params: PhysicalParams, spec: HilbertSpec,
     proj_a = basis.collective("a", "a")
     proj_b = basis.collective("b", "b")
 
+    s_a, s_b = stark_shifts(params)
     h = -params.delta * num
-    h -= (d1 * abs(params.omega_1) ** 2 / (4.0 * big_d1)) * proj_a
-    h -= (d2 * abs(params.omega_2) ** 2 / (4.0 * big_d2)) * proj_b
+    h -= s_a * proj_a
+    h -= s_b * proj_b
     if compensate_stark:
-        s_a, s_b = stark_shifts(params)
         h += (s_b - s_a) * proj_b
     h -= (d2 * abs(params.g_a) ** 2 / big_d2) * (num @ proj_a)
     h -= (d1 * abs(params.g_b) ** 2 / big_d1) * (num @ proj_b)
@@ -345,14 +358,37 @@ def recommended_dt(liou: Liouvillian, factor: float = 0.05) -> float:
     return factor / scale
 
 
+def _rk4(liou: Liouvillian, rhs, y: np.ndarray, t0: float, t1: float, dt: float,
+         hermitian: bool = False) -> tuple[np.ndarray, int, float]:
+    """Classical RK4 for dy/dt = rhs(H(t), y) over [t0, t1].
+
+    Takes ceil((t1 - t0) / dt) equal steps and returns ``(y, n_steps, h)``.
+    ``hermitian`` re-Hermitizes a density matrix after every step.
+    """
+    n_steps = max(1, math.ceil((t1 - t0) / dt))
+    h = (t1 - t0) / n_steps
+    time = t0
+    for _ in range(n_steps):
+        h_mid = liou.hamiltonian_at(time + 0.5 * h)
+        k1 = rhs(liou.hamiltonian_at(time), y)
+        k2 = rhs(h_mid, y + 0.5 * h * k1)
+        k3 = rhs(h_mid, y + 0.5 * h * k2)
+        k4 = rhs(liou.hamiltonian_at(time + h), y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if hermitian:
+            y = 0.5 * (y + y.conj().T)
+        time += h
+    return y, n_steps, h
+
+
 def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t: float,
                      dt: float | None = None) -> MasterResult:
     """Fixed-step 4th-order integration of the master equation.
 
     The step must resolve the fastest oscillation: dt * max(omega, ||H||)
-    <= 0.05 is enforced.  The state is re-Hermitized after every step; trace
-    drift and the final minimum eigenvalue are reported, and tolerance
-    violations abort with diagnostics.
+    <= 0.05 is enforced.  The state is re-Hermitized after every step; the
+    final state is checked by :meth:`DensityMatrix.validate`, whose trace
+    drift and minimum eigenvalue are reported.
     """
     if t < 0:
         raise ValueError("integration time must be nonnegative")
@@ -365,18 +401,13 @@ def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t: float,
     if t == 0.0:
         return MasterResult(DensityMatrix(rho), 0.0, DensityMatrix(rho).min_eigenvalue(),
                             0, dt)
-    n_steps = max(1, math.ceil(t / dt))
-    h_step = t / n_steps
 
     jumps = [d.astype(complex) for d in liou.jump_operators]
     jump_dags = [d.conj().T for d in jumps]
     anti = 0.5 * sum((dd @ d for d, dd in zip(jumps, jump_dags)),
                      np.zeros((liou.basis.dim,) * 2, dtype=complex))
-    time_dependent = bool(liou.hamiltonian_oscillating)
-    h_const = liou.hamiltonian_static
 
-    def rhs(time: float, r: np.ndarray) -> np.ndarray:
-        h = liou.hamiltonian_at(time) if time_dependent else h_const
+    def rhs(h: np.ndarray, r: np.ndarray) -> np.ndarray:
         out = -1j * (h @ r - r @ h)
         if jumps:
             out -= anti @ r + r @ anti
@@ -384,25 +415,9 @@ def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t: float,
                 out += d @ r @ dd
         return out
 
-    time = 0.0
-    for _ in range(n_steps):
-        k1 = rhs(time, rho)
-        k2 = rhs(time + 0.5 * h_step, rho + 0.5 * h_step * k1)
-        k3 = rhs(time + 0.5 * h_step, rho + 0.5 * h_step * k2)
-        k4 = rhs(time + h_step, rho + h_step * k3)
-        rho = rho + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        time += h_step
-
+    rho, n_steps, h_step = _rk4(liou, rhs, rho, 0.0, t, dt, hermitian=True)
     result = DensityMatrix(rho)
-    drift = abs(result.trace() - 1.0)
-    min_eig = result.min_eigenvalue()
-    if not np.all(np.isfinite(rho.view(float))):
-        raise IntegrationError("non-finite density matrix")
-    if drift > 1e-8:
-        raise IntegrationError(f"trace drift {drift:.3e} exceeds 1e-8")
-    if min_eig < -1e-8:
-        raise IntegrationError(f"minimum eigenvalue {min_eig:.3e} below -1e-8")
+    drift, min_eig = result.validate()
     return MasterResult(result, drift, min_eig, n_steps, h_step)
 
 
@@ -420,83 +435,35 @@ def extract_moments(rho: DensityMatrix, basis: Basis) -> tuple[MomentState, floa
     return state, float(ev(ops["photons"]).real)
 
 
-# ---------------------------------------------------------------------------
-# unitary fast path: compose the one-period RK4 propagator for periodic H(t)
-# ---------------------------------------------------------------------------
+def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """States of a dissipation-free model at every output time, as (T, dim).
 
-def _rk4_state(liou: Liouvillian, psi: np.ndarray, t0: float, t1: float,
-               dt_target: float) -> np.ndarray:
-    """RK4 on the Schroedinger equation for a state vector.
-
-    ``psi`` may also be a matrix whose columns are stepped together; from
-    the identity this gives the RK4 propagator over [t0, t1].
+    A static model is propagated exactly through its eigendecomposition.  A
+    periodic H(t) composes the one-period RK4 propagator (RK4 on the
+    Schroedinger equation is linear per step, so stepping the identity gives
+    it) and steps the remainder; this reproduces plain fixed-step stepping
+    while keeping long horizons affordable.
     """
-    span = t1 - t0
-    if span <= 0.0:
-        return psi
-    n_steps = max(1, math.ceil(span / dt_target))
-    h_step = span / n_steps
-    time = t0
-    for _ in range(n_steps):
-        k1 = -1j * (liou.hamiltonian_at(time) @ psi)
-        hm = liou.hamiltonian_at(time + 0.5 * h_step)
-        k2 = -1j * (hm @ (psi + 0.5 * h_step * k1))
-        k3 = -1j * (hm @ (psi + 0.5 * h_step * k2))
-        k4 = -1j * (liou.hamiltonian_at(time + h_step) @ (psi + h_step * k3))
-        psi = psi + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        time += h_step
-    return psi
+    if not liou.hamiltonian_oscillating:
+        w, v = np.linalg.eigh(liou.hamiltonian_static)
+        coeffs = v.conj().T @ psi0
+        return np.array([v @ (np.exp(-1j * w * t) * coeffs) for t in times])
 
+    def rhs(h: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        return -1j * (h @ psi)
 
-class _PeriodicUnitaryEvolver:
-    """State evolution for dissipation-free periodic H(t) via period propagators.
-
-    Stepping the Schroedinger equation with RK4 is a linear map per step, so
-    composing the one-period RK4 propagator reproduces the plain fixed-step
-    integration while keeping long horizons affordable.  A fully static model
-    is propagated exactly through its eigendecomposition instead.
-    """
-
-    def __init__(self, liou: Liouvillian, accuracy_factor: float = 0.005):
-        if liou.has_dissipation:
-            raise ValueError("unitary evolver requires a dissipation-free model")
-        self.liou = liou
-        scale = max(liou.rate_scale(), 1e-300)
-        self.dt = accuracy_factor / scale
-        freq = liou.max_frequency
-        self.period = 2.0 * math.pi / freq if freq > 0.0 else math.inf
-        self._u_period = None
-        self._powers: list[np.ndarray] = []
-        self._eig = None
-        if not liou.hamiltonian_oscillating:
-            self._eig = np.linalg.eigh(liou.hamiltonian_static)
-
-    def _period_power(self, exponent: int) -> np.ndarray:
-        if self._u_period is None:
-            identity = np.eye(self.liou.basis.dim, dtype=complex)
-            self._u_period = _rk4_state(self.liou, identity, 0.0, self.period, self.dt)
-            self._powers = [self._u_period]
-        result = np.eye(self.liou.basis.dim, dtype=complex)
-        bit = 0
-        while exponent:
-            while bit >= len(self._powers):
-                self._powers.append(self._powers[-1] @ self._powers[-1])
-            if exponent & 1:
-                result = result @ self._powers[bit]
-            exponent >>= 1
-            bit += 1
-        return result
-
-    def evolve(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        if self._eig is not None:
-            w, v = self._eig
-            return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
-        n_periods = int(t // self.period)
-        remainder = t - n_periods * self.period
-        psi = self._period_power(n_periods) @ psi0
+    dt = recommended_dt(liou, 0.005)
+    period = 2.0 * math.pi / liou.max_frequency
+    u_period = _rk4(liou, rhs, np.eye(liou.basis.dim, dtype=complex), 0.0, period, dt)[0]
+    states = []
+    for t in times:
+        n_periods = int(t // period)
+        remainder = t - n_periods * period
+        psi = np.linalg.matrix_power(u_period, n_periods) @ psi0
         if remainder > 1e-15 * max(t, 1.0):
-            psi = _rk4_state(self.liou, psi, 0.0, remainder, self.dt)
-        return psi
+            psi = _rk4(liou, rhs, psi, 0.0, remainder, dt)[0]
+        states.append(psi)
+    return np.array(states)
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +530,12 @@ def photon_estimate(params: PhysicalParams, moments: np.ndarray) -> np.ndarray:
     a (T, 6) moment array; at t = 0 with all atoms in |a> this reduces to the
     cavity adiabaticity ratio.
     """
-    from .params import kappa_prime as _kp
-
     gt = params.gamma_total
     amp_1 = 0.5 * params.omega_1 * np.conj(params.g_b) / complex(params.delta_1,
                                                                  -gt / 2.0)
     amp_2 = 0.5 * params.omega_2 * np.conj(params.g_a) / complex(params.delta_2,
                                                                  -gt / 2.0)
-    kp = _kp(params)
+    kp = kappa_prime(params)
     dc = params.delta ** 2 + kp * kp / 4.0
     est = (abs(amp_1) ** 2 * moments[:, 4].real
            + abs(amp_2) ** 2 * moments[:, 5].real
@@ -619,10 +584,8 @@ def _run_brute_force(liou: Liouvillian, times: np.ndarray,
             e_pop[i] = float(np.trace(excited @ rho.entries).real)
 
     if not liou.has_dissipation:
-        evolver = _PeriodicUnitaryEvolver(liou)
-        psi0 = basis.vacuum_all_a()
-        for i, t in enumerate(times):
-            psi = evolver.evolve(psi0, float(t))
+        states = _unitary_states(liou, basis.vacuum_all_a(), times)
+        for i, (t, psi) in enumerate(zip(times, states)):
             norm = np.linalg.norm(psi)
             if abs(norm - 1.0) > 1e-6:
                 raise IntegrationError(f"unitarity loss {abs(norm - 1.0):.2e} at t={t}")

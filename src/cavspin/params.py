@@ -8,6 +8,7 @@ times to seconds; it never enters the dynamics.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -65,6 +66,10 @@ class PhysicalParams:
     def __post_init__(self):
         if int(self.n_atoms) != self.n_atoms or self.n_atoms < 1:
             raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms}")
+        for name in ("g_a", "g_b", "omega_1", "omega_2", "delta_1", "omega_ab", "delta",
+                     "kappa", "gamma_a", "gamma_b", "gamma_o"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("kappa", "gamma_a", "gamma_b", "gamma_o"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")

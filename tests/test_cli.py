@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from cavspin.cli import COMMAND_KEYS, _problem_from_config, main
-from cavspin.params import params_to_mapping, demo_params
+from cavspin.params import demo_params, params_to_mapping, read_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -87,6 +87,20 @@ class TestEvolve:
         cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(n_steps=1))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_drive_is_config_error(self, tmp_path, capsys, value):
+        mapping = read_config(config_path("fig2.cfg"))
+        mapping["omega1_re"] = value
+        cfg = write_config(tmp_path, "bad.cfg", mapping)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "omega_1 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("key", ["t_max", "ref_rate_hz"])
+    def test_non_finite_grid_key_is_config_error(self, tmp_path, key):
+        cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(**{key: "inf"}))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(bogus=3))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -144,6 +158,15 @@ class TestOracle:
                         "t_final": "1.0", "n_times": "3"})
         cfg = write_config(tmp_path, "o.cfg", mapping)
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_drive_is_config_error(self, tmp_path, capsys, value):
+        mapping = read_config(config_path("oracle_n2.cfg"))
+        mapping["omega1_re"] = value
+        cfg = write_config(tmp_path, "bad.cfg", mapping)
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "omega_1 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "validation.json").exists()
 
     def test_zero_drive_all_deviations_zero(self, tmp_path):
         mapping = {"command": "oracle"}
@@ -232,6 +255,17 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, "sweep.cfg", mapping)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "kappa_over_gamma" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("key,value", [("cooperativities", "10,inf"),
+                                           ("cooperativities", "nan"),
+                                           ("r_max", "inf"), ("gamma_split", "1,nan,1")])
+    def test_non_finite_search_key_is_config_error(self, tmp_path, capsys, key, value):
+        mapping = {"command": "sweep", "n_atoms": "1000000", "omega_ab": "100000",
+                   "cooperativities": "100", "kappa_over_gamma": "1", key: value}
+        cfg = write_config(tmp_path, "sweep.cfg", mapping)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
     def test_failed_point_exits_numerical(self, tmp_path):

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from cavspin import oracle
 from cavspin.dicke import effective_coeffs
 from cavspin.moments import initial_state
 from cavspin.oracle import (Basis, DensityMatrix, HilbertSpec, IntegrationError,
-                            Liouvillian, ModelError, build_full_model,
-                            build_intermediate_model, coherent_pair_transfer_time,
-                            extract_moments, integrate_master, photon_estimate,
-                            recommended_dt, validate_elimination)
+                            Liouvillian, ModelError, _rk4, _unitary_states,
+                            build_full_model, build_intermediate_model,
+                            coherent_pair_transfer_time, extract_moments,
+                            integrate_master, photon_estimate, recommended_dt,
+                            validate_elimination)
 from cavspin.params import PhysicalParams, check_validity, match_raman, stark_shifts
 
 
@@ -25,6 +28,30 @@ def strobed_grid(params, horizon, n_points=9):
     period = 2.0 * math.pi / params.omega_ab
     stride = max(1, round(horizon / (n_points - 1) / period))
     return [k * stride * period for k in range(n_points)]
+
+
+@pytest.fixture(scope="module")
+def dissipative_report():
+    """Short dissipative three-way run, recording every master-equation call.
+
+    The benchmark's oracle check wraps ``cavspin.oracle.integrate_master`` the
+    same way and fails a dissipative run that records no trace drift.
+    """
+    p = PhysicalParams(n_atoms=2, omega_1=1.2, omega_2=0.0, delta_1=30.0,
+                       omega_ab=60.0, delta=0.5, kappa=0.5, gamma_a=0.1,
+                       gamma_b=0.1, gamma_o=0.1)
+    p = p.with_drives(p.omega_1, match_raman(p))
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = integrate_master(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "integrate_master", recording)
+        rep = validate_elimination(p, HilbertSpec(2, 4, 1), np.linspace(0.0, 6.0, 3))
+    return rep, calls
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +251,41 @@ class TestIntegrateMaster:
         unnorm = DensityMatrix(np.array([[0.7, 0], [0, 0.5]], dtype=complex))
         with pytest.raises(IntegrationError):
             unnorm.validate()
+        nan = DensityMatrix(np.full((2, 2), np.nan, dtype=complex))
+        with pytest.raises(IntegrationError, match="non-finite"):
+            nan.validate()
+
+
+class TestUnitaryStates:
+    @staticmethod
+    def schroedinger(h, psi):
+        return -1j * (h @ psi)
+
+    def test_periodic_model_matches_plain_stepping(self):
+        liou = build_full_model(n2_matched(), HilbertSpec(2, 3, 1))
+        period = 2.0 * math.pi / liou.max_frequency
+        dt = recommended_dt(liou, 0.005)
+        psi0 = liou.basis.vacuum_all_a()
+        times = np.array([0.0, 2.5, 7.25]) * period
+        states = _unitary_states(liou, psi0, times)
+        for t, psi in zip(times, states):
+            ref = psi0
+            n_periods = int(t // period)
+            for k in range(n_periods):
+                ref = _rk4(liou, self.schroedinger, ref, k * period, (k + 1) * period, dt)[0]
+            if t > n_periods * period:
+                ref = _rk4(liou, self.schroedinger, ref, n_periods * period, t, dt)[0]
+            assert np.abs(psi - ref).max() <= 1e-10
+
+    def test_static_model_matches_expm(self):
+        liou = build_intermediate_model(n2_matched(), HilbertSpec(2, 3, 1))
+        assert not liou.hamiltonian_oscillating and not liou.has_dissipation
+        psi0 = liou.basis.vacuum_all_a()
+        times = np.array([0.0, 0.7, 3.1, 40.0])
+        states = _unitary_states(liou, psi0, times)
+        for t, psi in zip(times, states):
+            ref = expm(-1j * liou.hamiltonian_static * t) @ psi0
+            assert np.abs(psi - ref).max() <= 1e-10
 
 
 class TestExtractMoments:
@@ -328,13 +390,8 @@ class TestValidateElimination:
         assert not rep_s.in_validity_regime or rep_s.validity.worst != "pass"
         assert rep_s.max_dev("fi", "jpp") > rep_w.max_dev("fi", "jpp")
 
-    def test_dissipative_three_way_short_horizon(self):
-        p = PhysicalParams(n_atoms=2, omega_1=1.2, omega_2=0.0, delta_1=30.0,
-                           omega_ab=60.0, delta=0.5, kappa=0.5, gamma_a=0.1,
-                           gamma_b=0.1, gamma_o=0.1)
-        p = p.with_drives(p.omega_1, match_raman(p))
-        grid = np.linspace(0.0, 6.0, 3)
-        rep = validate_elimination(p, HilbertSpec(2, 4, 1), grid)
+    def test_dissipative_three_way_short_horizon(self, dissipative_report):
+        rep, _ = dissipative_report
         assert rep.in_validity_regime
         for mom in ("jz", "jpm", "nab"):
             assert rep.max_dev("fi", mom) < 0.05
@@ -345,6 +402,12 @@ class TestValidateElimination:
         for level in ("intermediate", "full"):
             assert rep.photons[level].max() <= 4.0 * est.max()
             assert rep.photons[level].max() < 1e-2
+
+    def test_one_master_call_per_dissipative_interval(self, dissipative_report):
+        _, calls = dissipative_report
+        # two models, two nonzero output intervals each
+        assert len(calls) == 4
+        assert all(res.trace_drift <= 1e-8 for res in calls)
 
     def test_report_records_shape(self):
         p = n2_matched()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavspin.params import (ConfigError, PhysicalParams, balance_stark,
+from cavspin.params import (CONFIG_KEYS, ConfigError, PhysicalParams, balance_stark,
                             check_validity, decoherence_budget, demo_params,
                             derive, kappa_prime, match_raman, params_from_mapping,
                             params_to_mapping, read_config, stark_shifts)
@@ -214,3 +214,19 @@ class TestInvariants:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             PhysicalParams(n_atoms=1, kappa=-1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["g_a", "g_b", "omega_1", "omega_2", "delta_1",
+                                      "omega_ab", "delta", "kappa", "gamma_a",
+                                      "gamma_b", "gamma_o"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PhysicalParams(n_atoms=1, **{name: value})
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", [k for k in CONFIG_KEYS if k != "n_atoms"])
+    def test_non_finite_config_value_is_config_error(self, key, value):
+        mapping = params_to_mapping(demo_params())
+        mapping[key] = value
+        with pytest.raises(ConfigError, match="must be finite"):
+            params_from_mapping(mapping)
