@@ -155,6 +155,8 @@ def cmd_evolve(config: dict, out_dir: str, ref_rate_hz: float | None) -> int:
     max_ext = _int(config, "max_extensions", 0)
     if ref_rate_hz is None:
         ref_rate_hz = _float(config, "ref_rate_hz")
+    if ref_rate_hz is not None and not 0 < ref_rate_hz < math.inf:
+        raise ConfigError(f"ref_rate_hz must be positive and finite: {ref_rate_hz!r}")
 
     report = check_validity(params)
     for name, verdict in report.verdicts.items():
@@ -177,13 +179,13 @@ def cmd_evolve(config: dict, out_dir: str, ref_rate_hz: float | None) -> int:
         "validity_ratios": report.ratios(),
         "validity_verdicts": report.verdicts,
     }
-    if ref_rate_hz:
+    if ref_rate_hz is not None:
         summary["ref_rate_hz"] = ref_rate_hz
         summary["t_min_seconds"] = trace.t_min / (2.0 * math.pi * ref_rate_hz)
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   _json_payload(config, {"summary": summary}))
     print(f"min xi^2 = {trace.min_xi2:.6g} at t = {trace.t_min:.6g}"
-          + (f" ({summary['t_min_seconds']:.3e} s)" if ref_rate_hz else ""))
+          + (f" ({summary['t_min_seconds']:.3e} s)" if ref_rate_hz is not None else ""))
     return EXIT_OK
 
 
@@ -261,7 +263,10 @@ def _problem_from_config(config: dict, seed_override: int | None,
     seed = seed_override if seed_override is not None else _int(config, "seed",
                                                                 defaults["seed"])
     kwargs["seed"] = seed
-    return OptimizationProblem(**kwargs)
+    try:
+        return OptimizationProblem(**kwargs)
+    except ValueError as exc:   # bounds and search settings are config input
+        raise ConfigError(str(exc)) from exc
 
 
 def _report_dict(rep) -> dict:

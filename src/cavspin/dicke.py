@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .moments import (MomentState, SqueezingTrace, _golden_min, _jz_undefined,
+from .moments import (MomentState, SqueezingTrace, _jz_undefined, _refined_min,
                       _theta, _undefined_reason, _xi2, squeezing_parameter)
 from .params import PhysicalParams
 
@@ -278,7 +278,9 @@ def oat_min_squeezing(n_atoms: int) -> tuple[float, float]:
 
     Scans chi*t logarithmically around the N**(-2/3) scaling guess, scoring
     grid times at which xi^2 is undefined (|<J_z>| < 1e-12 N) as +inf, and
-    refines by golden section between the neighbours of the grid minimum.
+    refines the grid minimum with the bounded Brent search that
+    ``evolve_squeezing`` uses (``cavspin.moments._refined_min``) between its
+    two neighbours, on the closed-form twisting moments.
     Returns ``(xi2_min, t_min)``.
     """
     if not 2 <= n_atoms <= MAX_ATOMS:
@@ -289,20 +291,15 @@ def oat_min_squeezing(n_atoms: int) -> tuple[float, float]:
     defined = ~_jz_undefined(mom, n_atoms)
     xi2 = np.full(len(grid), np.inf)
     xi2[defined] = _xi2(mom[defined], n_atoms)
-    i = int(np.argmin(xi2))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
 
-    def f(t):
-        return float(_xi2(oat_moments(n_atoms, t), n_atoms)[0])
+    def probe(lo: int):
+        return lambda t: float(_xi2(oat_moments(n_atoms, t), n_atoms)[0])
 
-    t_min, xi2_min = _golden_min(f, float(lo), float(hi))
-    if xi2[i] < xi2_min:
-        t_min, xi2_min = float(grid[i]), float(xi2[i])
+    t_min, xi2_min = _refined_min(grid, xi2, probe)
     logger.info("one-axis twisting N=%d: xi2_min=%.6g at chi*t=%.6g "
                 "(xi2_min * N^(2/3) = %.4g)",
                 n_atoms, xi2_min, t_min, xi2_min * n_atoms ** (2.0 / 3.0))
-    return float(xi2_min), float(t_min)
+    return xi2_min, t_min
 
 
 def _evolved_moments(coeffs: EffectiveCoeffs, n_atoms: int, times) -> np.ndarray:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import minimize_scalar
 
 from .params import PhysicalParams, kappa_prime
 
@@ -47,8 +48,6 @@ MOMENT_ORDER = ("jz", "nab", "jpp", "jmm", "jpm", "jmp")
 
 #: tolerance factor for physicality checks (scaled by the atom number)
 PHYSICALITY_TOL = 1e-8
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: largest ||V||_1 ||V^-1||_1 of the generator's eigenbasis that is trusted
 _COND_LIMIT = 1e4
@@ -310,24 +309,26 @@ def default_t_max(params: PhysicalParams) -> float:
     return 10.0 / (params.n_atoms * chi_eff)
 
 
-def _golden_min(f, a: float, b: float, rel_tol: float = 1e-10, max_iter: int = 120):
-    """Golden-section minimum of f on [a, b]; returns (t, f(t))."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    span = max(abs(a), abs(b), 1.0)
-    for _ in range(max_iter):
-        if (b - a) <= rel_tol * span:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+def _refined_min(times: np.ndarray, xi2: np.ndarray, probe) -> tuple[float, float]:
+    """Minimum ``(t_min, xi2_min)`` of a sampled xi^2 curve, refined off the grid.
+
+    The grid argmin i is bracketed by its neighbours, lo = i - 1 and
+    hi = i + 1 clipped to the grid, and ``probe(lo)``, the xi^2 function on
+    [times[lo], times[hi]], is minimized there by bounded Brent search
+    (``scipy.optimize.minimize_scalar``, method "bounded") to 1e-10 of the
+    bracket's magnitude.  The grid value is kept when it is strictly lower,
+    so the result never lies above the grid minimum.
+    """
+    i = int(np.argmin(xi2))
+    t_min, xi2_min = float(times[i]), float(xi2[i])
+    lo, hi = max(i - 1, 0), min(i + 1, len(times) - 1)
+    if hi > lo:
+        a, b = float(times[lo]), float(times[hi])
+        res = minimize_scalar(probe(lo), bounds=(a, b), method="bounded",
+                              options={"xatol": 1e-10 * max(abs(a), abs(b), 1.0)})
+        if res.fun <= xi2_min:
+            t_min, xi2_min = float(res.x), float(res.fun)
+    return t_min, xi2_min
 
 
 def _moment_kernel(m: np.ndarray, v0: np.ndarray, dt: float, n_steps: int):
@@ -381,12 +382,13 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
     The moments on the whole grid come from one eigendecomposition of the
     generator, v(t) = V e^{Lambda t} V^-1 v0, with expm stepping as the
     fallback for an ill-conditioned eigenbasis (see ``_moment_kernel``).
-    The grid minimum is polished by golden-section search between the two
-    neighbouring grid points, propagating from the left one.  The first bad
-    grid point after t = 0 decides: a non-finite one raises
-    ``PropagationError``; one that violates the physicality tolerances, or
-    at which xi^2 is undefined (|<J_z>| < 1e-12 N), ends the trace before
-    it, and the trace is flagged ``truncated`` with the reason.
+    The grid minimum is refined by the shared bounded Brent search
+    (``_refined_min``) between the two neighbouring grid points, propagating
+    from the left one.  The first bad grid point after t = 0 decides: a
+    non-finite one raises ``PropagationError``; one that violates the
+    physicality tolerances, or at which xi^2 is undefined
+    (|<J_z>| < 1e-12 N), ends the trace before it, and the trace is flagged
+    ``truncated`` with the reason.
 
     With ``max_extensions > 0`` the horizon is doubled (up to that many
     times) whenever the discrete minimum falls on the trailing edge of the
@@ -434,22 +436,14 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
         # on it sees every extension
         return evolve_squeezing(params, t_max=2.0 * t_max, n_steps=n_steps,
                                 max_extensions=max_extensions - 1)
-    lo = max(i_min - 1, 0)
-    hi = min(i_min + 1, n_kept - 1)
-    if hi > lo:
-        from_lo = from_point(moments[lo])
 
-        def f(t: float) -> float:
-            return _xi2(from_lo(t - times[lo]), params.n_atoms)
+    def probe(lo: int):
+        from_lo, t_lo = from_point(moments[lo]), times[lo]
+        return lambda t: _xi2(from_lo(t - t_lo), params.n_atoms)
 
-        t_min, min_xi2 = _golden_min(f, float(times[lo]), float(times[hi]))
-        if xi2[i_min] < min_xi2:
-            t_min, min_xi2 = float(times[i_min]), float(xi2[i_min])
-    else:
-        t_min, min_xi2 = float(times[i_min]), float(xi2[i_min])
-
+    t_min, min_xi2 = _refined_min(times, xi2, probe)
     return SqueezingTrace(times=times, xi2=xi2, theta_min=theta, moments=moments,
-                          min_xi2=float(min_xi2), t_min=float(t_min),
+                          min_xi2=min_xi2, t_min=t_min,
                           truncated=truncated, truncation_reason=reason)
 
 

@@ -63,8 +63,13 @@ class OptimizationProblem:
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi):
                 raise ValueError(f"{name} must be positive and ordered")
+        if not self.delta_bounds[0] <= self.delta_bounds[1]:
+            raise ValueError("delta_bounds must be ordered")
         if sum(self.gamma_split) <= 0:
             raise ValueError("gamma_split must have positive sum")
+        for name, least in (("restarts", 1), ("max_evals", 1), ("n_steps", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
 
     @property
     def cooperativity(self) -> float:
@@ -167,6 +172,15 @@ class _Objective:
             return self.PENALTY_FAILURE
 
 
+def _search_box(problem: OptimizationProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners of the (log r, delta, log D1) search box."""
+    lo = np.array([math.log(problem.r_bounds[0]), problem.delta_bounds[0],
+                   math.log(problem.delta1_bounds[0])])
+    hi = np.array([math.log(problem.r_bounds[1]), problem.delta_bounds[1],
+                   math.log(problem.delta1_bounds[1])])
+    return lo, hi
+
+
 def _start_points(problem: OptimizationProblem) -> np.ndarray:
     """Deterministic low-discrepancy starts in the (log r, delta, log D1) box."""
     # imported here: scipy.stats would roughly double the package import time
@@ -177,10 +191,7 @@ def _start_points(problem: OptimizationProblem) -> np.ndarray:
         # restart counts need not be powers of two; balance is irrelevant here
         warnings.simplefilter("ignore", UserWarning)
         unit = sampler.random(problem.restarts)
-    lo = np.array([math.log(problem.r_bounds[0]), problem.delta_bounds[0],
-                   math.log(problem.delta1_bounds[0])])
-    hi = np.array([math.log(problem.r_bounds[1]), problem.delta_bounds[1],
-                   math.log(problem.delta1_bounds[1])])
+    lo, hi = _search_box(problem)
     return lo + unit * (hi - lo)
 
 
@@ -192,10 +203,7 @@ def optimize(problem: OptimizationProblem) -> OptimumReport:
     trace at the argmin, so it is reproducible to full precision.
     """
     objective = _Objective(problem)
-    lo = np.array([math.log(problem.r_bounds[0]), problem.delta_bounds[0],
-                   math.log(problem.delta1_bounds[0])])
-    hi = np.array([math.log(problem.r_bounds[1]), problem.delta_bounds[1],
-                   math.log(problem.delta1_bounds[1])])
+    lo, hi = _search_box(problem)
     records = []
     best = None
     for x0 in _start_points(problem):

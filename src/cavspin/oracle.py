@@ -399,8 +399,8 @@ def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t: float,
         raise ValueError(f"dt={dt} too coarse: dt * max(omega, ||H||) = {dt * scale:.3g} > 0.05")
     rho = rho0.entries.astype(complex).copy()
     if t == 0.0:
-        return MasterResult(DensityMatrix(rho), 0.0, DensityMatrix(rho).min_eigenvalue(),
-                            0, dt)
+        result = DensityMatrix(rho)
+        return MasterResult(result, *result.validate(), 0, dt)
 
     jumps = [d.astype(complex) for d in liou.jump_operators]
     jump_dags = [d.conj().T for d in jumps]

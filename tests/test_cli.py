@@ -101,6 +101,28 @@ class TestEvolve:
         cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(**{key: "inf"}))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
+    def test_bad_ref_rate_flag_is_config_error(self, tmp_path, capsys, value):
+        assert main(["evolve", "--config", config_path("fig2.cfg"),
+                     "--out", str(tmp_path), "--ref-rate-hz", value]) == 2
+        assert "ref_rate_hz" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_bad_ref_rate_key_is_config_error(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(ref_rate_hz=value))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "ref_rate_hz" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_ref_rate_key_converts_t_min(self, tmp_path):
+        cfg = write_config(tmp_path, "rate.cfg", evolve_mapping(ref_rate_hz="1e5"))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())["summary"]
+        assert summary["ref_rate_hz"] == 1e5
+        assert summary["t_min_seconds"] == pytest.approx(
+            summary["t_min"] / (2.0 * math.pi * 1e5), rel=1e-15)
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(bogus=3))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -211,6 +233,32 @@ class TestOptimizeCommand:
                    "restarts": "1", "max_evals": "15", "n_steps": "60"}
         cfg = write_config(tmp_path, "opt.cfg", mapping)
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+OPTIMIZE_MAPPING = {"command": "optimize", "n_atoms": "1000000", "omega_ab": "100000",
+                    "kappa": "100", "gamma_total": "100", "restarts": "1",
+                    "max_evals": "15", "n_steps": "60"}
+
+
+class TestSearchSettings:
+    BAD = [("restarts", "0"), ("max_evals", "0"), ("n_steps", "1"),
+           ("r_min", "-1"), ("delta1_min", "0"), ("r_min", "40")]
+
+    @pytest.mark.parametrize("key,value", BAD)
+    def test_optimize_exits_config(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, "opt.cfg", {**OPTIMIZE_MAPPING, key: value})
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "optimum.json").exists()
+
+    @pytest.mark.parametrize("key,value", BAD)
+    def test_sweep_exits_config(self, tmp_path, capsys, key, value):
+        mapping = {"command": "sweep", "n_atoms": "1000000", "omega_ab": "100000",
+                   "cooperativities": "100", "kappa_over_gamma": "1", key: value}
+        cfg = write_config(tmp_path, "sweep.cfg", mapping)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
 
 
 class TestProblemFromConfig:

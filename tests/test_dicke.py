@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from cavspin import dicke as dicke_mod
 from cavspin.dicke import (DickePropagator, DickeState, EffectiveCoeffs,
                            _dense_hamiltonian, _moment_array, dicke_evolve,
                            dicke_moments, dicke_xi2, dicke_xi2_trace, effective_coeffs,
@@ -183,6 +184,18 @@ class TestDickeMoments:
         assert xi2 == pytest.approx(direct, rel=1e-8)
 
 
+def kitagawa_ueda_xi2(n, mu):
+    """Closed-form N min Var(J_perp) / <J_z>^2 of exp(-i mu J_x^2) |all a>.
+
+    With A = 1 - cos^(N-2) 2mu and B = 4 sin mu cos^(N-2) mu the minimal
+    transverse variance is N/4 [1 + (N-1)(A - sqrt(A^2 + B^2))/4] and
+    <J_z> = N/2 cos^(N-1) mu (Kitagawa & Ueda, PRA 47, 5138, 1993).
+    """
+    a = 1.0 - np.cos(2.0 * mu) ** (n - 2)
+    b = 4.0 * np.sin(mu) * np.cos(mu) ** (n - 2)
+    return (1.0 + (n - 1) * (a - np.hypot(a, b)) / 4.0) / np.cos(mu) ** (2 * (n - 1))
+
+
 class TestTwisting:
     @pytest.mark.parametrize("n", [2, 7, 24])
     def test_closed_form_matches_ladder_evolution(self, n):
@@ -212,6 +225,28 @@ class TestTwisting:
             for n in range(63, 67):
                 xi2, _ = oat_min_squeezing(n)
                 assert 0.0 < xi2 < 1.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 10 ** 4))
+    def test_refinement_stays_in_the_bracket_and_beats_the_closed_form(self, n):
+        seen = {}
+        refine = dicke_mod._refined_min
+
+        def spy(times, xi2, probe):
+            seen.update(times=times, xi2=xi2)
+            return refine(times, xi2, probe)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dicke_mod, "_refined_min", spy)
+            xi2_min, t_min = oat_min_squeezing(n)
+        grid, xi2 = seen["times"], seen["xi2"]
+        assert xi2_min <= xi2.min()
+        i = int(np.argmin(xi2))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        assert lo <= t_min <= hi
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            scan = np.nanmin(kitagawa_ueda_xi2(n, np.linspace(lo, hi, 201)))
+        assert xi2_min <= scan * (1.0 + 1e-10)
 
     def test_size_limits(self):
         with pytest.raises(ValueError):

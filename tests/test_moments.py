@@ -482,6 +482,68 @@ class TestEvolveSqueezing:
         assert float(first[9]) == 0.0
 
 
+def expm_xi2(m, v0, n_atoms, t):
+    """xi^2 of expm(M t) v0."""
+    v = expm(m * t) @ v0
+    var = (v[4].real + v[5].real) / 4.0 - abs(v[2]) / 2.0
+    return n_atoms * max(var, 0.0) / v[0].real ** 2
+
+
+class TestRefinedMinimum:
+    @settings(max_examples=25, deadline=None)
+    @given(trace_params())
+    def test_refinement_stays_in_the_bracket_and_beats_a_scan(self, p):
+        trace = evolve_squeezing(p)
+        assert trace.min_xi2 <= trace.xi2.min()
+        assume(len(trace.times) > 1)
+        i = int(np.argmin(trace.xi2))
+        dt = trace.times[1]
+        assert abs(trace.t_min - trace.times[i]) <= dt * (1.0 + 1e-12)
+        # the scan starts from the grid's own moments at the left end of the
+        # bracket, as the refinement does: the grid itself may sit ~1e-12 of
+        # the moment scale off expm(M t) v0, which the cancellation in the
+        # minimal variance magnifies far beyond 1e-10 of xi^2 at small N
+        lo, hi = max(i - 1, 0), min(i + 1, len(trace.times) - 1)
+        m = assemble_generator(p).m
+        scan = min(expm_xi2(m, trace.moments[lo], p.n_atoms, s)
+                   for s in np.linspace(0.0, trace.times[hi] - trace.times[lo], 201))
+        assert trace.min_xi2 <= scan * (1.0 + 1e-10)
+
+    def test_demo_probe_budget(self, monkeypatch):
+        # one grid evaluation plus the bounded Brent probes
+        calls = []
+        xi2 = moments_mod._xi2
+        monkeypatch.setattr(moments_mod, "_xi2", lambda *a: calls.append(1) or xi2(*a))
+        evolve_squeezing(demo_params())
+        assert len(calls) <= 20
+
+    def test_refines_a_parabola_from_the_left_neighbour(self):
+        times = np.linspace(0.0, 1.0, 11)
+        curve = (times - 0.537) ** 2 + 0.1
+        anchors = []
+
+        def probe(lo):
+            anchors.append(lo)
+            return lambda t: (t - 0.537) ** 2 + 0.1
+
+        t_min, xi2_min = moments_mod._refined_min(times, curve, probe)
+        assert anchors == [4]
+        assert t_min == pytest.approx(0.537, abs=1e-9)
+        assert xi2_min <= curve.min()
+
+    def test_grid_value_kept_when_strictly_lower(self):
+        times, curve = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.8])
+        assert moments_mod._refined_min(times, curve, lambda lo: lambda t: 0.6) == \
+            (1.0, 0.5)
+
+    def test_single_point_grid_is_not_probed(self):
+        def probe(lo):
+            raise AssertionError("no bracket to refine")
+
+        assert moments_mod._refined_min(np.array([0.0]), np.array([1.0]), probe) == \
+            (0.0, 1.0)
+
+
 def stepped_moments(m, v0, dt, n_steps):
     """Reference grid by repeated multiplication with expm(M dt)."""
     step = expm(m * dt)

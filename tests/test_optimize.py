@@ -52,6 +52,30 @@ class TestProblem:
         with pytest.raises(ValueError):
             quick_problem(r_bounds=(-1.0, 2.0))
 
+    @pytest.mark.parametrize("setting,value", [("restarts", 0), ("restarts", -1),
+                                               ("max_evals", 0), ("n_steps", 1),
+                                               ("n_steps", 0)])
+    def test_invalid_search_settings_rejected(self, setting, value):
+        with pytest.raises(ValueError, match=setting):
+            quick_problem(**{setting: value})
+
+    def test_unordered_delta_bounds_rejected(self):
+        with pytest.raises(ValueError, match="delta_bounds"):
+            quick_problem(delta_bounds=(10.0, -10.0))
+
+    def test_smallest_search_settings_accepted(self):
+        prob = quick_problem(restarts=1, max_evals=1, n_steps=2)
+        assert (prob.restarts, prob.max_evals, prob.n_steps) == (1, 1, 2)
+
+    def test_start_points_fill_the_search_box(self):
+        prob = quick_problem(restarts=16)
+        lo, hi = optimize_mod._search_box(prob)
+        assert lo == pytest.approx([math.log(0.2), -4000.0, math.log(1e4)])
+        assert hi == pytest.approx([math.log(30.0), 4000.0, math.log(3e6)])
+        starts = optimize_mod._start_points(prob)
+        assert starts.shape == (16, 3)
+        assert np.all((starts >= lo) & (starts <= hi))
+
 
 class TestOptimize:
     def test_finds_paper_scale_minimum(self, cheap_optimum):

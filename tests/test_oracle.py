@@ -209,6 +209,27 @@ class TestIntegrateMaster:
         res = integrate_master(liou, rho0, 3.0, dt=0.05)
         assert np.array_equal(res.rho.entries, rho0.entries)
 
+    def test_time_zero_reports_the_initial_check(self):
+        basis = Basis(1, ("a", "b", "e"), 1)
+        liou = Liouvillian(basis=basis,
+                           hamiltonian_static=np.zeros((basis.dim,) * 2, complex))
+        rho0 = DensityMatrix.from_pure(basis.vacuum_all_a())
+        res = integrate_master(liou, rho0, 0.0, dt=0.05)
+        assert res.steps == 0
+        assert np.array_equal(res.rho.entries, rho0.entries)
+        assert (res.trace_drift, res.min_eigenvalue) == rho0.validate()
+
+    @pytest.mark.parametrize("kind,match", [("trace2", "trace drift"),
+                                            ("nan", "non-finite")])
+    def test_time_zero_rejects_a_bad_initial_state(self, kind, match):
+        basis = Basis(1, ("a", "b", "e"), 1)
+        liou = Liouvillian(basis=basis,
+                           hamiltonian_static=np.zeros((basis.dim,) * 2, complex))
+        pure = DensityMatrix.from_pure(basis.vacuum_all_a()).entries
+        entries = 2.0 * pure if kind == "trace2" else np.full_like(pure, np.nan)
+        with pytest.raises(IntegrationError, match=match):
+            integrate_master(liou, DensityMatrix(entries), 0.0, dt=0.05)
+
     def test_exponential_decay(self):
         basis = Basis(1, ("a", "b", "e"), 1)
         rate = 0.9
