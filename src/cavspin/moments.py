@@ -52,6 +52,10 @@ PHYSICALITY_TOL = 1e-8
 #: largest ||V||_1 ||V^-1||_1 of the generator's eigenbasis that is trusted
 _COND_LIMIT = 1e4
 
+#: relative misses of M v by the eigenbasis, V diag(w) V^-1 v: above the
+#: first an anchored probe corrects its slope, above the second it uses expm
+_SLOPE_NOISE, _SLOPE_LIMIT = 1e-13, 1e-10
+
 #: |<J_z>| below this fraction of N leaves the squeezing parameter undefined
 _JZ_FLOOR = 1e-12
 
@@ -316,18 +320,25 @@ def _refined_min(times: np.ndarray, xi2: np.ndarray, probe) -> tuple[float, floa
     hi = i + 1 clipped to the grid, and ``probe(lo)``, the xi^2 function on
     [times[lo], times[hi]], is minimized there by bounded Brent search
     (``scipy.optimize.minimize_scalar``, method "bounded") to 1e-10 of the
-    bracket's magnitude.  The grid value is kept when it is strictly lower,
-    so the result never lies above the grid minimum.
+    bracket's magnitude.  Brent never evaluates the bracket's ends, so where
+    the grid argmin is the last grid point the probe is also read there: the
+    curve still falls at that end, and the probe from the left neighbour may
+    sit below the grid's own value (~1e-10 of xi^2 where the moments grow).
+    The grid value is kept when it is strictly lower, so the result never
+    lies above the grid minimum.
     """
     i = int(np.argmin(xi2))
     t_min, xi2_min = float(times[i]), float(xi2[i])
     lo, hi = max(i - 1, 0), min(i + 1, len(times) - 1)
     if hi > lo:
         a, b = float(times[lo]), float(times[hi])
-        res = minimize_scalar(probe(lo), bounds=(a, b), method="bounded",
+        f = probe(lo)
+        res = minimize_scalar(f, bounds=(a, b), method="bounded",
                               options={"xatol": 1e-10 * max(abs(a), abs(b), 1.0)})
         if res.fun <= xi2_min:
             t_min, xi2_min = float(res.x), float(res.fun)
+        if hi == i and (end := float(f(b))) <= xi2_min:
+            t_min, xi2_min = b, end
     return t_min, xi2_min
 
 
@@ -339,13 +350,20 @@ def _moment_kernel(m: np.ndarray, v0: np.ndarray, dt: float, n_steps: int):
     Normally both come from one eigendecomposition M = V diag(w) V^-1: the
     grid is V e^{w t} V^-1 v0 and ``from_point(v)`` is anchored at v,
     s -> v + V (e^{w s} - 1) V^-1 v, so it returns v itself (to rounding) as
-    s -> 0.  Only ``from_point`` is anchored: an unanchored probe next to a
-    grid point can undercut the exact grid value by rounding, while an
-    anchored grid leaves its decayed late rows on an error floor of v0's
-    size.  When the eigenbasis is ill-conditioned (||V||_1 ||V^-1||_1 >
-    ``_COND_LIMIT``, e.g. a nearly defective M) the grid is built by repeated
-    multiplication with expm(M dt) and ``from_point(v)`` calls expm for each
-    s.  Values that overflow are returned as inf/nan.
+    s -> 0.  Its slope there, V diag(w) V^-1 v, can miss M v by far more
+    than rounding where eigenvalues cluster, even in a well-conditioned
+    basis, and the cancellation in the minimal variance magnifies the miss
+    in xi^2 (to ~1e-9 relative).  A miss above ``_SLOPE_NOISE`` of M v is
+    corrected by adding s (M v - V diag(w) V^-1 v), which makes the slope
+    exactly M v; above ``_SLOPE_LIMIT`` the higher orders matter too, and
+    ``from_point(v)`` calls expm for each s instead.  Only ``from_point`` is
+    anchored: an unanchored probe next to a grid point can undercut the
+    exact grid value by rounding, while an anchored grid leaves its decayed
+    late rows on an error floor of v0's size.  When the eigenbasis is
+    ill-conditioned (||V||_1 ||V^-1||_1 > ``_COND_LIMIT``, e.g. a nearly
+    defective M) the grid is built by repeated multiplication with
+    expm(M dt) and ``from_point(v)`` calls expm for each s.  Values that
+    overflow are returned as inf/nan.
     """
     try:
         w, vecs = np.linalg.eig(m)
@@ -362,6 +380,13 @@ def _moment_kernel(m: np.ndarray, v0: np.ndarray, dt: float, n_steps: int):
 
         def from_point(v: np.ndarray):
             c = inv @ v
+            mv = m @ v
+            slope_fix = mv - vecs @ (w * c)
+            miss, scale = np.abs(slope_fix).max(), np.abs(mv).max()
+            if miss > _SLOPE_LIMIT * scale:
+                return lambda s: expm(m * s) @ v
+            if miss > _SLOPE_NOISE * scale:
+                return lambda s: v + vecs @ (np.expm1(w * s) * c) + s * slope_fix
             return lambda s: v + vecs @ (np.expm1(w * s) * c)
 
         return grid, from_point
