@@ -52,9 +52,9 @@ PHYSICALITY_TOL = 1e-8
 #: largest ||V||_1 ||V^-1||_1 of the generator's eigenbasis that is trusted
 _COND_LIMIT = 1e4
 
-#: relative misses of M v by the eigenbasis, V diag(w) V^-1 v: above the
-#: first an anchored probe corrects its slope, above the second it uses expm
-_SLOPE_NOISE, _SLOPE_LIMIT = 1e-13, 1e-10
+#: largest relative miss of M v by the eigenbasis, V diag(w) V^-1 v, at
+#: which an anchored probe stays in the eigenbasis instead of calling expm
+_SLOPE_TOL = 1e-13
 
 #: |<J_z>| below this fraction of N leaves the squeezing parameter undefined
 _JZ_FLOOR = 1e-12
@@ -322,8 +322,8 @@ def _refined_min(times: np.ndarray, xi2: np.ndarray, probe) -> tuple[float, floa
     (``scipy.optimize.minimize_scalar``, method "bounded") to 1e-10 of the
     bracket's magnitude.  Brent never evaluates the bracket's ends, so where
     the grid argmin is the last grid point the probe is also read there: the
-    curve still falls at that end, and the probe from the left neighbour may
-    sit below the grid's own value (~1e-10 of xi^2 where the moments grow).
+    curve still falls at that end, and the probe from the left neighbour can
+    read up to ~5e-10 of xi^2 below the grid's own value there.
     The grid value is kept when it is strictly lower, so the result never
     lies above the grid minimum.
     """
@@ -353,18 +353,19 @@ def _moment_kernel(m: np.ndarray, v0: np.ndarray, dt: float, n_steps: int):
     s -> 0.  Its slope there, V diag(w) V^-1 v, can miss M v by far more
     than rounding where eigenvalues cluster, even in a well-conditioned
     basis, and the cancellation in the minimal variance magnifies the miss
-    in xi^2 (to ~1e-9 relative).  A miss above ``_SLOPE_NOISE`` of M v is
-    corrected by adding s (M v - V diag(w) V^-1 v), which makes the slope
-    exactly M v; above ``_SLOPE_LIMIT`` the higher orders matter too, and
-    ``from_point(v)`` calls expm for each s instead.  Only ``from_point`` is
-    anchored: an unanchored probe next to a grid point can undercut the
-    exact grid value by rounding, while an anchored grid leaves its decayed
-    late rows on an error floor of v0's size.  When the eigenbasis is
-    ill-conditioned (||V||_1 ||V^-1||_1 > ``_COND_LIMIT``, e.g. a nearly
-    defective M) the grid is built by repeated multiplication with
-    expm(M dt) and ``from_point(v)`` calls expm for each s.  Values that
-    overflow are returned as inf/nan.
+    in xi^2 (to ~1e-9 relative), so where the miss exceeds ``_SLOPE_TOL``
+    of M v, ``from_point(v)`` calls expm for each s instead.  Only
+    ``from_point`` is anchored: an unanchored probe next to a grid point can
+    undercut the exact grid value by rounding, while an anchored grid leaves
+    its decayed late rows on an error floor of v0's size.  When the
+    eigenbasis is ill-conditioned (||V||_1 ||V^-1||_1 > ``_COND_LIMIT``,
+    e.g. a nearly defective M) the grid is built by repeated multiplication
+    with expm(M dt) and ``from_point(v)`` calls expm for each s.  Values
+    that overflow are returned as inf/nan.
     """
+    def expm_from(v: np.ndarray):
+        return lambda s: expm(m * s) @ v
+
     try:
         w, vecs = np.linalg.eig(m)
         inv = np.linalg.inv(vecs)
@@ -381,12 +382,8 @@ def _moment_kernel(m: np.ndarray, v0: np.ndarray, dt: float, n_steps: int):
         def from_point(v: np.ndarray):
             c = inv @ v
             mv = m @ v
-            slope_fix = mv - vecs @ (w * c)
-            miss, scale = np.abs(slope_fix).max(), np.abs(mv).max()
-            if miss > _SLOPE_LIMIT * scale:
-                return lambda s: expm(m * s) @ v
-            if miss > _SLOPE_NOISE * scale:
-                return lambda s: v + vecs @ (np.expm1(w * s) * c) + s * slope_fix
+            if np.abs(mv - vecs @ (w * c)).max() > _SLOPE_TOL * np.abs(mv).max():
+                return expm_from(v)
             return lambda s: v + vecs @ (np.expm1(w * s) * c)
 
         return grid, from_point
@@ -397,7 +394,7 @@ def _moment_kernel(m: np.ndarray, v0: np.ndarray, dt: float, n_steps: int):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps):
             grid[k] = step @ grid[k - 1]
-    return grid, lambda v: lambda s: expm(m * s) @ v
+    return grid, expm_from
 
 
 def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,

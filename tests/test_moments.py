@@ -495,11 +495,11 @@ class TestRefinedMinimum:
     # clustered eigenvalues: the eigenbasis misses the slope M v by ~1e-9
     @example(PhysicalParams(n_atoms=100, omega_1=5.0, omega_2=5.0, delta_1=500.0,
                             omega_ab=50.0, delta=1.0, gamma_o=7.020420401379482e-14))
-    # ... and by ~1e-6, beyond what a slope correction repairs
+    # ... and by ~1e-6
     @example(PhysicalParams(n_atoms=100, omega_1=5.0, omega_2=5.0, delta_1=533.0,
                             omega_ab=50.0, delta=1.0, kappa=1.0,
                             gamma_a=1.3563898877668613e-19))
-    # truncated trace whose minimum is its last grid point
+    # a trace still falling at its last grid point, read by the probe there
     @example(PhysicalParams(n_atoms=3000, omega_1=16.0, omega_2=5.0, delta_1=500.0,
                             omega_ab=51.0, delta=0.5, kappa=3.0,
                             gamma_o=5.960464477539063e-08))
