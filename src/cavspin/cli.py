@@ -19,7 +19,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .moments import PropagationError, evolve_squeezing, trace_csv_rows
+from .moments import PropagationError, _csv_rows, evolve_squeezing, trace_csv_rows
 from .optimize import (OptimizationProblem, SweepResult, optimize,
                        problem_for_cooperativity, scaling_sweep)
 from .oracle import (HilbertSpec, IntegrationError, ModelError,
@@ -152,7 +152,11 @@ def cmd_evolve(config: dict, out_dir: str, ref_rate_hz: float | None) -> int:
     if n_steps < 2:
         raise ConfigError("n_steps must be >= 2 (empty grid)")
     t_max = _float(config, "t_max")
+    if t_max is not None and t_max <= 0:
+        raise ConfigError(f"t_max must be positive: {t_max!r}")
     max_ext = _int(config, "max_extensions", 0)
+    if max_ext < 0:
+        raise ConfigError(f"max_extensions must be >= 0: {max_ext!r}")
     if ref_rate_hz is None:
         ref_rate_hz = _float(config, "ref_rate_hz")
     if ref_rate_hz is not None and not 0 < ref_rate_hz < math.inf:
@@ -215,6 +219,8 @@ def cmd_oracle(config: dict, out_dir: str) -> int:
     if n_times < 2 or t_final <= 0:
         raise ConfigError("need t_final > 0 and n_times >= 2")
     comp = _int(config, "compensate_stark", 1)
+    if comp not in (0, 1):
+        raise ConfigError(f"compensate_stark must be 0 or 1: {comp!r}")
     times = np.linspace(0.0, t_final, n_times)
     report = validate_elimination(params, spec, times,
                                   dt_full=_float(config, "dt_full"),
@@ -294,14 +300,12 @@ def cmd_optimize(config: dict, out_dir: str, seed: int | None) -> int:
 
 
 def _sweep_rows(result: SweepResult):
-    yield "cooperativity,xi2_min,r_opt,delta_opt,delta1_opt,t_min,C_fixed_slope"
-    for pt in result.points:
-        if pt.report is None:
-            continue
-        r = pt.report
-        yield ",".join([_fmt(pt.cooperativity), _fmt(r.xi2_min), _fmt(r.r_opt),
-                        _fmt(r.delta_opt), _fmt(r.delta1_opt), _fmt(r.t_min),
-                        _fmt(result.prefactor_fixed_slope)])
+    c_fixed = result.prefactor_fixed_slope
+    table = [(pt.cooperativity, r.xi2_min, r.r_opt, r.delta_opt, r.delta1_opt, r.t_min,
+              c_fixed)
+             for pt in result.points if (r := pt.report) is not None]
+    return _csv_rows("cooperativity,xi2_min,r_opt,delta_opt,delta1_opt,t_min,"
+                     "C_fixed_slope", table)
 
 
 def cmd_sweep(config: dict, out_dir: str, seed: int | None) -> int:
@@ -359,20 +363,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spin squeezing of driven atoms in a lossy cavity: "
                     "moment dynamics, oracles and optimization.")
     parser.add_argument("--version", action="version", version=f"cavspin {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("evolve", "optimize", "sweep", "oracle", "budget", "validate"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="key = value config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="optimizer seed override")
-        p.add_argument("--ref-rate-hz", type=float, default=None,
-                       help="reference rate nu in Hz (unit rate = 2*pi*nu)")
+    parser.add_argument("subcommand", choices=("evolve", "optimize", "sweep", "oracle",
+                                               "budget", "validate"))
+    parser.add_argument("--config", required=True, help="key = value config file")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="optimizer seed override (optimize, sweep)")
+    parser.add_argument("--ref-rate-hz", type=float, default=None,
+                        help="reference rate nu in Hz, unit rate = 2*pi*nu (evolve)")
     return parser
+
+
+#: the subcommands that read each subcommand-specific flag
+_FLAG_COMMANDS = {"seed": ("optimize", "sweep"), "ref_rate_hz": ("evolve",)}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest, commands in _FLAG_COMMANDS.items():
+            if getattr(args, dest) is not None and args.subcommand not in commands:
+                raise ConfigError(f"--{dest.replace('_', '-')} is taken only by "
+                                  f"{' and '.join(commands)}, not {args.subcommand}")
         if args.subcommand == "validate":
             return cmd_validate(args.config)
         config = read_config(args.config)
@@ -385,9 +397,7 @@ def main(argv=None) -> int:
             return cmd_oracle(config, args.out)
         if args.subcommand == "optimize":
             return cmd_optimize(config, args.out, args.seed)
-        if args.subcommand == "sweep":
-            return cmd_sweep(config, args.out, args.seed)
-        raise ConfigError(f"unhandled subcommand {args.subcommand!r}")
+        return cmd_sweep(config, args.out, args.seed)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

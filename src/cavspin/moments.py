@@ -469,15 +469,23 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
                           truncated=truncated, truncation_reason=reason)
 
 
+def _csv_rows(header: str, table):
+    """Yield ``header``, then each row of ``table`` as one CSV line.
+
+    Every cell is written with 17 significant digits, which round-trips a
+    float64; the header's column count fixes the row width.
+    """
+    fmt = ",".join(["%.17g"] * (header.count(",") + 1))
+    yield header
+    for row in table:
+        yield fmt % tuple(row)
+
+
 def trace_csv_rows(trace: SqueezingTrace):
     """Yield the export header and formatted rows (17 significant digits)."""
-    yield ("t,xi2,theta_min,jz_re,nab_re,jpp_re,jpp_im,jpm_re,jmp_re,"
-           "commutator_residual")
-    fmt = "%.17g"
-    resid = trace.commutator_residual
-    for k in range(len(trace.times)):
-        mk = trace.moments[k]
-        cells = (trace.times[k], trace.xi2[k], trace.theta_min[k],
-                 mk[0].real, mk[1].real, mk[2].real, mk[2].imag,
-                 mk[4].real, mk[5].real, resid[k])
-        yield ",".join(fmt % c for c in cells)
+    m = trace.moments.T
+    table = np.column_stack((trace.times, trace.xi2, trace.theta_min, m[0].real,
+                             m[1].real, m[2].real, m[2].imag, m[4].real, m[5].real,
+                             trace.commutator_residual))
+    return _csv_rows("t,xi2,theta_min,jz_re,nab_re,jpp_re,jpp_im,jpm_re,jmp_re,"
+                     "commutator_residual", table.tolist())

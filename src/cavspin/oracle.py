@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import MomentState, assemble_generator, initial_state, propagate
+from .moments import (MOMENT_ORDER, MomentState, assemble_generator, initial_state,
+                      propagate)
 from .params import PhysicalParams, check_validity, kappa_prime, stark_shifts
 
 DIM_BUDGET = 1024
@@ -470,9 +471,6 @@ def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray) -> n
 # three-way validation of the elimination chain
 # ---------------------------------------------------------------------------
 
-MOMENT_SCALES = ("jz", "nab", "jpp", "jmm", "jpm", "jmp")
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Per-time, per-moment comparison of full, intermediate and linear levels."""
@@ -496,7 +494,7 @@ class ValidationReport:
     def records(self) -> list[dict]:
         out = []
         for i, t in enumerate(self.times):
-            for j, name in enumerate(MOMENT_SCALES):
+            for j, name in enumerate(MOMENT_ORDER):
                 rec = {"t": float(t), "moment": name}
                 for level in ("full", "intermediate", "linear"):
                     z = self.moments[level][i, j]
@@ -634,7 +632,7 @@ def validate_elimination(params: PhysicalParams, spec: HilbertSpec, t_grid,
     scales = {}
     rel_fi = {}
     rel_il = {}
-    for j, name in enumerate(MOMENT_SCALES):
+    for j, name in enumerate(MOMENT_ORDER):
         sup_f = np.abs(m_full[:, j]).max()
         sup_i = np.abs(m_int[:, j]).max()
         sup_l = np.abs(m_lin[:, j]).max()

@@ -4,10 +4,16 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from cavspin.cli import COMMAND_KEYS, _problem_from_config, main
+from cavspin import __version__
+from cavspin.cli import COMMAND_KEYS, _problem_from_config, _sweep_rows, build_parser, main
+from cavspin.dicke import EffectiveCoeffs, ideal_trace
+from cavspin.moments import evolve_squeezing, trace_csv_rows
+from cavspin.optimize import SweepPoint, SweepResult
 from cavspin.params import demo_params, params_to_mapping, read_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -82,6 +88,15 @@ class TestEvolve:
         summary = json.loads((tmp_path / "summary.json").read_text())["summary"]
         assert summary["truncated"]
         assert summary["truncation_reason"].startswith("<J_z> below 1e-12 N")
+
+    @pytest.mark.parametrize("key,value", [("t_max", "0"), ("t_max", "-1"),
+                                           ("max_extensions", "-3")])
+    def test_bad_horizon_key_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(**{key: value}))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / "summary.json").exists()
 
     def test_empty_grid_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(n_steps=1))
@@ -188,6 +203,15 @@ class TestOracle:
         cfg = write_config(tmp_path, "bad.cfg", mapping)
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "omega_1 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "validation.json").exists()
+
+    @pytest.mark.parametrize("value", ["7", "-1", "2"])
+    def test_compensate_stark_not_a_flag_is_config_error(self, tmp_path, capsys, value):
+        mapping = read_config(config_path("oracle_n2.cfg"))
+        mapping["compensate_stark"] = value
+        cfg = write_config(tmp_path, "bad.cfg", mapping)
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "compensate_stark" in capsys.readouterr().err
         assert not (tmp_path / "validation.json").exists()
 
     def test_zero_drive_all_deviations_zero(self, tmp_path):
@@ -352,3 +376,119 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+class TestParser:
+    def test_no_subcommand_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--config", config_path("fig2.cfg")])
+        assert exc.value.code == 2
+
+    def test_unknown_subcommand_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", "--config", config_path("fig2.cfg")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == f"cavspin {__version__}" == "cavspin 0.1.0"
+
+    def test_options_after_the_subcommand(self):
+        args = build_parser().parse_args(["sweep", "--config", "c.cfg", "--out", "o",
+                                          "--seed", "3"])
+        assert (args.subcommand, args.config, args.out, args.seed, args.ref_rate_hz) == \
+            ("sweep", "c.cfg", "o", 3, None)
+        args = build_parser().parse_args(["evolve", "--config", "c.cfg",
+                                          "--ref-rate-hz", "1e5"])
+        assert (args.subcommand, args.out, args.seed, args.ref_rate_hz) == \
+            ("evolve", ".", None, 1e5)
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("evolve", "--seed", "5"), ("oracle", "--seed", "5"), ("budget", "--seed", "5"),
+        ("validate", "--seed", "5"), ("optimize", "--ref-rate-hz", "1e5"),
+        ("sweep", "--ref-rate-hz", "1e5"), ("oracle", "--ref-rate-hz", "1e5"),
+        ("budget", "--ref-rate-hz", "nan"), ("validate", "--ref-rate-hz", "1e5")])
+    def test_flag_the_subcommand_ignores_is_config_error(self, tmp_path, capsys,
+                                                         command, flag, value):
+        if command == "optimize":
+            config = write_config(tmp_path, "opt.cfg", OPTIMIZE_MAPPING)
+        else:
+            config = config_path({"oracle": "oracle_n2.cfg",
+                                  "sweep": "fig3.cfg"}.get(command, "fig2.cfg"))
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert ("optimize and sweep" if flag == "--seed" else "evolve") in err
+        assert not out.exists()
+
+
+def per_cell_rows(header, table):
+    """The per-cell CSV formatting the row formatter must reproduce."""
+    yield header
+    for cells in table:
+        yield ",".join("%.17g" % c for c in cells)
+
+
+def reference_trace_rows(trace):
+    resid = trace.commutator_residual
+    table = []
+    for k in range(len(trace.times)):
+        mk = trace.moments[k]
+        table.append((trace.times[k], trace.xi2[k], trace.theta_min[k],
+                      mk[0].real, mk[1].real, mk[2].real, mk[2].imag,
+                      mk[4].real, mk[5].real, resid[k]))
+    return list(per_cell_rows("t,xi2,theta_min,jz_re,nab_re,jpp_re,jpp_im,jpm_re,"
+                              "jmp_re,commutator_residual", table))
+
+
+def decayed_params():
+    """Dissipative N = 156 point whose trace is truncated at a decayed <J_z>."""
+    return replace(demo_params(n_atoms=156), omega_1=14485.0, omega_2=6982.0,
+                   delta_1=79304.0, omega_ab=11158.0, delta=996.0, kappa=75.8,
+                   gamma_a=31.9, gamma_b=39.8, gamma_o=42.9)
+
+
+class TestExportRows:
+    def test_demo_trace(self):
+        trace = evolve_squeezing(demo_params())
+        assert list(trace_csv_rows(trace)) == reference_trace_rows(trace)
+
+    def test_truncated_trace(self):
+        trace = evolve_squeezing(decayed_params())
+        assert trace.truncated
+        assert list(trace_csv_rows(trace)) == reference_trace_rows(trace)
+
+    def test_extended_trace(self):
+        params = demo_params()
+        short = evolve_squeezing(params).t_min / 8.0
+        trace = evolve_squeezing(params, t_max=short, n_steps=60, max_extensions=5)
+        assert trace.times[-1] > short
+        assert list(trace_csv_rows(trace)) == reference_trace_rows(trace)
+
+    def test_ideal_trace(self):
+        n = 1000
+        times = np.linspace(0.0, 4.0 * n ** (-2.0 / 3.0), 400)
+        trace = ideal_trace(EffectiveCoeffs(0.25, 0.25, 0.25, 0.25), n, times)
+        assert list(trace_csv_rows(trace)) == reference_trace_rows(trace)
+
+    def test_sweep_rows_skip_failed_points(self):
+        def report(*values):
+            names = ("xi2_min", "r_opt", "delta_opt", "delta1_opt", "t_min")
+            return SimpleNamespace(**dict(zip(names, values)))
+        points = (SweepPoint(100.0, report(0.1, 1.0 / 3.0, -0.0, 5e-324, 1e22)),
+                  SweepPoint(0.05, None, "no feasible start"),
+                  SweepPoint(2e3, report(0.0123456789012345678, 2.5, 1e-300, -7.0,
+                                         math.pi)))
+        result = SweepResult(points=points, prefactor_fixed_slope=0.7,
+                             free_slope=-0.5, free_intercept=-0.1)
+        header = "cooperativity,xi2_min,r_opt,delta_opt,delta1_opt,t_min,C_fixed_slope"
+        table = [(pt.cooperativity, pt.report.xi2_min, pt.report.r_opt,
+                  pt.report.delta_opt, pt.report.delta1_opt, pt.report.t_min, 0.7)
+                 for pt in points if pt.report is not None]
+        rows = list(_sweep_rows(result))
+        assert rows == list(per_cell_rows(header, table))
+        assert len(rows) == 3
