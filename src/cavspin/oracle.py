@@ -11,12 +11,14 @@ moment equations:
   static by shifting the cavity frame by the two-photon detuning.
 
 One fixed-step RK4 kernel, ``_rk4``, propagates both, in three ways:
-a dissipative model steps its dense density matrix through the Lindblad
-master equation (``integrate_master``); a dissipation-free periodic model
-steps the identity over one drive period and composes that propagator; a
-dissipation-free static model needs no stepping and is propagated exactly
-with ``eigh``.  ``validate_elimination`` compares the two models, level by
-level, against the linearized moment equations.
+a dissipative model steps its density matrix through the Lindblad master
+equation (``integrate_master``), whose right-hand side is one sparse CSR
+superoperator on vec(rho) built once per call; a dissipation-free periodic
+model steps the identity over one drive period in a single pass, keeping the
+partial propagators at the output remainders, and composes them with powers
+of the period propagator; a dissipation-free static model needs no stepping
+and is propagated exactly with ``eigh``.  ``validate_elimination`` compares
+the two models, level by level, against the linearized moment equations.
 
 Frame bookkeeping: the full model rotates |b> at twice the ground-state
 splitting while the intermediate model (and hence the moment equations)
@@ -31,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .moments import (MOMENT_ORDER, MomentState, assemble_generator, initial_state,
                       propagate)
@@ -82,6 +85,7 @@ class Basis:
         self._index = {lvl: i for i, lvl in enumerate(levels)}
         self._cavity_eye = np.eye(cavity_cutoff + 1, dtype=complex)
         self._atom_eye = np.eye(self.n_levels, dtype=complex)
+        self._collective_ops: dict[str, np.ndarray] | None = None
 
     def transition(self, upper: str, lower: str) -> np.ndarray:
         """Single-atom |upper><lower| on the atomic level space."""
@@ -113,20 +117,23 @@ class Basis:
         return psi
 
     def collective_ops(self) -> dict[str, np.ndarray]:
-        jp = self.collective("a", "b")
-        jm = jp.conj().T
-        na = self.collective("a", "a")
-        nb = self.collective("b", "b")
-        c = self.annihilator()
-        return {
-            "jz": 0.5 * (na - nb),
-            "nab": na + nb,
-            "jpp": jp @ jp,
-            "jmm": jm @ jm,
-            "jpm": jp @ jm,
-            "jmp": jm @ jp,
-            "photons": c.conj().T @ c,
-        }
+        """The moment and photon-number operators, built on the first call only."""
+        if self._collective_ops is None:
+            jp = self.collective("a", "b")
+            jm = jp.conj().T
+            na = self.collective("a", "a")
+            nb = self.collective("b", "b")
+            c = self.annihilator()
+            self._collective_ops = {
+                "jz": 0.5 * (na - nb),
+                "nab": na + nb,
+                "jpp": jp @ jp,
+                "jmm": jm @ jm,
+                "jpm": jp @ jm,
+                "jmp": jm @ jp,
+                "photons": c.conj().T @ c,
+            }
+        return self._collective_ops
 
 
 @dataclass(frozen=True)
@@ -359,42 +366,83 @@ def recommended_dt(liou: Liouvillian, factor: float = 0.05) -> float:
     return factor / scale
 
 
-def _rk4(liou: Liouvillian, rhs, y: np.ndarray, t0: float, t1: float, dt: float,
-         hermitian: bool = False) -> tuple[np.ndarray, int, float]:
-    """Classical RK4 for dy/dt = rhs(H(t), y) over [t0, t1].
+def _step_count(span: float, dt: float) -> tuple[int, float]:
+    """Equal steps of at most ``dt`` over ``span``: ``(n_steps, h)``, n_steps >= 1."""
+    n_steps = max(1, math.ceil(span / dt))
+    return n_steps, span / n_steps
 
-    Takes ceil((t1 - t0) / dt) equal steps and returns ``(y, n_steps, h)``.
+
+def _rk4(rhs, y: np.ndarray, t0: float, h: float, n_steps: int,
+         hermitian: bool = False) -> np.ndarray:
+    """Classical RK4 for dy/dt = rhs(t, y): ``n_steps`` steps of size ``h`` from t0.
+
     ``hermitian`` re-Hermitizes a density matrix after every step.
     """
-    n_steps = max(1, math.ceil((t1 - t0) / dt))
-    h = (t1 - t0) / n_steps
     time = t0
     for _ in range(n_steps):
-        h_mid = liou.hamiltonian_at(time + 0.5 * h)
-        k1 = rhs(liou.hamiltonian_at(time), y)
-        k2 = rhs(h_mid, y + 0.5 * h * k1)
-        k3 = rhs(h_mid, y + 0.5 * h * k2)
-        k4 = rhs(liou.hamiltonian_at(time + h), y + h * k3)
+        k1 = rhs(time, y)
+        k2 = rhs(time + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(time + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(time + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if hermitian:
             y = 0.5 * (y + y.conj().T)
         time += h
-    return y, n_steps, h
+    return y
+
+
+def _lindblad_rhs(liou: Liouvillian):
+    """Sparse right-hand side ``rhs(t, rho)`` of the Lindblad master equation.
+
+    On row-major vec(rho), X rho Y is (X kron Y^T) vec(rho).  With
+    G = 1/2 sum_D D^dag D, the static part is
+    L0 = (-i H - G) x I + I x (i H - G)^T + sum_D D x D*, and each
+    oscillating term V e^{i w t} adds -i (V x I - I x V^T).  The parts are
+    stacked into one CSR matrix, so a call is one sparse product contracted
+    with the phases (1, e^{i w_1 t}, ...).
+    """
+    dim = liou.basis.dim
+    eye = sparse.identity(dim, dtype=complex, format="csr")
+    h = liou.hamiltonian_static
+    g = 0.5 * sum((d.conj().T @ d for d in liou.jump_operators),
+                  np.zeros((dim, dim), dtype=complex))
+    static = sparse.kron(sparse.csr_matrix(-1j * h - g), eye) \
+        + sparse.kron(eye, sparse.csr_matrix((1j * h - g).T))
+    for d in liou.jump_operators:
+        d = sparse.csr_matrix(d, dtype=complex)
+        static = static + sparse.kron(d, d.conj())
+    parts = [static]
+    for mat, _ in liou.hamiltonian_oscillating:
+        v = sparse.csr_matrix(mat, dtype=complex)
+        parts.append(-1j * (sparse.kron(v, eye) - sparse.kron(eye, v.T)))
+    stacked = sparse.vstack(parts, format="csr")
+    freqs = np.array([0.0] + [f for _, f in liou.hamiltonian_oscillating])
+
+    def rhs(t: float, rho: np.ndarray) -> np.ndarray:
+        blocks = (stacked @ rho.ravel()).reshape(len(freqs), dim * dim)
+        return (np.exp(1j * freqs * t) @ blocks).reshape(dim, dim)
+
+    return rhs
 
 
 def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t: float,
                      dt: float | None = None) -> MasterResult:
     """Fixed-step 4th-order integration of the master equation.
 
-    The step must resolve the fastest oscillation: dt * max(omega, ||H||)
-    <= 0.05 is enforced.  The state is re-Hermitized after every step; the
-    final state is checked by :meth:`DensityMatrix.validate`, whose trace
-    drift and minimum eigenvalue are reported.
+    The Liouvillian acts as one sparse superoperator on vec(rho), built once
+    per call (:func:`_lindblad_rhs`).  ``t`` must be finite and nonnegative
+    and ``dt`` finite and positive.  The step must resolve the fastest
+    oscillation: dt * max(omega, ||H||) <= 0.05 is enforced.  The state is
+    re-Hermitized after every step; the final state is checked by
+    :meth:`DensityMatrix.validate`, whose trace drift and minimum eigenvalue
+    are reported.
     """
-    if t < 0:
-        raise ValueError("integration time must be nonnegative")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"integration time t must be finite and nonnegative, got {t}")
     if dt is None:
         dt = recommended_dt(liou)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"step dt must be finite and positive, got {dt}")
     scale = liou.rate_scale()
     if dt * scale > 0.05 * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} too coarse: dt * max(omega, ||H||) = {dt * scale:.3g} > 0.05")
@@ -403,23 +451,11 @@ def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t: float,
         result = DensityMatrix(rho)
         return MasterResult(result, *result.validate(), 0, dt)
 
-    jumps = [d.astype(complex) for d in liou.jump_operators]
-    jump_dags = [d.conj().T for d in jumps]
-    anti = 0.5 * sum((dd @ d for d, dd in zip(jumps, jump_dags)),
-                     np.zeros((liou.basis.dim,) * 2, dtype=complex))
-
-    def rhs(h: np.ndarray, r: np.ndarray) -> np.ndarray:
-        out = -1j * (h @ r - r @ h)
-        if jumps:
-            out -= anti @ r + r @ anti
-            for d, dd in zip(jumps, jump_dags):
-                out += d @ r @ dd
-        return out
-
-    rho, n_steps, h_step = _rk4(liou, rhs, rho, 0.0, t, dt, hermitian=True)
+    n_steps, h = _step_count(t, dt)
+    rho = _rk4(_lindblad_rhs(liou), rho, 0.0, h, n_steps, hermitian=True)
     result = DensityMatrix(rho)
     drift, min_eig = result.validate()
-    return MasterResult(result, drift, min_eig, n_steps, h_step)
+    return MasterResult(result, drift, min_eig, n_steps, h)
 
 
 def extract_moments(rho: DensityMatrix, basis: Basis) -> tuple[MomentState, float]:
@@ -440,29 +476,41 @@ def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray) -> n
     """States of a dissipation-free model at every output time, as (T, dim).
 
     A static model is propagated exactly through its eigendecomposition.  A
-    periodic H(t) composes the one-period RK4 propagator (RK4 on the
-    Schroedinger equation is linear per step, so stepping the identity gives
-    it) and steps the remainder; this reproduces plain fixed-step stepping
-    while keeping long horizons affordable.
+    periodic H(t) steps the identity over one drive period once (RK4 on the
+    Schroedinger equation is linear per step, so this gives the propagator)
+    and keeps the partial propagator U(k h) at the last step boundary below
+    each output's remainder t mod period.  An output is that partial times
+    the composed whole periods, plus one short RK4 step up to the remainder.
     """
     if not liou.hamiltonian_oscillating:
         w, v = np.linalg.eigh(liou.hamiltonian_static)
         coeffs = v.conj().T @ psi0
         return np.array([v @ (np.exp(-1j * w * t) * coeffs) for t in times])
 
-    def rhs(h: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        return -1j * (h @ psi)
+    def rhs(t: float, psi: np.ndarray) -> np.ndarray:
+        return -1j * (liou.hamiltonian_at(t) @ psi)
 
-    dt = recommended_dt(liou, 0.005)
     period = 2.0 * math.pi / liou.max_frequency
-    u_period = _rk4(liou, rhs, np.eye(liou.basis.dim, dtype=complex), 0.0, period, dt)[0]
-    states = []
+    n_steps, h = _step_count(period, recommended_dt(liou, 0.005))
+    splits = []
     for t in times:
         n_periods = int(t // period)
         remainder = t - n_periods * period
-        psi = np.linalg.matrix_power(u_period, n_periods) @ psi0
-        if remainder > 1e-15 * max(t, 1.0):
-            psi = _rk4(liou, rhs, psi, 0.0, remainder, dt)[0]
+        splits.append((n_periods, remainder, int(remainder // h)))
+
+    partial = {}
+    u, done = np.eye(liou.basis.dim, dtype=complex), 0
+    for k in sorted({k for _, _, k in splits} | {n_steps}):
+        u = _rk4(rhs, u, done * h, h, k - done)
+        partial[k], done = u, k
+    u_period = partial[n_steps]
+
+    states = []
+    for t, (n_periods, remainder, k) in zip(times, splits):
+        psi = partial[k] @ (np.linalg.matrix_power(u_period, n_periods) @ psi0)
+        gap = remainder - k * h
+        if gap > 1e-15 * max(t, 1.0):
+            psi = _rk4(rhs, psi, k * h, gap, 1)
         states.append(psi)
     return np.array(states)
 

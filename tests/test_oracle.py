@@ -8,8 +8,8 @@ from cavspin import oracle
 from cavspin.dicke import effective_coeffs
 from cavspin.moments import initial_state
 from cavspin.oracle import (Basis, DensityMatrix, HilbertSpec, IntegrationError,
-                            Liouvillian, ModelError, _rk4, _unitary_states,
-                            build_full_model, build_intermediate_model,
+                            Liouvillian, ModelError, _lindblad_rhs, _rk4, _step_count,
+                            _unitary_states, build_full_model, build_intermediate_model,
                             coherent_pair_transfer_time, extract_moments,
                             integrate_master, photon_estimate, recommended_dt,
                             validate_elimination)
@@ -22,6 +22,13 @@ def n2_matched(omega1=4.0, dissipation=0.0):
                        kappa=dissipation, gamma_a=dissipation / 3,
                        gamma_b=dissipation / 3, gamma_o=dissipation / 3)
     return p.with_drives(p.omega_1, match_raman(p))
+
+
+def lossy_params(n_atoms, levels):
+    """A lossy full-model parameter set; |o> decay only with the fourth level."""
+    return PhysicalParams(n_atoms=n_atoms, omega_1=4.0, omega_2=5.0, delta_1=12.0,
+                          omega_ab=9.0, delta=0.7, kappa=0.4, gamma_a=0.5,
+                          gamma_b=0.3, gamma_o=0.2 if levels == 4 else 0.0)
 
 
 def strobed_grid(params, horizon, n_points=9):
@@ -258,6 +265,18 @@ class TestIntegrateMaster:
         assert first < 16.0 * second * 1.25
         assert first > 8.0 * second
 
+    @pytest.mark.parametrize("name,value", [
+        ("dt", -1.0), ("dt", 0.0), ("dt", math.nan), ("dt", math.inf),
+        ("t", -1.0), ("t", math.nan), ("t", math.inf)])
+    def test_bad_time_or_step_refused(self, name, value, monkeypatch):
+        liou = build_full_model(lossy_params(1, 4), HilbertSpec(1, 4, 1))
+        rho0 = DensityMatrix.from_pure(liou.basis.vacuum_all_a())
+        args = {"t": 0.8, "dt": recommended_dt(liou)}
+        args[name] = value
+        monkeypatch.setattr(oracle, "_rk4", None)       # refused before any step
+        with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+            integrate_master(liou, rho0, **args)
+
     def test_coarse_step_rejected(self):
         p = n2_matched()
         liou = build_full_model(p, HilbertSpec(2, 3, 1))
@@ -277,10 +296,69 @@ class TestIntegrateMaster:
             nan.validate()
 
 
+def dense_lindblad_rhs(liou):
+    """Dense commutator / anticommutator / jump-sum right-hand side (reference)."""
+    jumps = [d.astype(complex) for d in liou.jump_operators]
+    jump_dags = [d.conj().T for d in jumps]
+    anti = 0.5 * sum((dd @ d for d, dd in zip(jumps, jump_dags)),
+                     np.zeros((liou.basis.dim,) * 2, dtype=complex))
+
+    def rhs(t, r):
+        h = liou.hamiltonian_at(t)
+        out = -1j * (h @ r - r @ h)
+        if jumps:
+            out -= anti @ r + r @ anti
+            for d, dd in zip(jumps, jump_dags):
+                out += d @ r @ dd
+        return out
+
+    return rhs
+
+
+def lossy_model(kind, n_atoms, levels, cutoff):
+    spec = HilbertSpec(n_atoms, levels, cutoff)
+    if kind == "intermediate":
+        return build_intermediate_model(lossy_params(n_atoms, levels), spec)
+    if kind == "frame-shifted":
+        p = n2_matched(omega1=8.0, dissipation=0.4)
+        return cavity_frame_shifted(p, build_full_model(p, spec))
+    return build_full_model(lossy_params(n_atoms, levels), spec)
+
+
+class TestSparseLindblad:
+    @pytest.mark.parametrize("kind,n_atoms,levels,cutoff", [
+        ("full", 1, 3, 1), ("full", 1, 4, 2), ("full", 2, 3, 2), ("full", 2, 4, 1),
+        ("intermediate", 2, 4, 1), ("frame-shifted", 2, 4, 1)])
+    def test_matches_dense_rhs(self, kind, n_atoms, levels, cutoff):
+        liou = lossy_model(kind, n_atoms, levels, cutoff)
+        assert liou.has_dissipation
+        sparse_rhs, dense_rhs = _lindblad_rhs(liou), dense_lindblad_rhs(liou)
+        rng = np.random.default_rng(7)
+        dim = liou.basis.dim
+        for t in (0.0, 0.37, 2.1, 11.3):
+            x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = x @ x.conj().T
+            rho /= np.trace(rho)
+            ref = dense_rhs(t, rho)
+            assert np.abs(sparse_rhs(t, rho) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_integration_matches_dense_stepping(self):
+        liou = build_full_model(n2_matched(dissipation=0.3), HilbertSpec(2, 4, 1))
+        rho0 = DensityMatrix.from_pure(liou.basis.vacuum_all_a())
+        t, dt = 0.7, recommended_dt(liou)
+        res = integrate_master(liou, rho0, t)
+        n_steps, h = _step_count(t, dt)
+        ref = _rk4(dense_lindblad_rhs(liou), rho0.entries, 0.0, h, n_steps, hermitian=True)
+        assert (res.steps, res.dt) == (n_steps, h)
+        assert np.abs(res.rho.entries - ref).max() <= 1e-10
+
+
 class TestUnitaryStates:
     @staticmethod
-    def schroedinger(h, psi):
-        return -1j * (h @ psi)
+    def schroedinger(liou, psi, t0, t1, dt):
+        """Plain fixed-step RK4 of the Schroedinger equation over [t0, t1]."""
+        n_steps, h = _step_count(t1 - t0, dt)
+        return _rk4(lambda t, y: -1j * (liou.hamiltonian_at(t) @ y), psi, t0, h, n_steps)
 
     def test_periodic_model_matches_plain_stepping(self):
         liou = build_full_model(n2_matched(), HilbertSpec(2, 3, 1))
@@ -293,10 +371,53 @@ class TestUnitaryStates:
             ref = psi0
             n_periods = int(t // period)
             for k in range(n_periods):
-                ref = _rk4(liou, self.schroedinger, ref, k * period, (k + 1) * period, dt)[0]
+                ref = self.schroedinger(liou, ref, k * period, (k + 1) * period, dt)
             if t > n_periods * period:
-                ref = _rk4(liou, self.schroedinger, ref, n_periods * period, t, dt)[0]
+                ref = self.schroedinger(liou, ref, n_periods * period, t, dt)
             assert np.abs(psi - ref).max() <= 1e-10
+
+    def test_period_edge_cases_match_plain_stepping(self):
+        p = PhysicalParams(n_atoms=1, omega_1=2.0, omega_2=3.0, delta_1=12.0,
+                           omega_ab=6.5, delta=0.7)
+        liou = build_full_model(p, HilbertSpec(1, 3, 1))
+        period = 2.0 * math.pi / liou.max_frequency
+        dt = recommended_dt(liou, 0.005)
+        n_steps, h = _step_count(period, dt)
+        # 6 periods leave a remainder that rounds up past the last step boundary
+        assert int(6.0 * period // period) == 5
+        assert (6.0 * period - 5.0 * period) // h >= n_steps
+        times = np.array([
+            1.0 * period, 2.0 * period,                   # exact multiples
+            2.0 * period + 0.3 * h,                       # inside the first step
+            period + 5.2 * h, period + 5.7 * h,           # one shared step boundary
+            np.nextafter(3.0 * period, 0.0), 6.0 * period,  # round to whole periods
+        ])
+        psi0 = liou.basis.vacuum_all_a()
+        states = _unitary_states(liou, psi0, times)
+        whole = [psi0]
+        for k in range(int(times.max() // period)):
+            whole.append(self.schroedinger(liou, whole[-1], k * period, (k + 1) * period, dt))
+        for t, psi in zip(times, states):
+            n_periods = int(t // period)
+            ref = whole[n_periods]
+            if t > n_periods * period:
+                ref = self.schroedinger(liou, ref, n_periods * period, t, dt)
+            assert np.abs(psi - ref).max() <= 1e-10
+
+    def test_period_is_stepped_once(self, monkeypatch):
+        liou = build_full_model(n2_matched(), HilbertSpec(2, 3, 1))
+        period = 2.0 * math.pi / liou.max_frequency
+        n_steps, _ = _step_count(period, recommended_dt(liou, 0.005))
+        steps = []
+
+        def counting(rhs, y, t0, h, n, hermitian=False):
+            steps.append(n)
+            return _rk4(rhs, y, t0, h, n, hermitian)
+
+        monkeypatch.setattr(oracle, "_rk4", counting)
+        times = np.array([0.0, 0.4, 2.5, 7.25, 12.0]) * period
+        _unitary_states(liou, liou.basis.vacuum_all_a(), times)
+        assert sum(steps) <= n_steps + len(times)
 
     def test_static_model_matches_expm(self):
         liou = build_intermediate_model(n2_matched(), HilbertSpec(2, 3, 1))
@@ -340,6 +461,29 @@ class TestExtractMoments:
         assert state.jpp == pytest.approx(0.5)
         assert photons == pytest.approx(0.0)
 
+    def test_operators_built_once_per_basis(self):
+        basis = Basis(2, ("a", "b", "e"), 1)
+        ops = basis.collective_ops()
+        assert basis.collective_ops() is ops
+        jp = basis.collective("a", "b")
+        assert np.array_equal(ops["jpm"], jp @ jp.conj().T)
+
+
+def cavity_frame_shifted(p, base, lam=37.0):
+    """``base`` with the cavity frame shifted by ``lam``: four oscillating terms."""
+    basis = base.basis
+    c = basis.annihilator()
+    num = c.conj().T @ c
+    v_c = p.g_a * (c @ basis.collective("e", "a"))
+    v_cd = np.conj(p.g_b) * (c.conj().T @ basis.collective("b", "e"))
+    return Liouvillian(
+        basis=basis,
+        hamiltonian_static=base.hamiltonian_static - lam * num,
+        hamiltonian_oscillating=(
+            (v_c, p.omega_ab - lam), (v_c.conj().T, -(p.omega_ab - lam)),
+            (v_cd, p.omega_ab + lam), (v_cd.conj().T, -(p.omega_ab + lam))),
+        jump_operators=base.jump_operators)
+
 
 class TestFrameInvariance:
     def test_cavity_frame_shift_leaves_diagonals(self):
@@ -347,18 +491,7 @@ class TestFrameInvariance:
         spec = HilbertSpec(2, 4, 1)
         base = build_full_model(p, spec)
         basis = base.basis
-        c = basis.annihilator()
-        num = c.conj().T @ c
-        lam = 37.0
-        v_c = p.g_a * (c @ basis.collective("e", "a"))
-        v_cd = np.conj(p.g_b) * (c.conj().T @ basis.collective("b", "e"))
-        shifted = Liouvillian(
-            basis=basis,
-            hamiltonian_static=base.hamiltonian_static - lam * num,
-            hamiltonian_oscillating=(
-                (v_c, p.omega_ab - lam), (v_c.conj().T, -(p.omega_ab - lam)),
-                (v_cd, p.omega_ab + lam), (v_cd.conj().T, -(p.omega_ab + lam))),
-            jump_operators=base.jump_operators)
+        shifted = cavity_frame_shifted(p, base)
         rho_a = DensityMatrix.from_pure(basis.vacuum_all_a())
         t = 0.9
         res_a = integrate_master(base, rho_a, t)
