@@ -146,7 +146,7 @@ def _fmt(x: float) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_evolve(config: dict, out_dir: str, ref_rate_hz: float | None) -> int:
+def _read_evolve(config: dict, args: argparse.Namespace) -> tuple:
     params = params_from_mapping(config)
     n_steps = _int(config, "n_steps", 400)
     if n_steps < 2:
@@ -157,19 +157,23 @@ def cmd_evolve(config: dict, out_dir: str, ref_rate_hz: float | None) -> int:
     max_ext = _int(config, "max_extensions", 0)
     if max_ext < 0:
         raise ConfigError(f"max_extensions must be >= 0: {max_ext!r}")
+    ref_rate_hz = args.ref_rate_hz
     if ref_rate_hz is None:
         ref_rate_hz = _float(config, "ref_rate_hz")
     if ref_rate_hz is not None and not 0 < ref_rate_hz < math.inf:
         raise ConfigError(f"ref_rate_hz must be positive and finite: {ref_rate_hz!r}")
+    return params, dict(t_max=t_max, n_steps=n_steps, max_extensions=max_ext), ref_rate_hz
 
+
+def _run_evolve(config: dict, settings: tuple, out_dir: str) -> int:
+    params, grid, ref_rate_hz = settings
     report = check_validity(params)
     for name, verdict in report.verdicts.items():
         if verdict != "pass":
             print(f"validity {verdict}: {name} = {getattr(report, name):.3g}",
                   file=sys.stderr)
 
-    trace = evolve_squeezing(params, t_max=t_max, n_steps=n_steps,
-                             max_extensions=max_ext)
+    trace = evolve_squeezing(params, **grid)
     _atomic_write(os.path.join(out_dir, "trace.csv"),
                   _csv_text(config, trace_csv_rows(trace)))
     summary = {
@@ -193,8 +197,7 @@ def cmd_evolve(config: dict, out_dir: str, ref_rate_hz: float | None) -> int:
     return EXIT_OK
 
 
-def cmd_budget(config: dict, out_dir: str) -> int:
-    params = params_from_mapping(config)
+def _run_budget(config: dict, params, out_dir: str) -> int:
     n_gamma, n_kappa = decoherence_budget(params)
     rows = ["quantity,value",
             f"decayed_atoms,{_fmt(n_gamma)}",
@@ -209,7 +212,7 @@ def cmd_budget(config: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(config: dict, out_dir: str) -> int:
+def _read_oracle(config: dict, args: argparse.Namespace) -> tuple:
     params = params_from_mapping(config)
     spec = HilbertSpec(n_atoms=params.n_atoms,
                        atom_levels=_int(config, "atom_levels"),
@@ -221,11 +224,17 @@ def cmd_oracle(config: dict, out_dir: str) -> int:
     comp = _int(config, "compensate_stark", 1)
     if comp not in (0, 1):
         raise ConfigError(f"compensate_stark must be 0 or 1: {comp!r}")
+    steps = {key: _float(config, key) for key in ("dt_full", "dt_intermediate")}
+    for key, dt in steps.items():
+        if dt is not None and dt <= 0:
+            raise ConfigError(f"{key} must be positive: {dt!r}")
+    return params, spec, t_final, n_times, steps, bool(comp)
+
+
+def _run_oracle(config: dict, settings: tuple, out_dir: str) -> int:
+    params, spec, t_final, n_times, steps, comp = settings
     times = np.linspace(0.0, t_final, n_times)
-    report = validate_elimination(params, spec, times,
-                                  dt_full=_float(config, "dt_full"),
-                                  dt_intermediate=_float(config, "dt_intermediate"),
-                                  compensate_stark=bool(comp))
+    report = validate_elimination(params, spec, times, **steps, compensate_stark=comp)
     _atomic_write(os.path.join(out_dir, "validation.json"),
                   _json_payload(config, {"validation": report.to_json_dict()}))
     worst_fi = max(report.max_dev("fi", m) for m in ("jz", "jpp"))
@@ -240,8 +249,7 @@ _BOUND_KEYS = (("r_min", "r_max", "r_bounds"),
                ("delta1_min", "delta1_max", "delta1_bounds"))
 
 
-def _problem_from_config(config: dict, seed_override: int | None,
-                         need_rates: bool) -> OptimizationProblem:
+def _problem_from_config(config: dict, seed_override: int | None) -> OptimizationProblem:
     defaults = {f.name: f.default for f in fields(OptimizationProblem)}
     kwargs = dict(
         n_atoms=_int(config, "n_atoms"),
@@ -249,9 +257,6 @@ def _problem_from_config(config: dict, seed_override: int | None,
         g_a=_float(config, "g_a", defaults["g_a"]),
         g_b=_float(config, "g_b", defaults["g_b"]),
     )
-    if need_rates:
-        kwargs["kappa"] = _float(config, "kappa")
-        kwargs["gamma_total"] = _float(config, "gamma_total")
     if "gamma_split" in config:
         split = _float_list(config, "gamma_split")
         if len(split) != 3:
@@ -264,8 +269,9 @@ def _problem_from_config(config: dict, seed_override: int | None,
     for key in ("restarts", "max_evals", "n_steps"):
         if key in config:
             kwargs[key] = _int(config, key)
-    if "fixed_delta" in config:
-        kwargs["fixed_delta"] = _float(config, "fixed_delta")
+    for key in ("kappa", "gamma_total", "fixed_delta"):
+        if key in config:
+            kwargs[key] = _float(config, key)
     seed = seed_override if seed_override is not None else _int(config, "seed",
                                                                 defaults["seed"])
     kwargs["seed"] = seed
@@ -288,8 +294,7 @@ def _report_dict(rep) -> dict:
     }
 
 
-def cmd_optimize(config: dict, out_dir: str, seed: int | None) -> int:
-    problem = _problem_from_config(config, seed, need_rates=True)
+def _run_optimize(config: dict, problem: OptimizationProblem, out_dir: str) -> int:
     rep = optimize(problem)
     _atomic_write(os.path.join(out_dir, "optimum.json"),
                   _json_payload(config, {"optimum": _report_dict(rep),
@@ -308,14 +313,20 @@ def _sweep_rows(result: SweepResult):
                      "C_fixed_slope", table)
 
 
-def cmd_sweep(config: dict, out_dir: str, seed: int | None) -> int:
-    template = _problem_from_config(config, seed, need_rates=False)
+def _read_sweep(config: dict, args: argparse.Namespace) -> tuple:
+    template = _problem_from_config(config, args.seed)
     coops = _float_list(config, "cooperativities")
-    if not coops:
-        raise ConfigError("cooperativities list is empty")
+    if not coops or min(coops) <= 0:
+        raise ConfigError("cooperativities must be a non-empty list of positive numbers: "
+                          f"{config['cooperativities']!r}")
     ratio = _float(config, "kappa_over_gamma")
     if ratio <= 0:
         raise ConfigError("kappa_over_gamma must be positive")
+    return template, coops, ratio
+
+
+def _run_sweep(config: dict, settings: tuple, out_dir: str) -> int:
+    template, coops, ratio = settings
     result = scaling_sweep(coops, template, kappa_over_gamma=ratio)
     _atomic_write(os.path.join(out_dir, "sweep.csv"),
                   _csv_text(config, _sweep_rows(result)))
@@ -339,20 +350,16 @@ def cmd_sweep(config: dict, out_dir: str, seed: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_validate(config_path: str) -> int:
-    mapping = read_config(config_path)
-    command = mapping.get("command")
-    if command is None:
-        raise ConfigError("config has no 'command' key to validate against")
-    if command not in COMMAND_KEYS:
-        raise ConfigError(f"unknown command {command!r}")
-    _check_keys(command, mapping)
-    if set(CONFIG_KEYS) <= set(mapping):
-        params_from_mapping(mapping)
-    print(f"config OK for command '{command}':")
-    for key, value in sorted(mapping.items()):
-        print(f"  {key} = {value}")
-    return EXIT_OK
+#: settings reader and runner of each subcommand; the reader makes every check
+#: and raises ConfigError, so ``validate`` refuses exactly what the command refuses
+_COMMANDS = {
+    "evolve": (_read_evolve, _run_evolve),
+    "budget": (lambda config, args: params_from_mapping(config), _run_budget),
+    "oracle": (_read_oracle, _run_oracle),
+    "optimize": (lambda config, args: _problem_from_config(config, args.seed),
+                 _run_optimize),
+    "sweep": (_read_sweep, _run_sweep),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +392,23 @@ def main(argv=None) -> int:
             if getattr(args, dest) is not None and args.subcommand not in commands:
                 raise ConfigError(f"--{dest.replace('_', '-')} is taken only by "
                                   f"{' and '.join(commands)}, not {args.subcommand}")
-        if args.subcommand == "validate":
-            return cmd_validate(args.config)
         config = read_config(args.config)
-        _check_keys(args.subcommand, config)
-        if args.subcommand == "evolve":
-            return cmd_evolve(config, args.out, args.ref_rate_hz)
-        if args.subcommand == "budget":
-            return cmd_budget(config, args.out)
-        if args.subcommand == "oracle":
-            return cmd_oracle(config, args.out)
-        if args.subcommand == "optimize":
-            return cmd_optimize(config, args.out, args.seed)
-        return cmd_sweep(config, args.out, args.seed)
+        command = args.subcommand
+        if command == "validate":
+            command = config.get("command")
+            if command is None:
+                raise ConfigError("config has no 'command' key to validate against")
+            if command not in _COMMANDS:
+                raise ConfigError(f"unknown command {command!r}")
+        _check_keys(command, config)
+        read, run = _COMMANDS[command]
+        settings = read(config, args)
+        if args.subcommand != "validate":
+            return run(config, settings, args.out)
+        print(f"config OK for command '{command}':")
+        for key, value in sorted(config.items()):
+            print(f"  {key} = {value}")
+        return EXIT_OK
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

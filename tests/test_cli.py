@@ -97,10 +97,12 @@ class TestEvolve:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
         assert not (tmp_path / "summary.json").exists()
+        assert main(["validate", "--config", cfg]) == 2
 
     def test_empty_grid_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(n_steps=1))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert main(["validate", "--config", cfg]) == 2
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_drive_is_config_error(self, tmp_path, capsys, value):
@@ -110,11 +112,13 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "omega_1 must be finite" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
+        assert main(["validate", "--config", cfg]) == 2
 
     @pytest.mark.parametrize("key", ["t_max", "ref_rate_hz"])
     def test_non_finite_grid_key_is_config_error(self, tmp_path, key):
         cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(**{key: "inf"}))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert main(["validate", "--config", cfg]) == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
     def test_bad_ref_rate_flag_is_config_error(self, tmp_path, capsys, value):
@@ -129,6 +133,7 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "ref_rate_hz" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+        assert main(["validate", "--config", cfg]) == 2
 
     def test_ref_rate_key_converts_t_min(self, tmp_path):
         cfg = write_config(tmp_path, "rate.cfg", evolve_mapping(ref_rate_hz="1e5"))
@@ -141,6 +146,7 @@ class TestEvolve:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(bogus=3))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert main(["validate", "--config", cfg]) == 2
 
     def test_missing_file(self, tmp_path):
         assert main(["evolve", "--config", str(tmp_path / "nope.cfg"),
@@ -204,6 +210,7 @@ class TestOracle:
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "omega_1 must be finite" in capsys.readouterr().err
         assert not (tmp_path / "validation.json").exists()
+        assert main(["validate", "--config", cfg]) == 2
 
     @pytest.mark.parametrize("value", ["7", "-1", "2"])
     def test_compensate_stark_not_a_flag_is_config_error(self, tmp_path, capsys, value):
@@ -212,6 +219,27 @@ class TestOracle:
         cfg = write_config(tmp_path, "bad.cfg", mapping)
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "compensate_stark" in capsys.readouterr().err
+        assert not (tmp_path / "validation.json").exists()
+        assert main(["validate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("key", ["dt_full", "dt_intermediate"])
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_non_positive_step_is_config_error(self, tmp_path, capsys, key, value):
+        mapping = read_config(config_path("oracle_n2.cfg"))
+        mapping.update({"kappa": "0.1", "gamma_a": "0.1", "gamma_b": "0.1",
+                        "gamma_o": "0.1", key: value})
+        cfg = write_config(tmp_path, "bad.cfg", mapping)
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert main(["validate", "--config", cfg]) == 2
+        assert not (tmp_path / "validation.json").exists()
+
+    def test_hilbert_space_error_exits_numerical_under_validate_too(self, tmp_path):
+        mapping = read_config(config_path("oracle_n2.cfg"))
+        mapping["atom_levels"] = "5"
+        cfg = write_config(tmp_path, "bad.cfg", mapping)
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert main(["validate", "--config", cfg]) == 3
         assert not (tmp_path / "validation.json").exists()
 
     def test_zero_drive_all_deviations_zero(self, tmp_path):
@@ -274,6 +302,7 @@ class TestSearchSettings:
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "optimum.json").exists()
+        assert main(["validate", "--config", cfg]) == 2
 
     @pytest.mark.parametrize("key,value", BAD)
     def test_sweep_exits_config(self, tmp_path, capsys, key, value):
@@ -283,13 +312,14 @@ class TestSearchSettings:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
+        assert main(["validate", "--config", cfg]) == 2
 
 
 class TestProblemFromConfig:
     def test_half_given_bounds_and_seed_fall_back_to_problem_defaults(self):
         config = {"n_atoms": "1000", "omega_ab": "100000", "kappa": "1",
                   "gamma_total": "1", "r_min": "0.5", "delta1_max": "2e6"}
-        problem = _problem_from_config(config, None, need_rates=True)
+        problem = _problem_from_config(config, None)
         assert problem.r_bounds == (0.5, 30.0)
         assert problem.delta_bounds == (-4000.0, 4000.0)
         assert problem.delta1_bounds == (1e4, 2e6)
@@ -328,6 +358,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "kappa_over_gamma" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
+        assert main(["validate", "--config", cfg]) == 2
 
     @pytest.mark.parametrize("key,value", [("cooperativities", "10,inf"),
                                            ("cooperativities", "nan"),
@@ -339,6 +370,18 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
+        assert main(["validate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("coops", ["-5,100", "0,100", ","])
+    def test_non_positive_cooperativity_is_config_error(self, tmp_path, capsys, coops):
+        mapping = {"command": "sweep", "n_atoms": "1000000", "omega_ab": "100000",
+                   "cooperativities": coops, "kappa_over_gamma": "1"}
+        cfg = write_config(tmp_path, "sweep.cfg", mapping)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "cooperativities" in capsys.readouterr().err
+        assert main(["validate", "--config", cfg]) == 2
+        assert not (tmp_path / "fit.json").exists()
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_failed_point_exits_numerical(self, tmp_path):
         mapping = {"command": "sweep", "n_atoms": "1000000",
