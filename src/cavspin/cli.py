@@ -19,10 +19,11 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .moments import PropagationError, _csv_rows, evolve_squeezing, trace_csv_rows
+from .moments import (PropagationError, _csv_rows, assemble_generator, default_t_max,
+                      evolve_squeezing, trace_csv_rows)
 from .optimize import (OptimizationProblem, SweepResult, optimize,
                        problem_for_cooperativity, scaling_sweep)
-from .oracle import (HilbertSpec, IntegrationError, ModelError,
+from .oracle import (HilbertSpec, IntegrationError, ModelError, _check_model,
                      validate_elimination)
 from .params import (CONFIG_KEYS, ConfigError, check_validity,
                      decoherence_budget, params_from_mapping, read_config)
@@ -162,6 +163,10 @@ def _read_evolve(config: dict, args: argparse.Namespace) -> tuple:
         ref_rate_hz = _float(config, "ref_rate_hz")
     if ref_rate_hz is not None and not 0 < ref_rate_hz < math.inf:
         raise ConfigError(f"ref_rate_hz must be positive and finite: {ref_rate_hz!r}")
+    # the model's own refusals, in the order evolve_squeezing meets them
+    if t_max is None:
+        default_t_max(params)
+    assemble_generator(params)
     return params, dict(t_max=t_max, n_steps=n_steps, max_extensions=max_ext), ref_rate_hz
 
 
@@ -197,6 +202,12 @@ def _run_evolve(config: dict, settings: tuple, out_dir: str) -> int:
     return EXIT_OK
 
 
+def _read_budget(config: dict, args: argparse.Namespace):
+    params = params_from_mapping(config)
+    decoherence_budget(params)
+    return params
+
+
 def _run_budget(config: dict, params, out_dir: str) -> int:
     n_gamma, n_kappa = decoherence_budget(params)
     rows = ["quantity,value",
@@ -228,6 +239,9 @@ def _read_oracle(config: dict, args: argparse.Namespace) -> tuple:
     for key, dt in steps.items():
         if dt is not None and dt <= 0:
             raise ConfigError(f"{key} must be positive: {dt!r}")
+    # the refusals of the models validate_elimination builds
+    _check_model(params, spec)
+    assemble_generator(params)
     return params, spec, t_final, n_times, steps, bool(comp)
 
 
@@ -351,10 +365,11 @@ def _run_sweep(config: dict, settings: tuple, out_dir: str) -> int:
 
 
 #: settings reader and runner of each subcommand; the reader makes every check
-#: and raises ConfigError, so ``validate`` refuses exactly what the command refuses
+#: that needs no computed state (raising ConfigError, or the model's own error
+#: for what the model refuses), so ``validate`` refuses what the command refuses
 _COMMANDS = {
     "evolve": (_read_evolve, _run_evolve),
-    "budget": (lambda config, args: params_from_mapping(config), _run_budget),
+    "budget": (_read_budget, _run_budget),
     "oracle": (_read_oracle, _run_oracle),
     "optimize": (lambda config, args: _problem_from_config(config, args.seed),
                  _run_optimize),

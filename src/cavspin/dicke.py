@@ -26,7 +26,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .moments import (MomentState, SqueezingTrace, _jz_undefined, _refined_min,
                       _theta, _undefined_reason, _xi2, squeezing_parameter)
-from .params import PhysicalParams
+from .params import PhysicalParams, _check_detunings
 
 logger = logging.getLogger(__name__)
 
@@ -67,8 +67,7 @@ def effective_coeffs(params: PhysicalParams) -> EffectiveCoeffs:
     """
     if params.delta == 0.0:
         raise ValueError("ideal limit undefined at delta = 0 (cavity not dispersive)")
-    if params.delta_1 == 0.0 or params.delta_2 == 0.0:
-        raise ValueError("delta_1 and delta_2 must be nonzero")
+    _check_detunings(params)
     d1, d2, de = params.delta_1, params.delta_2, params.delta
     c_pm = abs(params.omega_1) ** 2 * abs(params.g_b) ** 2 / (4.0 * d1 * d1 * de)
     c_mp = abs(params.omega_2) ** 2 * abs(params.g_a) ** 2 / (4.0 * d2 * d2 * de)

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
-from .params import PhysicalParams, kappa_prime
+from .params import PhysicalParams, _check_detunings, kappa_prime
 
 #: component ordering of the moment vector
 MOMENT_ORDER = ("jz", "nab", "jpp", "jmm", "jpm", "jmp")
@@ -127,8 +127,7 @@ def assemble_generator(params: PhysicalParams) -> MomentGenerator:
     with the jpp/jmm columns swapped; reality of the underlying expectation
     values forces that structure, so the row is built by symmetry.
     """
-    if params.delta_1 == 0.0 or params.delta_2 == 0.0:
-        raise ValueError("delta_1 and delta_2 must be nonzero")
+    _check_detunings(params)
     n = float(params.n_atoms)
     d1, d2, de = params.delta_1, params.delta_2, params.delta
     ga_, gb_, go = params.gamma_a, params.gamma_b, params.gamma_o
@@ -303,7 +302,12 @@ class SqueezingTrace:
 
 
 def default_t_max(params: PhysicalParams) -> float:
-    """Heuristic horizon ~ 10 / (N chi_eff) covering the squeezing minimum."""
+    """Heuristic horizon ~ 10 / (N chi_eff) covering the squeezing minimum.
+
+    Raises ``ValueError`` where a laser detuning vanishes, or where there is
+    no drive or no slow scale, so that an explicit ``t_max`` is needed.
+    """
+    _check_detunings(params)
     kp = kappa_prime(params)
     slow = max(abs(params.delta), kp / 2.0)
     num = abs(params.omega_1 * params.omega_2 * params.g_a * params.g_b)

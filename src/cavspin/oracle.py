@@ -29,6 +29,7 @@ Diagonal observables (J_z, populations, photon number) are frame invariant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -232,13 +233,19 @@ class Liouvillian:
         return scale
 
 
-def _levels_for(params: PhysicalParams, spec: HilbertSpec,
-                with_excited: bool) -> tuple[str, ...]:
+def _check_model(params: PhysicalParams, spec: HilbertSpec) -> None:
+    """Refuse parameters that neither brute-force model can represent.
+
+    The full model's frame sets its cavity couplings oscillating at
+    +/- omega_ab, and the elimination behind the intermediate model drops
+    the terms that oscillate at omega_ab, so degenerate ground states
+    (``omega_ab = 0``) are refused for both; decay into |o> needs the fourth
+    level.  Both builders and the ``oracle`` settings reader call this check.
+    """
+    if params.omega_ab == 0.0:
+        raise ModelError("omega_ab = 0: degenerate ground states break the frame choice")
     if params.gamma_o > 0.0 and spec.atom_levels == 3:
         raise ModelError("gamma_o > 0 requires atom_levels = 4 (state |o> populated)")
-    if with_excited:
-        return ("a", "b", "e", "o")[: spec.atom_levels]
-    return ("a", "b", "o")[: spec.atom_levels - 1]
 
 
 def build_full_model(params: PhysicalParams, spec: HilbertSpec,
@@ -254,9 +261,8 @@ def build_full_model(params: PhysicalParams, spec: HilbertSpec,
     two-photon pair resonance against the laser-induced AC-Stark shifts,
     i.e. the retuned laser frequencies the moment equations take for granted.
     """
-    if params.omega_ab == 0.0:
-        raise ModelError("omega_ab = 0: degenerate ground states break the frame choice")
-    basis = Basis(spec.n_atoms, _levels_for(params, spec, with_excited=True),
+    _check_model(params, spec)
+    basis = Basis(spec.n_atoms, ("a", "b", "e", "o")[: spec.atom_levels],
                   spec.cavity_cutoff)
 
     c = basis.annihilator()
@@ -302,7 +308,8 @@ def build_intermediate_model(params: PhysicalParams, spec: HilbertSpec,
     destination k in {a, b, o}.  ``compensate_stark`` applies the same |b>
     retuning as in :func:`build_full_model`.
     """
-    basis = Basis(spec.n_atoms, _levels_for(params, spec, with_excited=False),
+    _check_model(params, spec)
+    basis = Basis(spec.n_atoms, ("a", "b", "o")[: spec.atom_levels - 1],
                   spec.cavity_cutoff)
     gt = params.gamma_total
     d1, d2 = params.delta_1, params.delta_2
@@ -481,14 +488,19 @@ def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray) -> n
     and keeps the partial propagator U(k h) at the last step boundary below
     each output's remainder t mod period.  An output is that partial times
     the composed whole periods, plus one short RK4 step up to the remainder.
+    H(t) is built once per RK4 stage time, two builds per step.
     """
     if not liou.hamiltonian_oscillating:
         w, v = np.linalg.eigh(liou.hamiltonian_static)
         coeffs = v.conj().T @ psi0
         return np.array([v @ (np.exp(-1j * w * t) * coeffs) for t in times])
 
+    # an RK4 step evaluates H at t, t + h/2 (twice) and t + h, and the next
+    # step starts at t + h: keeping the last H(t) builds each one once
+    hamiltonian = functools.lru_cache(maxsize=1)(liou.hamiltonian_at)
+
     def rhs(t: float, psi: np.ndarray) -> np.ndarray:
-        return -1j * (liou.hamiltonian_at(t) @ psi)
+        return -1j * (hamiltonian(t) @ psi)
 
     period = 2.0 * math.pi / liou.max_frequency
     n_steps, h = _step_count(period, recommended_dt(liou, 0.005))
@@ -666,9 +678,11 @@ def validate_elimination(params: PhysicalParams, spec: HilbertSpec, t_grid,
         raise ValueError("t_grid must contain nonnegative times")
 
     validity = check_validity(params)
+    # the moment generator refuses vanishing detunings before the builders
+    # divide by them (the AC-Stark shifts at zero loss)
+    gen = assemble_generator(params)
     full = build_full_model(params, spec, compensate_stark=compensate_stark)
     inter = build_intermediate_model(params, spec, compensate_stark=compensate_stark)
-    gen = assemble_generator(params)
 
     m_full, ph_full, e_pop = _run_brute_force(full, times, dt_full)
     m_full = _frame_aligned(m_full, times, params.omega_ab)

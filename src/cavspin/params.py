@@ -136,6 +136,12 @@ def kappa_prime(params: PhysicalParams) -> float:
     return params.kappa + params.n_atoms * g * abs(params.g_a) ** 2 / d2sq
 
 
+def _check_detunings(params: PhysicalParams) -> None:
+    """Refuse a vanishing laser detuning, which every dispersive formula divides by."""
+    if params.delta_1 == 0.0 or params.delta_2 == 0.0:
+        raise ValueError("delta_1 and delta_2 must be nonzero")
+
+
 def raman_mismatch(params: PhysicalParams) -> float:
     """Relative mismatch between the two Raman strengths Omega_l g_k* / Delta_l."""
     r1 = params.omega_1 * params.g_b.conjugate() / params.delta_1
@@ -154,8 +160,7 @@ def derive(params: PhysicalParams) -> DerivedParams:
         If ``delta_1`` or ``delta_2`` vanishes (the dispersive formulas divide
         by both detunings).
     """
-    if params.delta_1 == 0.0 or params.delta_2 == 0.0:
-        raise ValueError("delta_1 and delta_2 must be nonzero")
+    _check_detunings(params)
     kp = kappa_prime(params)
     chi = None
     if params.delta != 0.0 and raman_mismatch(params) <= 1e-9:

@@ -201,6 +201,7 @@ class TestOracle:
                         "t_final": "1.0", "n_times": "3"})
         cfg = write_config(tmp_path, "o.cfg", mapping)
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert main(["validate", "--config", cfg]) == 3
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_drive_is_config_error(self, tmp_path, capsys, value):
@@ -402,6 +403,37 @@ class TestValidate:
     def test_rejects_undeclared(self, tmp_path):
         cfg = write_config(tmp_path, "x.cfg", {"n_atoms": "5"})
         assert main(["validate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command,source,overrides,message", [
+        ("oracle", "oracle_n2.cfg", {"gamma_o": "0.1"}, "requires atom_levels = 4"),
+        ("oracle", "oracle_n2.cfg", {"omega_ab": "0"}, "omega_ab = 0"),
+        ("oracle", "oracle_n2.cfg", {"delta1": "0"}, "delta_1 and delta_2 must be nonzero"),
+        ("evolve", "fig2.cfg", {"omega1_re": "0"}, "no drive"),
+        ("budget", "fig2.cfg", {"command": "budget", "g_b_re": "0"},
+         "cavity couplings must be nonzero"),
+        ("evolve", "fig2.cfg", {"delta1": "0"}, "delta_1 and delta_2 must be nonzero"),
+        ("evolve", "fig2.cfg", {"delta1": "-10000"}, "delta_1 and delta_2 must be nonzero"),
+    ], ids=["three_levels_with_gamma_o", "degenerate_ground_states", "oracle_zero_delta_1",
+            "no_drive", "zero_coupling_budget", "zero_delta_1", "zero_delta_2"])
+    def test_model_refusal_matches_the_command(self, tmp_path, capsys, command, source,
+                                               overrides, message):
+        mapping = read_config(config_path(source))
+        assert "t_max" not in mapping
+        mapping.update(overrides)
+        cfg = write_config(tmp_path, "bad.cfg", mapping)
+        out = tmp_path / "out"
+        failures = []
+        for argv in ([command, "--config", cfg, "--out", str(out)],
+                     ["validate", "--config", cfg]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            failures.append((code, captured.err))
+        assert failures[0] == failures[1]
+        code, err = failures[0]
+        assert code == 3
+        assert err.startswith("numerical failure: ") and message in err
+        assert not out.exists()
 
     def test_command_key_cross_checks(self, tmp_path):
         cfg = write_config(tmp_path, "x.cfg", evolve_mapping())

@@ -470,6 +470,14 @@ class TestEvolveSqueezing:
             default_t_max(PhysicalParams(n_atoms=2, delta_1=10.0, omega_ab=1.0,
                                          delta=1.0))
 
+    @pytest.mark.parametrize("delta_1", [0.0, -1e4], ids=["delta_1", "delta_2"])
+    def test_default_horizon_refuses_zero_detuning(self, delta_1):
+        # demo_params has omega_ab = 1e4, so delta_1 = -1e4 makes delta_2 vanish;
+        # the horizon heuristic divides by both detunings
+        p = replace(demo_params(), delta_1=delta_1)
+        with pytest.raises(ValueError, match="delta_1 and delta_2 must be nonzero"):
+            evolve_squeezing(p)
+
     def test_csv_rows(self):
         trace = evolve_squeezing(demo_params(), n_steps=5)
         rows = list(trace_csv_rows(trace))

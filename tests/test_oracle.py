@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,6 +205,13 @@ class TestIntermediateModel:
     def test_gamma_o_needs_extra_level(self):
         p = PhysicalParams(n_atoms=1, delta_1=5.0, omega_ab=2.0, gamma_o=0.3)
         with pytest.raises(ModelError):
+            build_intermediate_model(p, HilbertSpec(1, 3, 1))
+
+    def test_degenerate_ground_states_refused(self):
+        # the elimination drops the terms oscillating at omega_ab, as the full
+        # model's frame needs omega_ab != 0
+        p = PhysicalParams(n_atoms=1, delta_1=5.0, omega_ab=0.0)
+        with pytest.raises(ModelError, match="omega_ab = 0"):
             build_intermediate_model(p, HilbertSpec(1, 3, 1))
 
 
@@ -419,6 +427,30 @@ class TestUnitaryStates:
         _unitary_states(liou, liou.basis.vacuum_all_a(), times)
         assert sum(steps) <= n_steps + len(times)
 
+    def test_hamiltonian_built_once_per_stage_time(self, monkeypatch):
+        # an RK4 step meets H at t, t + h/2 (twice) and t + h, and the next
+        # step starts at t + h: two builds per step, plus one per _rk4 call
+        liou = build_full_model(n2_matched(), HilbertSpec(2, 3, 1))
+        period = 2.0 * math.pi / liou.max_frequency
+        steps, builds = [], []
+
+        def counting_rk4(rhs, y, t0, h, n, hermitian=False):
+            steps.append(n)
+            return _rk4(rhs, y, t0, h, n, hermitian)
+
+        build = Liouvillian.hamiltonian_at
+
+        def counting_build(self, t):
+            builds.append(t)
+            return build(self, t)
+
+        monkeypatch.setattr(oracle, "_rk4", counting_rk4)
+        monkeypatch.setattr(Liouvillian, "hamiltonian_at", counting_build)
+        times = np.array([0.0, 0.4, 2.5, 7.25, 12.0]) * period
+        _unitary_states(liou, liou.basis.vacuum_all_a(), times)
+        assert sum(steps) > 0
+        assert len(builds) <= 2 * sum(steps) + len(steps)
+
     def test_static_model_matches_expm(self):
         liou = build_intermediate_model(n2_matched(), HilbertSpec(2, 3, 1))
         assert not liou.hamiltonian_oscillating and not liou.has_dissipation
@@ -510,6 +542,12 @@ class TestValidateElimination:
         for mom in ("jz", "nab", "jpp", "jpm", "jmp"):
             assert rep.max_dev("fi", mom) == 0.0
             assert rep.max_dev("il", mom) == 0.0
+
+    def test_zero_detuning_refused_before_the_builds(self):
+        # without loss, the AC-Stark shifts of the builders divide by delta_1
+        p = replace(n2_matched(), delta_1=0.0)
+        with pytest.raises(ValueError, match="delta_1 and delta_2 must be nonzero"):
+            validate_elimination(p, HilbertSpec(2, 3, 1), [0.0, 1.0])
 
     def test_elimination_chain_in_validity_regime(self, quarter_pair_report):
         _, rep = quarter_pair_report
