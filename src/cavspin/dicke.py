@@ -277,7 +277,7 @@ def oat_min_squeezing(n_atoms: int) -> tuple[float, float]:
 
     Scans chi*t logarithmically around the N**(-2/3) scaling guess, scoring
     grid times at which xi^2 is undefined (|<J_z>| < 1e-12 N) as +inf, and
-    refines the grid minimum with the bounded Brent search that
+    refines the grid minimum with the plain-float bounded Brent search that
     ``evolve_squeezing`` uses (``cavspin.moments._refined_min``) between its
     two neighbours, on the closed-form twisting moments.
     Returns ``(xi2_min, t_min)``.

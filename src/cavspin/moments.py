@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize_scalar
 
 from .params import PhysicalParams, _check_detunings, kappa_prime
 
@@ -58,6 +57,11 @@ _SLOPE_TOL = 1e-13
 
 #: |<J_z>| below this fraction of N leaves the squeezing parameter undefined
 _JZ_FLOOR = 1e-12
+
+#: golden-section fraction and relative x tolerance of the bounded Brent
+#: search, with the values of scipy's fminbound so that the iterates match it
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
 
 
 class PropagationError(RuntimeError):
@@ -317,19 +321,90 @@ def default_t_max(params: PhysicalParams) -> float:
     return 10.0 / (params.n_atoms * chi_eff)
 
 
+def _bounded_brent(f, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """Minimum ``(x, f(x))`` of ``f`` on [a, b] by Brent's bounded search.
+
+    Golden-section steps with parabolic interpolation (Brent, "Algorithms
+    for Minimization without Derivatives", 1973, ch. 5), stopping once the
+    bracket around the best point is within ``xatol`` plus a relative
+    sqrt(eps) of it, or after 500 evaluations.  Step for step this is
+    ``scipy.optimize.minimize_scalar(method="bounded")`` (fminbound): it
+    evaluates ``f`` at the same points and returns the same ``x`` and
+    ``f(x)``, but in plain Python floats, so an iteration costs a fraction
+    of scipy's numpy-scalar arithmetic.  The ends a and b are never
+    evaluated.  A NaN value is never taken as the best point, so an
+    all-NaN ``f`` returns NaN at the first point.
+    """
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    ffulc = fnfc = fx = float(f(xf))
+    rat = e = 0.0
+    n_evals = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a) and n_evals < 500:
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        # a step of at least tol1, in the direction of rat (up when rat = 0)
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = float(f(x))
+        n_evals += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf, fx
+
+
 def _refined_min(times: np.ndarray, xi2: np.ndarray, probe) -> tuple[float, float]:
     """Minimum ``(t_min, xi2_min)`` of a sampled xi^2 curve, refined off the grid.
 
     The grid argmin i is bracketed by its neighbours, lo = i - 1 and
     hi = i + 1 clipped to the grid, and ``probe(lo)``, the xi^2 function on
     [times[lo], times[hi]], is minimized there by bounded Brent search
-    (``scipy.optimize.minimize_scalar``, method "bounded") to 1e-10 of the
-    bracket's magnitude.  Brent never evaluates the bracket's ends, so where
-    the grid argmin is the last grid point the probe is also read there: the
-    curve still falls at that end, and the probe from the left neighbour can
-    read up to ~5e-10 of xi^2 below the grid's own value there.
-    The grid value is kept when it is strictly lower, so the result never
-    lies above the grid minimum.
+    (``_bounded_brent``) to 1e-10 of the bracket's magnitude.  Brent never
+    evaluates the bracket's ends, so where the grid argmin is the last grid
+    point the probe is also read there: the curve still falls at that end,
+    and the probe from the left neighbour can read up to ~5e-10 of xi^2
+    below the grid's own value there.
+    The grid value is kept when it is strictly lower, or when the probe
+    returns NaN, so the result never lies above the grid minimum.
     """
     i = int(np.argmin(xi2))
     t_min, xi2_min = float(times[i]), float(xi2[i])
@@ -337,10 +412,9 @@ def _refined_min(times: np.ndarray, xi2: np.ndarray, probe) -> tuple[float, floa
     if hi > lo:
         a, b = float(times[lo]), float(times[hi])
         f = probe(lo)
-        res = minimize_scalar(f, bounds=(a, b), method="bounded",
-                              options={"xatol": 1e-10 * max(abs(a), abs(b), 1.0)})
-        if res.fun <= xi2_min:
-            t_min, xi2_min = float(res.x), float(res.fun)
+        x, fx = _bounded_brent(f, a, b, 1e-10 * max(abs(a), abs(b), 1.0))
+        if fx <= xi2_min:
+            t_min, xi2_min = x, fx
         if hi == i and (end := float(f(b))) <= xi2_min:
             t_min, xi2_min = b, end
     return t_min, xi2_min
@@ -409,10 +483,10 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
     generator, v(t) = V e^{Lambda t} V^-1 v0, with expm stepping as the
     fallback for an ill-conditioned eigenbasis (see ``_moment_kernel``).
     The grid minimum is refined by the shared bounded Brent search
-    (``_refined_min``) between the two neighbouring grid points, propagating
-    from the left one.  The first bad grid point after t = 0 decides: a
-    non-finite one raises ``PropagationError``; one that violates the
-    physicality tolerances, or at which xi^2 is undefined
+    (``_refined_min``, in plain floats) between the two neighbouring grid
+    points, propagating from the left one.  The first bad grid point after
+    t = 0 decides: a non-finite one raises ``PropagationError``; one that
+    violates the physicality tolerances, or at which xi^2 is undefined
     (|<J_z>| < 1e-12 N), ends the trace before it, and the trace is flagged
     ``truncated`` with the reason.
 

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .moments import PropagationError, evolve_squeezing
 from .params import PhysicalParams, check_validity, kappa_prime
@@ -202,6 +201,10 @@ def optimize(problem: OptimizationProblem) -> OptimumReport:
     options).  The reported minimum is re-evaluated with a fresh squeezing
     trace at the argmin, so it is reproducible to full precision.
     """
+    # imported here, like qmc: scipy.optimize would add about a third to the
+    # package import time, and scipy.stats loads it for the starts anyway
+    from scipy.optimize import minimize
+
     objective = _Objective(problem)
     lo, hi = _search_box(problem)
     records = []

@@ -248,6 +248,18 @@ def _check_model(params: PhysicalParams, spec: HilbertSpec) -> None:
         raise ModelError("gamma_o > 0 requires atom_levels = 4 (state |o> populated)")
 
 
+def _stark_shifts(params: PhysicalParams) -> tuple[float, float]:
+    """``stark_shifts``, refused as a ``ModelError`` where it divides by zero.
+
+    The intermediate model calls it before its own divisions by the same
+    Delta_l^2 + Gamma^2/4.
+    """
+    try:
+        return stark_shifts(params)
+    except ValueError as exc:
+        raise ModelError(str(exc)) from None
+
+
 def build_full_model(params: PhysicalParams, spec: HilbertSpec,
                      compensate_stark: bool = False) -> Liouvillian:
     """Lab Hamiltonian in the rotating frame plus bare relaxation operators.
@@ -274,7 +286,7 @@ def build_full_model(params: PhysicalParams, spec: HilbertSpec,
         + 0.5 * params.omega_2 * basis.collective("e", "b")
     h += drive + drive.conj().T
     if compensate_stark:
-        s_a, s_b = stark_shifts(params)
+        s_a, s_b = _stark_shifts(params)
         h += (s_b - s_a) * basis.collective("b", "b")
 
     v_plus = params.g_a * (c @ basis.collective("e", "a")) \
@@ -321,7 +333,7 @@ def build_intermediate_model(params: PhysicalParams, spec: HilbertSpec,
     proj_a = basis.collective("a", "a")
     proj_b = basis.collective("b", "b")
 
-    s_a, s_b = stark_shifts(params)
+    s_a, s_b = _stark_shifts(params)
     h = -params.delta * num
     h -= s_a * proj_a
     h -= s_b * proj_b

@@ -253,8 +253,17 @@ def decoherence_budget(params: PhysicalParams) -> tuple[float, float]:
 
 
 def stark_shifts(params: PhysicalParams) -> tuple[float, float]:
-    """AC-Stark shifts of the two ground states induced by the classical fields."""
+    """AC-Stark shifts of the two ground states induced by the classical fields.
+
+    Raises ``ValueError``, naming the detuning, where a laser detuning and
+    the excited-state decay both vanish: the shift divides by
+    Delta_l^2 + Gamma^2/4.
+    """
     g = params.gamma_total
+    for name, d in (("delta_1", params.delta_1), ("delta_2", params.delta_2)):
+        if d ** 2 + g * g / 4.0 == 0.0:
+            raise ValueError(f"{name} = {d:g} with no excited-state decay: "
+                             f"the AC-Stark shift divides by {name}^2 + gamma^2/4 = 0")
     s_a = params.delta_1 * abs(params.omega_1) ** 2 / (4.0 * (params.delta_1 ** 2 + g * g / 4.0))
     s_b = params.delta_2 * abs(params.omega_2) ** 2 / (4.0 * (params.delta_2 ** 2 + g * g / 4.0))
     return s_a, s_b

@@ -443,11 +443,13 @@ class TestValidate:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is needed only for the Sobol starts of optimize and would
-    # roughly double the import time of every command
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    # scipy.stats (the Sobol starts) and scipy.optimize (Nelder-Mead) are
+    # needed only by optimize; either would add a third or more to the
+    # import time of every command
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = "import sys, cavspin, cavspin.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, cavspin, cavspin.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"

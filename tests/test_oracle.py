@@ -96,6 +96,12 @@ class TestFullModel:
         with pytest.raises(ModelError):
             build_full_model(p, HilbertSpec(1, 3, 1))
 
+    def test_zero_detuning_refused_only_with_stark_compensation(self):
+        p = PhysicalParams(n_atoms=1, omega_1=1.0, delta_1=0.0, omega_ab=2.0)
+        build_full_model(p, HilbertSpec(1, 3, 1))
+        with pytest.raises(ModelError, match="delta_1 = 0"):
+            build_full_model(p, HilbertSpec(1, 3, 1), compensate_stark=True)
+
     def test_free_decay(self):
         p = PhysicalParams(n_atoms=1, g_a=0, g_b=0, delta_1=5.0, omega_ab=3.0,
                            gamma_a=0.4, gamma_b=0.3)
@@ -212,6 +218,13 @@ class TestIntermediateModel:
         # model's frame needs omega_ab != 0
         p = PhysicalParams(n_atoms=1, delta_1=5.0, omega_ab=0.0)
         with pytest.raises(ModelError, match="omega_ab = 0"):
+            build_intermediate_model(p, HilbertSpec(1, 3, 1))
+
+    @pytest.mark.parametrize("delta_1, name", [(0.0, "delta_1"), (-2.0, "delta_2")])
+    def test_zero_detuning_refused(self, delta_1, name):
+        # no loss: Delta_l^2 + Gamma^2/4 vanishes with the detuning
+        p = PhysicalParams(n_atoms=1, omega_1=1.0, delta_1=delta_1, omega_ab=2.0)
+        with pytest.raises(ModelError, match=f"{name} = 0"):
             build_intermediate_model(p, HilbertSpec(1, 3, 1))
 
 
