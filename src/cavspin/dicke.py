@@ -91,11 +91,6 @@ class DickeState:
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state not normalized: ||amplitudes|| = {norm!r}")
 
-    @property
-    def m_values(self) -> np.ndarray:
-        j = self.n_atoms / 2.0
-        return np.arange(self.n_atoms + 1) - j
-
 
 def stretched_state(n_atoms: int) -> DickeState:
     """All atoms in |a>: the m = +N/2 ladder edge."""
@@ -121,15 +116,6 @@ def _hamiltonian_bands(coeffs: EffectiveCoeffs, n_atoms: int):
     # <m+2| J+J+ |m> couples index i -> i+2
     off2_lower = coeffs.c_pp * up[:-2] * up[1:-1]
     return diag, off2_lower
-
-
-def _dense_hamiltonian(coeffs: EffectiveCoeffs, n_atoms: int) -> np.ndarray:
-    diag, off2 = _hamiltonian_bands(coeffs, n_atoms)
-    h = np.diag(diag.astype(complex))
-    idx = np.arange(n_atoms - 1)
-    h[idx + 2, idx] = off2
-    h[idx, idx + 2] = np.conj(off2)
-    return h
 
 
 def _times_real(z: np.ndarray, real: np.ndarray) -> np.ndarray:

@@ -25,10 +25,11 @@ so an exported trace never holds an infinite xi^2.  The one-axis-twisting
 scan scores undefined points +inf.
 
 A squeezing trace diagonalizes M once, M = V diag(w) V^-1, and evaluates
-v(t) = V e^{w t} V^-1 v(0) for all grid times at once; the minimum is refined
-from the nearest grid point with the same eigenbasis.  When V is
-ill-conditioned (M nearly defective) the trace falls back to stepping with
-expm(M dt); the one-off ``propagate`` always uses expm.
+v(t) = V e^{w t} V^-1 v(0) for all grid times at once, or steps with
+expm(M dt) when V is ill-conditioned (M nearly defective).  The minimum is
+refined from the grid row v left of it by a Taylor series of exp(M s) v of
+the smallest degree K with x^K / K! <= 1e-18, x = ||M||_1 times the bracket
+width; above x = 8 each probe calls expm.  ``propagate`` always uses expm.
 """
 
 from __future__ import annotations
@@ -51,9 +52,8 @@ PHYSICALITY_TOL = 1e-8
 #: largest ||V||_1 ||V^-1||_1 of the generator's eigenbasis that is trusted
 _COND_LIMIT = 1e4
 
-#: largest relative miss of M v by the eigenbasis, V diag(w) V^-1 v, at
-#: which an anchored probe stays in the eigenbasis instead of calling expm
-_SLOPE_TOL = 1e-13
+#: largest x = ||M||_1 w at which a Taylor table serves a bracket of width w
+_TAYLOR_BOUND = 8.0
 
 #: |<J_z>| below this fraction of N leaves the squeezing parameter undefined
 _JZ_FLOOR = 1e-12
@@ -91,13 +91,9 @@ class MomentState:
         """jpm - jmp - 2 jz; vanishes exactly for the initial state."""
         return self.jpm - self.jmp - 2.0 * self.jz
 
-    def physicality_violation(self, n_atoms: int) -> float:
-        """Largest violation of the reality/conjugation constraints, in units of N."""
-        return float(_physicality_violation(self.as_array(), n_atoms))
-
 
 def _physicality_violation(moments: np.ndarray, n_atoms: int) -> np.ndarray:
-    """``MomentState.physicality_violation`` of each moment vector (last axis)."""
+    """Worst reality/conjugation miss of each moment vector (last axis), over N."""
     worst = np.maximum(np.abs(moments[..., [0, 1, 4, 5]].imag).max(axis=-1),
                        np.abs(moments[..., 3] - moments[..., 2].conj()))
     return worst / n_atoms
@@ -398,13 +394,13 @@ def _refined_min(times: np.ndarray, xi2: np.ndarray, probe) -> tuple[float, floa
     The grid argmin i is bracketed by its neighbours, lo = i - 1 and
     hi = i + 1 clipped to the grid, and ``probe(lo)``, the xi^2 function on
     [times[lo], times[hi]], is minimized there by bounded Brent search
-    (``_bounded_brent``) to 1e-10 of the bracket's magnitude.  Brent never
-    evaluates the bracket's ends, so where the grid argmin is the last grid
-    point the probe is also read there: the curve still falls at that end,
-    and the probe from the left neighbour can read up to ~5e-10 of xi^2
-    below the grid's own value there.
-    The grid value is kept when it is strictly lower, or when the probe
-    returns NaN, so the result never lies above the grid minimum.
+    (``_bounded_brent``) to 1e-10 of the bracket's magnitude, which is free
+    of the time unit.  Brent never evaluates the bracket's ends, so where
+    the grid argmin is the last grid point the probe is also read there: the
+    curve still falls at that end, and the probe from the left neighbour can
+    read up to ~5e-10 of xi^2 below the grid's own value there.  The grid
+    value is kept when it is strictly lower, or when the probe returns NaN,
+    so the result never lies above the grid minimum.
     """
     i = int(np.argmin(xi2))
     t_min, xi2_min = float(times[i]), float(xi2[i])
@@ -412,7 +408,7 @@ def _refined_min(times: np.ndarray, xi2: np.ndarray, probe) -> tuple[float, floa
     if hi > lo:
         a, b = float(times[lo]), float(times[hi])
         f = probe(lo)
-        x, fx = _bounded_brent(f, a, b, 1e-10 * max(abs(a), abs(b), 1.0))
+        x, fx = _bounded_brent(f, a, b, 1e-10 * max(abs(a), abs(b)))
         if fx <= xi2_min:
             t_min, xi2_min = x, fx
         if hi == i and (end := float(f(b))) <= xi2_min:
@@ -421,29 +417,12 @@ def _refined_min(times: np.ndarray, xi2: np.ndarray, probe) -> tuple[float, floa
 
 
 def _moment_kernel(m: np.ndarray, v0: np.ndarray, dt: float, n_steps: int):
-    """Moments on the grid t_k = k dt and a propagator from any moment vector.
+    """Moments ``grid[k] = exp(M t_k) v0`` on the grid t_k = k dt, k < n_steps.
 
-    Returns ``(grid, from_point)``: ``grid[k] = exp(M t_k) v0`` for
-    k < n_steps, and ``from_point(v)`` is the function s -> exp(M s) v.
-    Normally both come from one eigendecomposition M = V diag(w) V^-1: the
-    grid is V e^{w t} V^-1 v0 and ``from_point(v)`` is anchored at v,
-    s -> v + V (e^{w s} - 1) V^-1 v, so it returns v itself (to rounding) as
-    s -> 0.  Its slope there, V diag(w) V^-1 v, can miss M v by far more
-    than rounding where eigenvalues cluster, even in a well-conditioned
-    basis, and the cancellation in the minimal variance magnifies the miss
-    in xi^2 (to ~1e-9 relative), so where the miss exceeds ``_SLOPE_TOL``
-    of M v, ``from_point(v)`` calls expm for each s instead.  Only
-    ``from_point`` is anchored: an unanchored probe next to a grid point can
-    undercut the exact grid value by rounding, while an anchored grid leaves
-    its decayed late rows on an error floor of v0's size.  When the
-    eigenbasis is ill-conditioned (||V||_1 ||V^-1||_1 > ``_COND_LIMIT``,
-    e.g. a nearly defective M) the grid is built by repeated multiplication
-    with expm(M dt) and ``from_point(v)`` calls expm for each s.  Values
-    that overflow are returned as inf/nan.
+    The grid is V e^{w t} V^-1 v0 from one eigendecomposition M = V diag(w)
+    V^-1 or, where ||V||_1 ||V^-1||_1 > ``_COND_LIMIT`` (M nearly defective),
+    repeated multiplication with expm(M dt).  Overflow gives inf/nan.
     """
-    def expm_from(v: np.ndarray):
-        return lambda s: expm(m * s) @ v
-
     try:
         w, vecs = np.linalg.eig(m)
         inv = np.linalg.inv(vecs)
@@ -456,15 +435,7 @@ def _moment_kernel(m: np.ndarray, v0: np.ndarray, dt: float, n_steps: int):
         with np.errstate(over="ignore", invalid="ignore"):
             grid = (np.exp(np.outer(times, w)) * (inv @ v0)) @ vecs.T
         grid[0] = v0
-
-        def from_point(v: np.ndarray):
-            c = inv @ v
-            mv = m @ v
-            if np.abs(mv - vecs @ (w * c)).max() > _SLOPE_TOL * np.abs(mv).max():
-                return expm_from(v)
-            return lambda s: v + vecs @ (np.expm1(w * s) * c)
-
-        return grid, from_point
+        return grid
 
     step = expm(m * dt)
     grid = np.empty((n_steps, 6), dtype=complex)
@@ -472,7 +443,31 @@ def _moment_kernel(m: np.ndarray, v0: np.ndarray, dt: float, n_steps: int):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps):
             grid[k] = step @ grid[k - 1]
-    return grid, expm_from
+    return grid
+
+
+def _taylor_probe(m: np.ndarray, v: np.ndarray, width: float):
+    """The function s -> exp(M s) v for 0 <= s <= width.
+
+    A truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+    488, 2011): one table T_k = M^k v / k!, k < K, with K the smallest
+    degree at which x^K / K! <= 1e-18 for x = ||M||_1 width; each probe is
+    the single product (s^0, ..., s^{K-1}) @ T.  Above x = ``_TAYLOR_BOUND``,
+    where cancellation between the terms costs accuracy, each probe calls expm.
+    """
+    x = float(np.abs(m).sum(axis=0).max()) * width
+    if not x <= _TAYLOR_BOUND:
+        return lambda s: expm(m * s) @ v
+    n_terms, term = 1, x            # term = x^K / K! for K = n_terms
+    while term > 1e-18:
+        n_terms += 1
+        term *= x / n_terms
+    table = np.empty((n_terms, len(v)), dtype=complex)
+    table[0] = v
+    for k in range(1, n_terms):
+        np.dot(m, table[k - 1] / k, out=table[k])
+    powers = np.arange(n_terms)
+    return lambda s: (s ** powers) @ table
 
 
 def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
@@ -484,11 +479,14 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
     fallback for an ill-conditioned eigenbasis (see ``_moment_kernel``).
     The grid minimum is refined by the shared bounded Brent search
     (``_refined_min``, in plain floats) between the two neighbouring grid
-    points, propagating from the left one.  The first bad grid point after
-    t = 0 decides: a non-finite one raises ``PropagationError``; one that
-    violates the physicality tolerances, or at which xi^2 is undefined
-    (|<J_z>| < 1e-12 N), ends the trace before it, and the trace is flagged
-    ``truncated`` with the reason.
+    points, propagating from the left one by a truncated Taylor series
+    (``_taylor_probe``); expm is called only to step an ill-conditioned grid,
+    or per probe where ||M||_1 times the bracket width exceeds 8 (a long
+    horizon over few steps).  The first bad grid point after t = 0 decides:
+    a non-finite one raises ``PropagationError``; one that violates the
+    physicality tolerances, or at which xi^2 is undefined (|<J_z>| < 1e-12 N),
+    ends the trace before it, and the trace is flagged ``truncated`` with
+    the reason.
 
     With ``max_extensions > 0`` the horizon is doubled (up to that many
     times) whenever the discrete minimum falls on the trailing edge of the
@@ -505,12 +503,11 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
     gen = assemble_generator(params)
     v0 = initial_state(params.n_atoms).as_array()
     dt = t_max / (n_steps - 1)
-    moments, from_point = _moment_kernel(gen.m, v0, dt, n_steps)
+    moments = _moment_kernel(gen.m, v0, dt, n_steps)
 
     nonfinite = ~np.isfinite(moments.view(float)).all(axis=1)
     with np.errstate(invalid="ignore"):
-        unphysical = (_physicality_violation(moments, params.n_atoms)
-                      > PHYSICALITY_TOL)
+        unphysical = _physicality_violation(moments, params.n_atoms) > PHYSICALITY_TOL
     bad = nonfinite | unphysical | _jz_undefined(moments, params.n_atoms)
     truncated = False
     reason = None
@@ -538,7 +535,9 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
                                 max_extensions=max_extensions - 1)
 
     def probe(lo: int):
-        from_lo, t_lo = from_point(moments[lo]), times[lo]
+        # the bracket ends two steps right of lo, or at the last grid point
+        t_lo, t_hi = times[lo], times[min(lo + 2, n_kept - 1)]
+        from_lo = _taylor_probe(gen.m, moments[lo], t_hi - t_lo)
         return lambda t: _xi2(from_lo(t - t_lo), params.n_atoms)
 
     t_min, min_xi2 = _refined_min(times, xi2, probe)

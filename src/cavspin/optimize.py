@@ -332,10 +332,6 @@ class DeltaZeroReport:
     probes: tuple = ()                 # ((delta, xi2), ...)
     within: float | None = None        # xi2(0) / best - 1
 
-    @property
-    def zero_is_optimal(self) -> bool:
-        return self.applicable and self.within is not None and self.within <= 0.02
-
 
 def delta_zero_check(problem: OptimizationProblem,
                      side_condition_factor: float = 0.1) -> DeltaZeroReport:

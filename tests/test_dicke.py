@@ -9,11 +9,21 @@ from scipy.linalg import expm
 
 from cavspin import dicke as dicke_mod
 from cavspin.dicke import (DickePropagator, DickeState, EffectiveCoeffs,
-                           _dense_hamiltonian, _moment_array, dicke_evolve,
+                           _hamiltonian_bands, _moment_array, dicke_evolve,
                            dicke_moments, dicke_xi2, dicke_xi2_trace, effective_coeffs,
                            oat_min_squeezing, oat_moments, stretched_state)
 from cavspin.moments import squeezing_parameter
 from cavspin.params import PhysicalParams, demo_params, match_raman
+
+
+def _dense_hamiltonian(coeffs: EffectiveCoeffs, n_atoms: int) -> np.ndarray:
+    """Dense reference matrix of the banded ladder Hamiltonian."""
+    diag, off2 = _hamiltonian_bands(coeffs, n_atoms)
+    h = np.diag(diag.astype(complex))
+    idx = np.arange(n_atoms - 1)
+    h[idx + 2, idx] = off2
+    h[idx, idx + 2] = np.conj(off2)
+    return h
 
 
 def matched_params(n_atoms=100, omega1=10.0):

@@ -2,6 +2,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -498,20 +499,26 @@ def expm_xi2(m, v0, n_atoms, t):
     return n_atoms * max(var, 0.0) / v[0].real ** 2
 
 
+#: clustered eigenvalues: an eigenbasis would miss the slope M v by ~1e-9
+CLUSTERED_A = PhysicalParams(n_atoms=100, omega_1=5.0, omega_2=5.0, delta_1=500.0,
+                             omega_ab=50.0, delta=1.0, gamma_o=7.020420401379482e-14)
+#: ... and by ~1e-6
+CLUSTERED_B = PhysicalParams(n_atoms=100, omega_1=5.0, omega_2=5.0, delta_1=533.0,
+                             omega_ab=50.0, delta=1.0, kappa=1.0,
+                             gamma_a=1.3563898877668613e-19)
+#: a trace still falling at its last grid point, read by the probe there
+FALLING_AT_END = PhysicalParams(n_atoms=3000, omega_1=16.0, omega_2=5.0, delta_1=500.0,
+                                omega_ab=51.0, delta=0.5, kappa=3.0,
+                                gamma_o=5.960464477539063e-08)
+REFINEMENT_EXAMPLES = [CLUSTERED_A, CLUSTERED_B, FALLING_AT_END]
+
+
 class TestRefinedMinimum:
     @settings(max_examples=25, deadline=None)
     @given(trace_params())
-    # clustered eigenvalues: the eigenbasis misses the slope M v by ~1e-9
-    @example(PhysicalParams(n_atoms=100, omega_1=5.0, omega_2=5.0, delta_1=500.0,
-                            omega_ab=50.0, delta=1.0, gamma_o=7.020420401379482e-14))
-    # ... and by ~1e-6
-    @example(PhysicalParams(n_atoms=100, omega_1=5.0, omega_2=5.0, delta_1=533.0,
-                            omega_ab=50.0, delta=1.0, kappa=1.0,
-                            gamma_a=1.3563898877668613e-19))
-    # a trace still falling at its last grid point, read by the probe there
-    @example(PhysicalParams(n_atoms=3000, omega_1=16.0, omega_2=5.0, delta_1=500.0,
-                            omega_ab=51.0, delta=0.5, kappa=3.0,
-                            gamma_o=5.960464477539063e-08))
+    @example(CLUSTERED_A)
+    @example(CLUSTERED_B)
+    @example(FALLING_AT_END)
     def test_refinement_stays_in_the_bracket_and_beats_a_scan(self, p):
         trace = evolve_squeezing(p)
         assert trace.min_xi2 <= trace.xi2.min()
@@ -709,6 +716,13 @@ def inject_generator(monkeypatch, n_atoms, m):
     monkeypatch.setattr(moments_mod, "assemble_generator", lambda params: gen)
 
 
+def mpmath_expm_apply(m, v, s):
+    """exp(M s) v with a 40-digit mpmath expm, rounded to complex128."""
+    with mpmath.workdps(40):
+        out = mpmath.expm(mpmath.matrix(m.tolist()) * s) * mpmath.matrix(v.tolist())
+        return np.array([complex(x) for x in out])
+
+
 def count_expm(monkeypatch):
     calls = []
     monkeypatch.setattr(moments_mod, "expm", lambda a: calls.append(1) or expm(a))
@@ -736,16 +750,18 @@ class TestSpectralKernel:
     @settings(max_examples=20, deadline=None)
     @given(demo_perturbations(), st.integers(0, 398), st.integers(1, 399))
     def test_semigroup(self, p, j, span):
-        # exp(M (t_k - t_j)) v(t_j) = v(t_k): the anchored propagator used by
-        # the refinement continues the grid
+        # exp(M (t_k - t_j)) v(t_j) = v(t_k): the refinement's probe from a
+        # grid row continues the grid, by its Taylor table or, over spans too
+        # long for the table, by expm
         gen = assemble_generator(p)
         n_steps = 400
         k = min(j + span, n_steps - 1)
         assume(k > j)
         dt = default_t_max(p) / (n_steps - 1)
         v0 = initial_state(p.n_atoms).as_array()
-        grid, from_point = moments_mod._moment_kernel(gen.m, v0, dt, n_steps)
-        continued = from_point(grid[j])((k - j) * dt)
+        grid = moments_mod._moment_kernel(gen.m, v0, dt, n_steps)
+        s = (k - j) * dt
+        continued = moments_mod._taylor_probe(gen.m, grid[j], s)(s)
         assert np.abs(continued - grid[k]).max() <= 1e-12 * np.abs(grid[k]).max()
 
     @settings(max_examples=20, deadline=None)
@@ -764,9 +780,14 @@ class TestSpectralKernel:
             evolve_squeezing(p).min_xi2, rel=1e-9)
 
     def test_demo_takes_the_eigenbasis_path(self, monkeypatch):
+        # neither the grid nor the refinement calls expm, also where the
+        # eigenvalues cluster
         calls = count_expm(monkeypatch)
         evolve_squeezing(demo_params(), max_extensions=2)
         assert calls == []
+        for p in REFINEMENT_EXAMPLES:
+            evolve_squeezing(p)
+            assert calls == []
 
     def test_defective_generator_falls_back_to_stepping(self, monkeypatch):
         # a Jordan block in (jz, nab): eig returns two (nearly) parallel vectors
@@ -776,11 +797,39 @@ class TestSpectralKernel:
         inject_generator(monkeypatch, n, m)
         calls = count_expm(monkeypatch)
         trace = evolve_squeezing(demo_params(n_atoms=n), t_max=2.0, n_steps=50)
-        assert len(calls) > 1          # the grid step plus one per probe
+        assert len(calls) == 1         # the grid step; the probe needs none
         assert not trace.truncated
         v0 = initial_state(n).as_array()
         direct = np.array([expm(m * t) @ v0 for t in trace.times])
         assert np.abs(trace.moments - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    def test_probe_falls_back_to_expm_above_the_bound(self, monkeypatch):
+        m = assemble_generator(demo_params()).m
+        v = initial_state(demo_params().n_atoms).as_array()
+        norm_1 = np.abs(m).sum(axis=0).max()
+        calls = count_expm(monkeypatch)
+        for factor, expm_calls in ((0.999, 0), (1.001, 4)):
+            width = factor * moments_mod._TAYLOR_BOUND / norm_1
+            probe = moments_mod._taylor_probe(m, v, width)
+            for s in (0.3, 0.5, 0.85, 1.0):
+                ref = expm(m * s * width) @ v
+                got = probe(s * width)
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert len(calls) == expm_calls
+            calls.clear()
+
+    @pytest.mark.parametrize("p", [demo_params()] + REFINEMENT_EXAMPLES,
+                             ids=["demo", "clustered_a", "clustered_b", "falling_at_end"])
+    def test_probe_matches_a_40_digit_reference(self, p):
+        # from the left end of the refinement bracket, across its width
+        trace = evolve_squeezing(p)
+        m = assemble_generator(p).m
+        dt, lo = trace.times[1], max(int(np.argmin(trace.xi2)) - 1, 0)
+        v = trace.moments[lo]
+        probe = moments_mod._taylor_probe(m, v, 2.0 * dt)
+        for f in (0.3, 1.0, 1.7, 2.0):
+            ref = mpmath_expm_apply(m, v, f * dt)
+            assert np.abs(probe(f * dt) - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_physicality_violation_before_overflow_truncates(self, kernel_path,
                                                              monkeypatch):
