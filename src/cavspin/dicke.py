@@ -50,11 +50,11 @@ class EffectiveCoeffs:
             if abs(complex(c).imag) > 1e-12 * max(1.0, abs(c)):
                 raise ValueError(f"{name} must be real for a Hermitian Hamiltonian")
 
-    def matched_chi(self, rel_tol: float = 1e-12) -> float | None:
+    def matched_chi(self) -> float | None:
         """One-axis twisting rate 4*c if all four coefficients coincide, else None."""
         cs = np.array([self.c_pm, self.c_mp, self.c_pp, self.c_mm], dtype=complex)
-        scale = max(abs(cs).max(), 1e-300)
-        if np.abs(cs - cs[0]).max() <= rel_tol * scale and abs(cs[0].imag) <= rel_tol * scale:
+        tol = 1e-12 * max(abs(cs).max(), 1e-300)
+        if np.abs(cs - cs[0]).max() <= tol and abs(cs[0].imag) <= tol:
             return 4.0 * cs[0].real
         return None
 
@@ -178,18 +178,16 @@ class DickePropagator:
         return out
 
 
-def dicke_evolve(coeffs: EffectiveCoeffs, n_atoms: int, t: float,
-                 initial: DickeState | None = None) -> DickeState:
-    """Evolve a Dicke state by the exact unitary of the effective Hamiltonian.
+def dicke_evolve(coeffs: EffectiveCoeffs, n_atoms: int, t: float) -> DickeState:
+    """The all-|a> stretched state evolved to time t by the exact unitary.
 
-    Defaults to the all-|a> stretched state.  Refuses atom numbers above the
+    It always starts from the stretched state; evolve any other state with
+    :meth:`DickePropagator.evolve`.  Refuses atom numbers above the
     exact-propagation budget.
     """
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
-    prop = DickePropagator(coeffs, n_atoms)
-    state = initial if initial is not None else stretched_state(n_atoms)
-    return prop.evolve(state, t)
+    return DickePropagator(coeffs, n_atoms).evolve(stretched_state(n_atoms), t)
 
 
 def _moment_array(amps: np.ndarray, n_atoms: int) -> np.ndarray:

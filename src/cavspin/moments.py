@@ -104,8 +104,6 @@ class MomentGenerator:
     """Constant generator M of the linearized moment equations, d/dt v = M v."""
 
     m: np.ndarray
-    n_atoms: int
-    kappa_prime: float
 
     def __post_init__(self):
         if self.m.shape != (6, 6):
@@ -210,7 +208,7 @@ def assemble_generator(params: PhysicalParams) -> MomentGenerator:
         m[row, 3] += pref_a * a_jmm
         m[row, 2] += pref_a * a_jpp
 
-    return MomentGenerator(m=m, n_atoms=params.n_atoms, kappa_prime=kp)
+    return MomentGenerator(m=m)
 
 
 def propagate(gen: MomentGenerator, v0: MomentState, t: float) -> MomentState:

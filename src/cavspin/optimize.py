@@ -8,7 +8,8 @@ in the drive amplitudes, the minimal xi^2 is independent of the overall drive
 scale; |Omega_1| is therefore pinned per evaluation so that the cavity
 adiabaticity ratio sits at a fixed small value inside the validity region.
 
-Candidates violating the validity region are penalized (objective 1 + excess)
+Candidates violating the validity region (any ratio at or above
+``WARN_THRESHOLD``, a "fail" verdict) are penalized (objective 1 + excess)
 rather than rejected, which keeps the simplex away from meaningless regions
 without hard walls.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moments import PropagationError, evolve_squeezing
-from .params import PhysicalParams, check_validity, kappa_prime
+from .params import WARN_THRESHOLD, PhysicalParams, check_validity, kappa_prime
 
 #: cavity adiabaticity ratio at which |Omega_1| is pinned
 DRIVE_PIN_RATIO = 1e-3
@@ -49,23 +50,30 @@ class OptimizationProblem:
     delta1_bounds: tuple[float, float] = (1e4, 3e6)
     restarts: int = 8
     max_evals: int = 150
-    xatol: float = 1e-4
-    fatol: float = 1e-7
     seed: int = 2024
     n_steps: int = 240
-    validity_limit: float = 1e-1
     fixed_delta: float | None = None
-    fixed_r: float | None = None
 
     def __post_init__(self):
+        # a bad system parameter would otherwise fail at every candidate
+        # point, where the objective turns it into a penalty
+        if self.n_atoms < 1:
+            raise ValueError("n_atoms must be >= 1")
+        for name in ("kappa", "gamma_total"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
+        if self.g_a * self.g_b == 0:
+            raise ValueError("g_a and g_b must be nonzero")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("r_bounds", "delta1_bounds"):
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi):
                 raise ValueError(f"{name} must be positive and ordered")
         if not self.delta_bounds[0] <= self.delta_bounds[1]:
             raise ValueError("delta_bounds must be ordered")
-        if sum(self.gamma_split) <= 0:
-            raise ValueError("gamma_split must have positive sum")
+        if min(self.gamma_split) < 0 or sum(self.gamma_split) <= 0:
+            raise ValueError("gamma_split weights must be nonnegative with positive sum")
         for name, least in (("restarts", 1), ("max_evals", 1), ("n_steps", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
@@ -148,9 +156,7 @@ class _Objective:
         log_r, delta, log_d1 = x
         if self.problem.fixed_delta is not None:
             delta = self.problem.fixed_delta
-        r = self.problem.fixed_r if self.problem.fixed_r is not None \
-            else math.exp(log_r)
-        return r, delta, math.exp(log_d1)
+        return math.exp(log_r), delta, math.exp(log_d1)
 
     def __call__(self, x: np.ndarray) -> float:
         self.n_evals += 1
@@ -160,7 +166,7 @@ class _Objective:
             if params.omega_1 == 0 or params.omega_2 == 0:
                 return 1.0     # no pair-transfer mechanism, trace stays at 1
             report = check_validity(params)
-            excess = sum(max(0.0, ratio / self.problem.validity_limit - 1.0)
+            excess = sum(max(0.0, ratio / WARN_THRESHOLD - 1.0)
                          for ratio in report.ratios().values())
             if excess > 0.0:
                 return 1.0 + excess
@@ -213,10 +219,8 @@ def optimize(problem: OptimizationProblem) -> OptimumReport:
         before = objective.n_evals
         res = minimize(objective, x0, method="Nelder-Mead",
                        bounds=list(zip(lo, hi)),
-                       options={"maxfev": problem.max_evals,
-                                "xatol": problem.xatol,
-                                "fatol": problem.fatol,
-                                "disp": False})
+                       options={"maxfev": problem.max_evals, "xatol": 1e-4,
+                                "fatol": 1e-7, "disp": False})
         rec = RestartRecord(x0=tuple(x0), x_best=tuple(res.x), f_best=float(res.fun),
                             n_evals=objective.n_evals - before,
                             success=bool(res.fun <= 1.0))
@@ -333,13 +337,12 @@ class DeltaZeroReport:
     within: float | None = None        # xi2(0) / best - 1
 
 
-def delta_zero_check(problem: OptimizationProblem,
-                     side_condition_factor: float = 0.1) -> DeltaZeroReport:
+def delta_zero_check(problem: OptimizationProblem) -> DeltaZeroReport:
     """Check that delta = 0 attains the minimum against a +/- kappa' probe set.
 
     Applicable only when the photon-exchange side conditions hold at the
     delta = 0 optimum: weak collective coupling sqrt(N) |Omega_1 g_b /
-    Delta_1| << kappa and absorption dominating emission,
+    Delta_1| <= 0.1 kappa and absorption dominating emission,
     |Omega_2 g_a| / (Delta_2^2 + Gamma^2/4) > |Omega_1 g_b| / (Delta_1^2 +
     Gamma^2/4).  When they fail the check is skipped with an explanation.
     """
@@ -351,7 +354,7 @@ def delta_zero_check(problem: OptimizationProblem,
     weak_coupling = math.sqrt(p0.n_atoms) * abs(p0.omega_1 * p0.g_b / p0.delta_1)
     absorb = abs(p0.omega_2 * p0.g_a) / (p0.delta_2 ** 2 + gt * gt / 4.0)
     emit = abs(p0.omega_1 * p0.g_b) / (p0.delta_1 ** 2 + gt * gt / 4.0)
-    if weak_coupling > side_condition_factor * p0.kappa:
+    if weak_coupling > 0.1 * p0.kappa:
         return DeltaZeroReport(False, "collective coupling not small against kappa: "
                                f"sqrt(N)|Omega_1 g_b/Delta_1| = {weak_coupling:.3g} "
                                f"vs kappa = {p0.kappa:.3g}")

@@ -162,8 +162,7 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries).min())
 
-    def validate(self, herm_tol: float = 1e-10, trace_tol: float = 1e-8,
-                 eig_tol: float = -1e-8) -> tuple[float, float]:
+    def validate(self) -> tuple[float, float]:
         """Check finiteness, Hermiticity, trace and positivity, in that order.
 
         Returns ``(trace_drift, min_eigenvalue)``; any violation raises
@@ -172,14 +171,14 @@ class DensityMatrix:
         if not np.isfinite(self.entries).all():
             raise IntegrationError("non-finite density matrix")
         h_err = float(np.abs(self.entries - self.entries.conj().T).max())
-        if h_err > herm_tol:
+        if h_err > 1e-10:
             raise IntegrationError(f"density matrix not Hermitian: residual {h_err:.3e}")
         t_err = abs(self.trace() - 1.0)
-        if t_err > trace_tol:
-            raise IntegrationError(f"trace drift {t_err:.3e} exceeds {trace_tol:.1e}")
+        if t_err > 1e-8:
+            raise IntegrationError(f"trace drift {t_err:.3e} exceeds 1.0e-08")
         lam = self.min_eigenvalue()
-        if lam < eig_tol:
-            raise IntegrationError(f"negative eigenvalue {lam:.3e} below {eig_tol:.1e}")
+        if lam < -1e-8:
+            raise IntegrationError(f"negative eigenvalue {lam:.3e} below -1.0e-08")
         return t_err, lam
 
 
@@ -553,7 +552,6 @@ class ValidationReport:
     excited_population: np.ndarray    # full model only; zeros otherwise
     rel_dev_fi: dict                  # moment -> (T,) float arrays
     rel_dev_il: dict
-    scales: dict
     validity: object
     in_validity_regime: bool
     population_growth: bool
@@ -703,14 +701,12 @@ def validate_elimination(params: PhysicalParams, spec: HilbertSpec, t_grid,
     v0 = initial_state(params.n_atoms)
     m_lin = np.array([propagate(gen, v0, t).as_array() for t in times])
 
-    scales = {}
     rel_fi = {}
     rel_il = {}
     for j, name in enumerate(MOMENT_ORDER):
         sup_f = np.abs(m_full[:, j]).max()
         sup_i = np.abs(m_int[:, j]).max()
         sup_l = np.abs(m_lin[:, j]).max()
-        scales[name] = float(max(sup_f, sup_i, sup_l))
         den_fi = max(sup_f, sup_i) or 1.0
         den_il = max(sup_i, sup_l) or 1.0
         rel_fi[name] = np.abs(m_full[:, j] - m_int[:, j]) / den_fi
@@ -726,7 +722,6 @@ def validate_elimination(params: PhysicalParams, spec: HilbertSpec, t_grid,
         excited_population=e_pop,
         rel_dev_fi=rel_fi,
         rel_dev_il=rel_il,
-        scales=scales,
         validity=validity,
         in_validity_regime=validity.all_below(1e-2),
         population_growth=growth,

@@ -1,16 +1,16 @@
 """Physical parameters of the driven atoms + cavity system and derived quantities.
 
 All rates, detunings and couplings are dimensionless, expressed in units of a
-single reference rate (conventionally the cavity coupling |g_a| = 1).  An
-optional reference rate in Hz can be attached as metadata to convert output
-times to seconds; it never enters the dynamics.
+single reference rate (conventionally the cavity coupling |g_a| = 1).  A
+reference rate in Hz, which converts output times to seconds, is a setting of
+the ``evolve`` command only (``ref_rate_hz``); it never enters the dynamics.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 PASS_THRESHOLD = 1e-2
 WARN_THRESHOLD = 1e-1
@@ -35,6 +35,9 @@ class ConfigError(ValueError):
 class PhysicalParams:
     """All physical rates of the bichromatically driven atoms-cavity system.
 
+    The reference rate in Hz is not a field: it is a setting of the
+    ``evolve`` command only (``ref_rate_hz``).
+
     Attributes
     ----------
     n_atoms : number of atoms N.
@@ -45,8 +48,6 @@ class PhysicalParams:
     delta : two-photon detuning from the cavity mode.
     kappa : cavity decay rate.
     gamma_a, gamma_b, gamma_o : excited-state branching decay rates.
-    ref_rate_hz : optional metadata, the reference rate nu such that the
-        unit rate equals 2*pi*nu in angular-frequency terms.
     """
 
     n_atoms: int
@@ -61,7 +62,6 @@ class PhysicalParams:
     gamma_a: float = 0.0
     gamma_b: float = 0.0
     gamma_o: float = 0.0
-    ref_rate_hz: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if int(self.n_atoms) != self.n_atoms or self.n_atoms < 1:
@@ -176,25 +176,23 @@ def derive(params: PhysicalParams) -> DerivedParams:
     )
 
 
-def _verdict(ratio: float, pass_threshold: float, warn_threshold: float) -> str:
-    if ratio < pass_threshold:
+def _verdict(ratio: float) -> str:
+    if ratio < PASS_THRESHOLD:
         return "pass"
-    if ratio < warn_threshold:
+    if ratio < WARN_THRESHOLD:
         return "warn"
     return "fail"
 
 
-def check_validity(
-    params: PhysicalParams,
-    pass_threshold: float = PASS_THRESHOLD,
-    warn_threshold: float = WARN_THRESHOLD,
-) -> ValidityReport:
+def check_validity(params: PhysicalParams) -> ValidityReport:
     """Evaluate the adiabatic-elimination validity ratios.
 
     The excited-state ratios compare each laser's Rabi frequency to its
     detuning, the frequency ratio compares the slow scales (two-photon
     detuning, effective cavity linewidth) to the ground-state splitting, and
     the cavity ratio bounds the photon number built up in the cavity mode.
+    Each ratio passes below ``PASS_THRESHOLD`` (1e-2), warns below
+    ``WARN_THRESHOLD`` (1e-1) and fails from there on.
     """
     g = params.gamma_total
     d1sq = params.delta_1 ** 2 + g * g / 4.0
@@ -219,7 +217,7 @@ def check_validity(
         "ratio_freqs": rf,
         "ratio_cavity": rc,
     }
-    verdicts = {k: _verdict(v, pass_threshold, warn_threshold) for k, v in ratios.items()}
+    verdicts = {k: _verdict(v) for k, v in ratios.items()}
     return ValidityReport(
         ratio_excited_1=r1,
         ratio_excited_2=r2,
@@ -307,19 +305,15 @@ def match_raman(params: PhysicalParams) -> complex:
 # structured-text configuration files: "key = value", one parameter per line
 # ---------------------------------------------------------------------------
 
-def read_config(path_or_text, from_string: bool = False) -> dict[str, str]:
+def read_config(path) -> dict[str, str]:
     """Parse a ``key = value`` configuration file into an ordered mapping.
 
     Blank lines and lines starting with ``#`` are ignored.  Malformed lines
     and duplicate keys raise :class:`ConfigError` with the line number.
     """
-    if from_string:
-        text = path_or_text
-        source = "<string>"
-    else:
-        source = str(path_or_text)
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    source = str(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

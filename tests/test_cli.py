@@ -295,9 +295,12 @@ OPTIMIZE_MAPPING = {"command": "optimize", "n_atoms": "1000000", "omega_ab": "10
 
 class TestSearchSettings:
     BAD = [("restarts", "0"), ("max_evals", "0"), ("n_steps", "1"),
-           ("r_min", "-1"), ("delta1_min", "0"), ("r_min", "40")]
+           ("r_min", "-1"), ("delta1_min", "0"), ("r_min", "40"),
+           ("n_atoms", "0"), ("gamma_split", "2,-1,0"), ("g_b", "0"), ("seed", "-1")]
+    #: keys that sweep refuses as unknown
+    BAD_OPTIMIZE_ONLY = [("kappa", "-1"), ("gamma_total", "-1")]
 
-    @pytest.mark.parametrize("key,value", BAD)
+    @pytest.mark.parametrize("key,value", BAD + BAD_OPTIMIZE_ONLY)
     def test_optimize_exits_config(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, "opt.cfg", {**OPTIMIZE_MAPPING, key: value})
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -314,6 +317,15 @@ class TestSearchSettings:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
         assert main(["validate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_negative_seed_flag_exits_config(self, tmp_path, capsys, command):
+        cfg = (write_config(tmp_path, "opt.cfg", OPTIMIZE_MAPPING) if command == "optimize"
+               else config_path("fig3.cfg"))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestProblemFromConfig:

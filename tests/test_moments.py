@@ -248,8 +248,7 @@ class TestPropagate:
 
     def test_nonfinite_reported(self):
         gen = assemble_generator(demo_params())
-        huge = type(gen)(m=gen.m * 1e305, n_atoms=gen.n_atoms,
-                         kappa_prime=gen.kappa_prime)
+        huge = type(gen)(m=gen.m * 1e305)
         with pytest.raises(PropagationError), np.errstate(over="ignore"), \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -380,7 +379,7 @@ class TestUndefinedTruncation:
     def test_decaying_jz_truncates_on_both_kernel_paths(self, kernel_path, monkeypatch):
         # <J_z> = (N/2) e^{-t} drops below 1e-12 N after t = ln(5e11) = 26.9
         n = 100
-        inject_generator(monkeypatch, n, np.diag([-1.0, 0, 0, 0, 0, 0]))
+        inject_generator(monkeypatch, np.diag([-1.0, 0, 0, 0, 0, 0]))
         trace = evolve_squeezing(demo_params(n_atoms=n), t_max=40.0, n_steps=41)
         assert trace.truncated
         assert len(trace.times) == 27
@@ -390,7 +389,7 @@ class TestUndefinedTruncation:
     def test_physicality_reason_wins_on_the_same_row(self, monkeypatch):
         # both rules first fail at k = 27
         n = 100
-        inject_generator(monkeypatch, n, np.diag([-1.0, 0, 0, 0, 0, 0]))
+        inject_generator(monkeypatch, np.diag([-1.0, 0, 0, 0, 0, 0]))
         monkeypatch.setattr(moments_mod, "_physicality_violation",
                             lambda mom, n_atoms: (np.arange(len(mom)) >= 27) * 1.0)
         trace = evolve_squeezing(demo_params(n_atoms=n), t_max=40.0, n_steps=41)
@@ -709,10 +708,9 @@ def demo_perturbations(draw):
         gamma_o=nudge(base.gamma_o))
 
 
-def inject_generator(monkeypatch, n_atoms, m):
+def inject_generator(monkeypatch, m):
     """Make evolve_squeezing use the generator m instead of the assembled one."""
-    gen = moments_mod.MomentGenerator(m=np.asarray(m, dtype=complex),
-                                      n_atoms=n_atoms, kappa_prime=1.0)
+    gen = moments_mod.MomentGenerator(m=np.asarray(m, dtype=complex))
     monkeypatch.setattr(moments_mod, "assemble_generator", lambda params: gen)
 
 
@@ -794,7 +792,7 @@ class TestSpectralKernel:
         n = 1000
         m = -np.eye(6)
         m[0, 1] = 0.3
-        inject_generator(monkeypatch, n, m)
+        inject_generator(monkeypatch, m)
         calls = count_expm(monkeypatch)
         trace = evolve_squeezing(demo_params(n_atoms=n), t_max=2.0, n_steps=50)
         assert len(calls) == 1         # the grid step; the probe needs none
@@ -836,7 +834,7 @@ class TestSpectralKernel:
         # Im <J_z> / N = 7.5e-9 t leaves the tolerance at k = 2; <N_a + N_b>
         # overflows at k = 8
         n = 100
-        inject_generator(monkeypatch, n, np.diag([1.5e-8j, 100.0, 0, 0, 0, 0]))
+        inject_generator(monkeypatch, np.diag([1.5e-8j, 100.0, 0, 0, 0, 0]))
         trace = evolve_squeezing(demo_params(n_atoms=n), t_max=9.0, n_steps=10)
         assert trace.truncated
         assert len(trace.times) == 2
@@ -846,6 +844,6 @@ class TestSpectralKernel:
         # <N_a + N_b> overflows at k = 2, before Im <J_z> / N = 3.75e-9 t
         # leaves the tolerance at k = 3
         n = 100
-        inject_generator(monkeypatch, n, np.diag([0.75e-8j, 400.0, 0, 0, 0, 0]))
+        inject_generator(monkeypatch, np.diag([0.75e-8j, 400.0, 0, 0, 0, 0]))
         with pytest.raises(PropagationError, match="non-finite moments at t=2"):
             evolve_squeezing(demo_params(n_atoms=n), t_max=9.0, n_steps=10)

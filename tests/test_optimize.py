@@ -54,7 +54,12 @@ class TestProblem:
 
     @pytest.mark.parametrize("setting,value", [("restarts", 0), ("restarts", -1),
                                                ("max_evals", 0), ("n_steps", 1),
-                                               ("n_steps", 0)])
+                                               ("n_steps", 0), ("n_atoms", 0),
+                                               ("kappa", -1.0), ("kappa", math.nan),
+                                               ("gamma_total", -1.0),
+                                               ("gamma_split", (2.0, -1.0, 0.0)),
+                                               ("g_a", 0.0), ("g_b", 0.0),
+                                               ("seed", -1)])
     def test_invalid_search_settings_rejected(self, setting, value):
         with pytest.raises(ValueError, match=setting):
             quick_problem(**{setting: value})
@@ -107,11 +112,12 @@ class TestOptimize:
         assert t2.t_min == pytest.approx(t1.t_min / 4.0, rel=1e-6)
 
     def test_vanishing_drive_ratio_gives_no_squeezing(self):
-        prob = problem_for_cooperativity(
-            quick_problem(fixed_r=0.0, restarts=1, max_evals=20), 100.0, 1.0)
+        # lossless at delta = 0: the pinned |Omega_1| is 0, so every
+        # candidate drives nothing and scores exactly 1
+        prob = quick_problem(fixed_delta=0.0, restarts=1, max_evals=20)
         rep = optimize(prob)
         assert rep.xi2_min == 1.0
-        assert rep.r_opt == 0.0
+        assert rep.omega_1 == 0.0
 
     def test_infeasible_box_raises(self):
         prob = quick_problem(kappa=100.0, gamma_total=100.0, omega_ab=5.0,

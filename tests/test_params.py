@@ -181,15 +181,19 @@ class TestConfig:
         p = demo_params()
         mapping = params_to_mapping(p)
         q = params_from_mapping(mapping)
-        assert q == PhysicalParams(**{**p.__dict__, "ref_rate_hz": None})
+        assert q == p
 
-    def test_parse_reports_line_numbers(self):
+    def test_parse_reports_line_numbers(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("a = 1\nb = 2\nnot a pair\n")
         with pytest.raises(ConfigError, match=":3:"):
-            read_config("a = 1\nb = 2\nnot a pair\n", from_string=True)
+            read_config(path)
 
-    def test_duplicate_key(self):
+    def test_duplicate_key(self, tmp_path):
+        path = tmp_path / "dup.cfg"
+        path.write_text("a = 1\na = 2\n")
         with pytest.raises(ConfigError, match="duplicate"):
-            read_config("a = 1\na = 2\n", from_string=True)
+            read_config(path)
 
     def test_missing_keys_reported(self):
         with pytest.raises(ConfigError, match="missing parameter keys"):
@@ -201,8 +205,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="delta"):
             params_from_mapping(mapping)
 
-    def test_comments_and_blanks_ignored(self):
-        cfg = read_config("# header\n\nx = 1\n", from_string=True)
+    def test_comments_and_blanks_ignored(self, tmp_path):
+        path = tmp_path / "plain.cfg"
+        path.write_text("# header\n\nx = 1\n")
+        cfg = read_config(path)
         assert cfg == {"x": "1"}
 
 
