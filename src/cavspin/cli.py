@@ -19,12 +19,11 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .moments import (PropagationError, _csv_rows, assemble_generator, default_t_max,
-                      evolve_squeezing, trace_csv_rows)
+from .moments import (_csv_rows, assemble_generator, default_t_max, evolve_squeezing,
+                      trace_csv_rows)
 from .optimize import (OptimizationProblem, SweepResult, optimize,
                        problem_for_cooperativity, scaling_sweep)
-from .oracle import (HilbertSpec, IntegrationError, ModelError, _check_model,
-                     validate_elimination)
+from .oracle import HilbertSpec, _check_model, validate_elimination
 from .params import (CONFIG_KEYS, ConfigError, check_validity,
                      decoherence_budget, params_from_mapping, read_config)
 
@@ -333,6 +332,9 @@ def _read_sweep(config: dict, args: argparse.Namespace) -> tuple:
     if not coops or min(coops) <= 0:
         raise ConfigError("cooperativities must be a non-empty list of positive numbers: "
                           f"{config['cooperativities']!r}")
+    if max(coops) < 1.0:
+        raise ConfigError("cooperativities must include a value >= 1, as the scaling "
+                          f"fit uses only those: {config['cooperativities']!r}")
     ratio = _float(config, "kappa_over_gamma")
     if ratio <= 0:
         raise ConfigError("kappa_over_gamma must be positive")
@@ -427,8 +429,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ModelError, IntegrationError, PropagationError, ValueError,
-            RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -261,9 +261,9 @@ def oat_min_squeezing(n_atoms: int) -> tuple[float, float]:
 
     Scans chi*t logarithmically around the N**(-2/3) scaling guess, scoring
     grid times at which xi^2 is undefined (|<J_z>| < 1e-12 N) as +inf, and
-    refines the grid minimum with the plain-float bounded Brent search that
-    ``evolve_squeezing`` uses (``cavspin.moments._refined_min``) between its
-    two neighbours, on the closed-form twisting moments.
+    refines the grid minimum with the sampled zoom that ``evolve_squeezing``
+    uses (``cavspin.moments._refined_min``) between its two neighbours, each
+    read one array call of the closed-form twisting moments.
     Returns ``(xi2_min, t_min)``.
     """
     if not 2 <= n_atoms <= MAX_ATOMS:
@@ -276,7 +276,7 @@ def oat_min_squeezing(n_atoms: int) -> tuple[float, float]:
     xi2[defined] = _xi2(mom[defined], n_atoms)
 
     def probe(lo: int):
-        return lambda t: float(_xi2(oat_moments(n_atoms, t), n_atoms)[0])
+        return lambda t: _xi2(oat_moments(n_atoms, t), n_atoms)
 
     t_min, xi2_min = _refined_min(grid, xi2, probe)
     logger.info("one-axis twisting N=%d: xi2_min=%.6g at chi*t=%.6g "

@@ -27,9 +27,14 @@ scan scores undefined points +inf.
 A squeezing trace diagonalizes M once, M = V diag(w) V^-1, and evaluates
 v(t) = V e^{w t} V^-1 v(0) for all grid times at once, or steps with
 expm(M dt) when V is ill-conditioned (M nearly defective).  The minimum is
-refined from the grid row v left of it by a Taylor series of exp(M s) v of
-the smallest degree K with x^K / K! <= 1e-18, x = ||M||_1 times the bracket
-width; above x = 8 each probe calls expm.  ``propagate`` always uses expm.
+refined by a sampled zoom: the bracket around the grid minimum is read at
+65 equal spacings in one array call, narrowed to the two spacings around
+the best reading until it is within 1e-3 of its first magnitude, and read
+once more at the vertex of the parabola through the best reading and its
+neighbours.  Each read propagates from the grid row v left of the minimum
+by a Taylor series of exp(M s) v of the smallest degree K with
+x^K / K! <= 1e-18, x = ||M||_1 times the bracket width; above x = 8 each
+read is one stacked expm call.  ``propagate`` always uses expm.
 """
 
 from __future__ import annotations
@@ -58,10 +63,10 @@ _TAYLOR_BOUND = 8.0
 #: |<J_z>| below this fraction of N leaves the squeezing parameter undefined
 _JZ_FLOOR = 1e-12
 
-#: golden-section fraction and relative x tolerance of the bounded Brent
-#: search, with the values of scipy's fminbound so that the iterates match it
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
+#: readings per refinement bracket, its ends included, and the bracket width,
+#: relative to the first bracket's magnitude, at which the zoom stops
+_ZOOM_POINTS = 65
+_ZOOM_TOL = 1e-3
 
 
 class PropagationError(RuntimeError):
@@ -315,102 +320,50 @@ def default_t_max(params: PhysicalParams) -> float:
     return 10.0 / (params.n_atoms * chi_eff)
 
 
-def _bounded_brent(f, a: float, b: float, xatol: float) -> tuple[float, float]:
-    """Minimum ``(x, f(x))`` of ``f`` on [a, b] by Brent's bounded search.
-
-    Golden-section steps with parabolic interpolation (Brent, "Algorithms
-    for Minimization without Derivatives", 1973, ch. 5), stopping once the
-    bracket around the best point is within ``xatol`` plus a relative
-    sqrt(eps) of it, or after 500 evaluations.  Step for step this is
-    ``scipy.optimize.minimize_scalar(method="bounded")`` (fminbound): it
-    evaluates ``f`` at the same points and returns the same ``x`` and
-    ``f(x)``, but in plain Python floats, so an iteration costs a fraction
-    of scipy's numpy-scalar arithmetic.  The ends a and b are never
-    evaluated.  A NaN value is never taken as the best point, so an
-    all-NaN ``f`` returns NaN at the first point.
-    """
-    fulc = nfc = xf = a + _GOLDEN * (b - a)
-    ffulc = fnfc = fx = float(f(xf))
-    rat = e = 0.0
-    n_evals = 1
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a) and n_evals < 500:
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = _GOLDEN * e
-        # a step of at least tol1, in the direction of rat (up when rat = 0)
-        step = max(abs(rat), tol1)
-        x = xf + step if rat >= 0.0 else xf - step
-        fu = float(f(x))
-        n_evals += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-    return xf, fx
-
-
 def _refined_min(times: np.ndarray, xi2: np.ndarray, probe) -> tuple[float, float]:
     """Minimum ``(t_min, xi2_min)`` of a sampled xi^2 curve, refined off the grid.
 
     The grid argmin i is bracketed by its neighbours, lo = i - 1 and
     hi = i + 1 clipped to the grid, and ``probe(lo)``, the xi^2 function on
-    [times[lo], times[hi]], is minimized there by bounded Brent search
-    (``_bounded_brent``) to 1e-10 of the bracket's magnitude, which is free
-    of the time unit.  Brent never evaluates the bracket's ends, so where
-    the grid argmin is the last grid point the probe is also read there: the
-    curve still falls at that end, and the probe from the left neighbour can
-    read up to ~5e-10 of xi^2 below the grid's own value there.  The grid
-    value is kept when it is strictly lower, or when the probe returns NaN,
-    so the result never lies above the grid minimum.
+    [times[lo], times[hi]] that takes an array of times, is read there at
+    ``_ZOOM_POINTS`` equally spaced times, the ends included, in one call.
+    The bracket then narrows to the two spacings around the best reading, and
+    the reads repeat until it is within ``_ZOOM_TOL`` of its first magnitude,
+    which is free of the time unit.  One last read at the vertex of the
+    parabola through the best reading and its two neighbours ends the search.
+    NaN is never the best reading, and among equal best readings the middle
+    one is taken, so a plateau flat to rounding gives its centre.  The grid
+    value is kept when it is strictly lower, so the result never lies above
+    the grid minimum.
     """
     i = int(np.argmin(xi2))
     t_min, xi2_min = float(times[i]), float(xi2[i])
     lo, hi = max(i - 1, 0), min(i + 1, len(times) - 1)
-    if hi > lo:
-        a, b = float(times[lo]), float(times[hi])
-        f = probe(lo)
-        x, fx = _bounded_brent(f, a, b, 1e-10 * max(abs(a), abs(b)))
-        if fx <= xi2_min:
-            t_min, xi2_min = x, fx
-        if hi == i and (end := float(f(b))) <= xi2_min:
-            t_min, xi2_min = b, end
+    if hi == lo:
+        return t_min, xi2_min
+    f = probe(lo)
+    a, b = float(times[lo]), float(times[hi])
+    stop = _ZOOM_TOL * max(abs(a), abs(b))
+    while True:
+        t = np.linspace(a, b, _ZOOM_POINTS)
+        y = f(t)
+        ties = np.flatnonzero(y == np.min(y, where=~np.isnan(y), initial=np.inf))
+        if not len(ties):               # every reading NaN
+            return t_min, xi2_min
+        k = ties[len(ties) // 2]
+        a, b = t[max(k - 1, 0)], t[min(k + 1, _ZOOM_POINTS - 1)]
+        if b - a <= stop:
+            break
+    t_best, y_best = t[k], y[k]
+    if 0 < k < _ZOOM_POINTS - 1:
+        curvature = y[k - 1] - 2.0 * y_best + y[k + 1]
+        if curvature > 0.0:
+            vertex = t_best + 0.5 * (t[1] - t[0]) * (y[k - 1] - y[k + 1]) / curvature
+            y_vertex = f(np.array([vertex]))[0]
+            if y_vertex <= y_best:
+                t_best, y_best = vertex, y_vertex
+    if y_best <= xi2_min:
+        t_min, xi2_min = float(t_best), float(y_best)
     return t_min, xi2_min
 
 
@@ -445,17 +398,18 @@ def _moment_kernel(m: np.ndarray, v0: np.ndarray, dt: float, n_steps: int):
 
 
 def _taylor_probe(m: np.ndarray, v: np.ndarray, width: float):
-    """The function s -> exp(M s) v for 0 <= s <= width.
+    """The function s -> exp(M s) v for 0 <= s <= width, shaped s.shape + (6,).
 
     A truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
     488, 2011): one table T_k = M^k v / k!, k < K, with K the smallest
-    degree at which x^K / K! <= 1e-18 for x = ||M||_1 width; each probe is
-    the single product (s^0, ..., s^{K-1}) @ T.  Above x = ``_TAYLOR_BOUND``,
-    where cancellation between the terms costs accuracy, each probe calls expm.
+    degree at which x^K / K! <= 1e-18 for x = ||M||_1 width; a read at the
+    times s is the single product (s^0, ..., s^{K-1}) @ T.  Above
+    x = ``_TAYLOR_BOUND``, where cancellation between the terms costs
+    accuracy, each read is one stacked expm call over the times s.
     """
     x = float(np.abs(m).sum(axis=0).max()) * width
     if not x <= _TAYLOR_BOUND:
-        return lambda s: expm(m * s) @ v
+        return lambda s: expm(m * np.asarray(s)[..., None, None]) @ v
     n_terms, term = 1, x            # term = x^K / K! for K = n_terms
     while term > 1e-18:
         n_terms += 1
@@ -465,7 +419,7 @@ def _taylor_probe(m: np.ndarray, v: np.ndarray, width: float):
     for k in range(1, n_terms):
         np.dot(m, table[k - 1] / k, out=table[k])
     powers = np.arange(n_terms)
-    return lambda s: (s ** powers) @ table
+    return lambda s: (np.asarray(s)[..., None] ** powers) @ table
 
 
 def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
@@ -475,12 +429,12 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
     The moments on the whole grid come from one eigendecomposition of the
     generator, v(t) = V e^{Lambda t} V^-1 v0, with expm stepping as the
     fallback for an ill-conditioned eigenbasis (see ``_moment_kernel``).
-    The grid minimum is refined by the shared bounded Brent search
-    (``_refined_min``, in plain floats) between the two neighbouring grid
-    points, propagating from the left one by a truncated Taylor series
-    (``_taylor_probe``); expm is called only to step an ill-conditioned grid,
-    or per probe where ||M||_1 times the bracket width exceeds 8 (a long
-    horizon over few steps).  The first bad grid point after t = 0 decides:
+    The grid minimum is refined by the shared sampled zoom
+    (``_refined_min``) between the two neighbouring grid points, each read
+    an array of times propagated from the left one by a truncated Taylor
+    series (``_taylor_probe``); expm is called only to step an
+    ill-conditioned grid, or once per read (stacked over its times) where
+    ||M||_1 times the bracket width exceeds 8 (a long horizon over few steps).  The first bad grid point after t = 0 decides:
     a non-finite one raises ``PropagationError``; one that violates the
     physicality tolerances, or at which xi^2 is undefined (|<J_z>| < 1e-12 N),
     ends the trace before it, and the trace is flagged ``truncated`` with

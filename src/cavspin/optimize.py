@@ -269,10 +269,6 @@ class SweepResult:
     free_slope: float
     free_intercept: float
 
-    def law(self, cooperativity: float) -> float:
-        """Fitted xi^2_min at a given cooperativity (slope fixed at -1/2)."""
-        return self.prefactor_fixed_slope / math.sqrt(cooperativity)
-
 
 def problem_for_cooperativity(template: OptimizationProblem, cooperativity: float,
                               kappa_over_gamma: float = 1.0) -> OptimizationProblem:

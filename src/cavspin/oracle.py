@@ -723,7 +723,7 @@ def validate_elimination(params: PhysicalParams, spec: HilbertSpec, t_grid,
         rel_dev_fi=rel_fi,
         rel_dev_il=rel_il,
         validity=validity,
-        in_validity_regime=validity.all_below(1e-2),
+        in_validity_regime=validity.worst == "pass",
         population_growth=growth,
         metadata={
             "n_atoms": params.n_atoms,

@@ -396,6 +396,20 @@ class TestSweepCommand:
         assert not (tmp_path / "fit.json").exists()
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("coops", ["0.5", "0.05,0.5,0.99"])
+    def test_no_point_the_fit_uses_is_config_error(self, tmp_path, capsys, coops):
+        # the scaling fit uses only cooperativities >= 1
+        mapping = {"command": "sweep", "n_atoms": "1000000", "omega_ab": "100000",
+                   "cooperativities": coops, "kappa_over_gamma": "1"}
+        cfg = write_config(tmp_path, "sweep.cfg", mapping)
+        out = tmp_path / "out"
+        for argv in (["sweep", "--config", cfg, "--out", str(out)],
+                     ["validate", "--config", cfg]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "cooperativities" in err
+        assert not out.exists()
+
     def test_failed_point_exits_numerical(self, tmp_path):
         mapping = {"command": "sweep", "n_atoms": "1000000",
                    "omega_ab": "100000", "cooperativities": "0.05,100",

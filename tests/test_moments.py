@@ -15,7 +15,6 @@ from cavspin.dicke import effective_coeffs
 from cavspin.moments import (MomentState, PropagationError, assemble_generator,
                              default_t_max, evolve_squeezing, initial_state,
                              propagate, squeezing_parameter, trace_csv_rows)
-from cavspin.optimize import OptimizationProblem, problem_for_cooperativity
 from cavspin.params import PhysicalParams, demo_params, kappa_prime, match_raman
 
 
@@ -535,8 +534,22 @@ class TestRefinedMinimum:
                    for s in np.linspace(0.0, trace.times[hi] - trace.times[lo], 201))
         assert trace.min_xi2 <= scan * (1.0 + 1e-10)
 
+    @pytest.mark.parametrize("dissipation", [True, False])
+    @pytest.mark.parametrize("n_steps", [3, 5, 8])
+    def test_coarse_grid_beats_a_scan(self, dissipation, n_steps):
+        # ||M||_1 times the probe width is 19.9, 9.9 and 5.7 with dissipation
+        # (10.0, 5.0 and 2.9 without): stacked expm reads and the Taylor table
+        p = demo_params(dissipation=dissipation)
+        trace = evolve_squeezing(p, n_steps=n_steps)
+        i = int(np.argmin(trace.xi2))
+        lo, hi = max(i - 1, 0), min(i + 1, n_steps - 1)
+        m = assemble_generator(p).m
+        scan = min(expm_xi2(m, trace.moments[lo], p.n_atoms, s)
+                   for s in np.linspace(0.0, trace.times[hi] - trace.times[lo], 201))
+        assert trace.min_xi2 <= scan * (1.0 + 1e-10)
+
     def test_demo_probe_budget(self, monkeypatch):
-        # one grid evaluation plus the bounded Brent probes
+        # one grid evaluation, one array read per zoom level and the vertex read
         calls = []
         xi2 = moments_mod._xi2
         monkeypatch.setattr(moments_mod, "_xi2", lambda *a: calls.append(1) or xi2(*a))
@@ -559,8 +572,14 @@ class TestRefinedMinimum:
 
     def test_grid_value_kept_when_strictly_lower(self):
         times, curve = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.8])
-        assert moments_mod._refined_min(times, curve, lambda lo: lambda t: 0.6) == \
-            (1.0, 0.5)
+        probe = lambda lo: lambda t: np.full_like(t, 0.6)
+        assert moments_mod._refined_min(times, curve, probe) == (1.0, 0.5)
+
+    def test_plateau_gives_its_centre(self):
+        # among equal best readings the middle one is taken
+        times, curve = np.arange(4.0), np.array([1.0, 0.5, 0.6, 1.0])
+        probe = lambda lo: lambda t: np.maximum(abs(t - 1.5) - 0.25, 0.0)
+        assert moments_mod._refined_min(times, curve, probe) == (1.5, 0.0)
 
     def test_single_point_grid_is_not_probed(self):
         def probe(lo):
@@ -571,115 +590,12 @@ class TestRefinedMinimum:
 
     def test_nan_probe_keeps_the_grid_value(self):
         times = np.linspace(0.0, 1.0, 5)
-        probe = lambda lo: lambda t: math.nan
+        probe = lambda lo: lambda t: np.full_like(t, math.nan)
         curve = np.array([1.0, 0.7, 0.4, 0.6, 0.9])
         assert moments_mod._refined_min(times, curve, probe) == (0.5, 0.4)
-        # ... also where the probe is read at the last grid point too
+        # ... also where the bracket ends at the last grid point
         curve = np.array([1.0, 0.9, 0.7, 0.6, 0.4])
         assert moments_mod._refined_min(times, curve, probe) == (1.0, 0.4)
-
-
-# ---------------------------------------------------------------------------
-# the plain-float bounded Brent against scipy's, which it replaces
-# ---------------------------------------------------------------------------
-
-def counted(f):
-    """``f`` with a list of the points it was called at."""
-    points = []
-
-    def wrapped(t):
-        points.append(t)
-        return f(t)
-    return wrapped, points
-
-
-def same_float(x, y):
-    return x == y or (math.isnan(x) and math.isnan(y))
-
-
-def assert_brent_matches_scipy(f, a, b):
-    """The same evaluation points, minimizer and minimum as scipy, exactly."""
-    xatol = 1e-10 * max(abs(a), abs(b), 1.0)
-    ours, ours_points = counted(f)
-    x, fx = moments_mod._bounded_brent(ours, a, b, xatol)
-    ref, ref_points = counted(f)
-    res = minimize_scalar(ref, bounds=(a, b), method="bounded",
-                          options={"xatol": xatol})
-    assert len(ours_points) == res.nfev
-    assert ours_points == ref_points
-    assert x == res.x
-    assert same_float(fx, res.fun)
-    # Brent never evaluates the ends of the bracket
-    assert all(a < t < b for t in ours_points)
-
-
-@st.composite
-def brent_cases(draw):
-    """A test curve ``f`` and a bracket [a, b] for it, as ``(f, a, b)``."""
-    a = draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e6)))
-    b = a + draw(st.floats(1e-6, 1e3)) * max(abs(a), 1.0)
-    # vertex inside the bracket, at either end, or outside it
-    u = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-1.0, 2.0)))
-    vertex = a + u * (b - a)
-    curv = draw(st.floats(1e-3, 1e3)) / (b - a) ** 2
-    depth = draw(st.floats(0.0, 1.0))
-    kind = draw(st.sampled_from(["parabola", "kink", "steps", "constant", "nan"]))
-    if kind == "parabola":
-        f = lambda t: curv * (t - vertex) ** 2 + depth
-    elif kind == "kink":
-        # max(q, 0), written as the clamped variance of ``_xi2`` is
-        def f(t):
-            q = curv * (t - vertex) ** 2 - depth
-            return (q + abs(q)) / 2.0
-    elif kind == "steps":
-        # a parabola in coarse steps: ties, as in a probe flat to rounding
-        f = lambda t: math.floor(4.0 * curv * (t - vertex) ** 2) / 4.0 + depth
-    elif kind == "constant":
-        f = lambda t: depth
-    else:
-        f = lambda t: math.nan
-    return f, a, b
-
-
-def captured_refinement(params, **kwargs):
-    """The bracket ``evolve_squeezing`` refines and its probe there."""
-    seen = {}
-    refine = moments_mod._refined_min
-
-    def spy(times, xi2, probe):
-        seen.update(times=times, xi2=xi2, probe=probe)
-        return refine(times, xi2, probe)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moments_mod, "_refined_min", spy)
-        evolve_squeezing(params, **kwargs)
-    times, i = seen["times"], int(np.argmin(seen["xi2"]))
-    lo, hi = max(i - 1, 0), min(i + 1, len(times) - 1)
-    return seen["probe"](lo), float(times[lo]), float(times[hi])
-
-
-#: fig3 points (r, delta, Delta_1) at cooperativity 100: a matched drive and
-#: two of the optimizer's Sobol starts
-FIG3_POINTS = [(1.0, 0.0, 5e4), (1.5169105095339657, -3902.677595615387, 148322.2264323954),
-               (5.480484808884996, -532.0286601781845, 16555.464046812147)]
-
-
-class TestBoundedBrent:
-    @settings(max_examples=300, deadline=None)
-    @given(brent_cases())
-    def test_matches_scipy_on_test_curves(self, case):
-        assert_brent_matches_scipy(*case)
-
-    def test_matches_scipy_on_the_demo_probe(self):
-        assert_brent_matches_scipy(*captured_refinement(demo_params()))
-
-    @pytest.mark.parametrize("point", FIG3_POINTS)
-    def test_matches_scipy_on_a_fig3_probe(self, point):
-        template = OptimizationProblem(n_atoms=10 ** 6, omega_ab=1e5)
-        problem = problem_for_cooperativity(template, 100.0, 1.0)
-        params = problem.params_at(*point)
-        assert_brent_matches_scipy(*captured_refinement(
-            params, n_steps=problem.n_steps, max_extensions=5))
 
 
 def stepped_moments(m, v0, dt, n_steps):

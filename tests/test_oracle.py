@@ -569,6 +569,12 @@ class TestValidateElimination:
         assert rep.max_dev("fi", "jz") < 0.10
         assert rep.max_dev("fi", "jpp") < 0.10
 
+    @pytest.mark.parametrize("omega1, worst", [(4.0, "pass"), (20.0, "warn")])
+    def test_validity_regime_is_the_pass_verdict(self, omega1, worst):
+        rep = validate_elimination(n2_matched(omega1), HilbertSpec(2, 3, 1), [0.0, 0.5])
+        assert rep.validity.worst == worst
+        assert rep.in_validity_regime == (worst == "pass")
+
     def test_excited_population_bounded(self, quarter_pair_report):
         p, rep = quarter_pair_report
         v = check_validity(p)
