@@ -17,12 +17,17 @@ The drive ratio is searched over real positive values only; a relative drive
 phase merely rotates the phase of the pair coupling, which the squeezing
 minimization absorbs into the optimal transverse angle, so it cannot change
 the minimum.
+
+The search is a bounded Nelder-Mead simplex (``_nelder_mead``) from each of
+a few seeded scrambled Sobol' starts (``_sobol``).  Both are written here in
+plain Python and read the objective at exactly the points scipy's
+``minimize(method="Nelder-Mead")`` and ``qmc.Sobol`` would, so the module
+needs no scipy import and the objective receives Python floats.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -152,13 +157,13 @@ class _Objective:
         self.problem = problem
         self.n_evals = 0
 
-    def unpack(self, x: np.ndarray) -> tuple[float, float, float]:
+    def unpack(self, x: list[float]) -> tuple[float, float, float]:
         log_r, delta, log_d1 = x
         if self.problem.fixed_delta is not None:
             delta = self.problem.fixed_delta
         return math.exp(log_r), delta, math.exp(log_d1)
 
-    def __call__(self, x: np.ndarray) -> float:
+    def __call__(self, x: list[float]) -> float:
         self.n_evals += 1
         r, delta, d1 = self.unpack(x)
         try:
@@ -186,52 +191,212 @@ def _search_box(problem: OptimizationProblem) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _start_points(problem: OptimizationProblem) -> np.ndarray:
-    """Deterministic low-discrepancy starts in the (log r, delta, log D1) box."""
-    # imported here: scipy.stats would roughly double the package import time
-    from scipy.stats import qmc
+#: bits of a Sobol' coordinate, and the Joe-Kuo direction numbers of
+#: dimensions 2 and 3 as (primitive polynomial, initial m_1, ..., m_s);
+#: dimension 1 has all m_j = 1
+_SOBOL_BITS = 30
+_SOBOL_POLYNOMIALS = ((3, (1,)), (7, (1, 3)))
 
-    sampler = qmc.Sobol(d=3, scramble=True, seed=problem.seed)
-    with warnings.catch_warnings():
-        # restart counts need not be powers of two; balance is irrelevant here
-        warnings.simplefilter("ignore", UserWarning)
-        unit = sampler.random(problem.restarts)
+
+def _sobol(n: int, seed: int) -> list[list[float]]:
+    """The first n points of the scrambled 3-d Sobol' sequence.
+
+    scipy's ``qmc.Sobol(d=3, scramble=True, seed=seed).random(n)`` in plain
+    integers, point for point: direction numbers from Joe & Kuo (SIAM J. Sci.
+    Comput. 30, 2635, 2008), a linear matrix scramble and a digital shift
+    drawn from ``np.random.default_rng(seed)`` in scipy's order, and points
+    in Gray-code order.
+    """
+    bits = _SOBOL_BITS
+    rng = np.random.default_rng(seed)
+    shift = (rng.integers(2, size=(3, bits), dtype=np.uint32)
+             @ 2 ** np.arange(bits, dtype=np.uint32)).tolist()
+    ltm = np.tril(rng.integers(2, size=(3, bits, bits), dtype=np.uint32))
+    ltm[:, range(bits), range(bits)] = 1
+    # row p of each lower-triangular matrix as an integer, column 0 the top bit
+    rows = (ltm.astype(np.int64) @ (1 << np.arange(bits - 1, -1, -1))).tolist()
+
+    directions = [[1] * bits]
+    for poly, initial in _SOBOL_POLYNOMIALS:
+        degree = poly.bit_length() - 1
+        m = list(initial)
+        for j in range(degree, bits):
+            new = m[j - degree]
+            for k in range(degree):
+                if poly >> (degree - 1 - k) & 1:
+                    new ^= m[j - k - 1] << (k + 1)
+            m.append(new)
+        directions.append(m)
+    scrambled = []
+    for m, ltm_rows in zip(directions, rows):
+        column = []
+        for j, mj in enumerate(m):
+            vj = mj << (bits - 1 - j)
+            column.append(sum(((row & vj).bit_count() & 1) << (bits - 1 - p)
+                              for p, row in enumerate(ltm_rows)))
+        scrambled.append(column)
+
+    scale = 1.0 / 2 ** bits
+    quasi = shift
+    points = [[q * scale for q in quasi]]
+    for i in range(n - 1):
+        zero_bit = (~i & (i + 1)).bit_length() - 1     # lowest zero bit of i
+        quasi = [q ^ column[zero_bit] for q, column in zip(quasi, scrambled)]
+        points.append([q * scale for q in quasi])
+    return points
+
+
+def _start_points(problem: OptimizationProblem) -> np.ndarray:
+    """Deterministic low-discrepancy starts in the (log r, delta, log D1) box.
+
+    The first ``restarts`` points of the seeded scrambled Sobol' sequence
+    (``_sobol``), scaled into the box; restart counts need not be powers of two.
+    """
     lo, hi = _search_box(problem)
-    return lo + unit * (hi - lo)
+    return lo + np.array(_sobol(problem.restarts, problem.seed)) * (hi - lo)
+
+
+class _BudgetSpent(Exception):
+    """The evaluation budget of a Nelder-Mead search is used up."""
+
+
+def _nelder_mead(f, x0, lo, hi, max_evals: int, xatol: float, fatol: float):
+    """Bounded Nelder-Mead minimization of ``f`` from x0: ``(x, fun, n_evals)``.
+
+    scipy's ``minimize(f, x0, method="Nelder-Mead", bounds=zip(lo, hi),
+    options={"maxfev": max_evals, "xatol": xatol, "fatol": fatol})`` (Nelder &
+    Mead, Comput. J. 7, 308, 1965) in plain floats, iterate for iterate, so
+    it reads ``f`` at the same points and returns the same result:
+
+    * the initial simplex is x0 clipped into the box plus one vertex per
+      coordinate k, scaled by 1.05 (0.00025 where it is 0), with coordinates
+      above the box reflected at the upper bound and then clipped;
+    * reflection, expansion, contraction and shrink coefficients are
+      1, 2, 1/2 and 1/2, and every trial point is clipped into the box;
+    * the search stops when all vertices lie within xatol of the best one
+      and their values within fatol, or at the call after the budget is
+      spent, which may fall inside the initial simplex (unread vertices keep
+      +inf) or inside a shrink;
+    * the vertices are ordered by ``np.argsort`` wherever scipy orders them:
+      its order of equal values depends on the platform's sort kernel (not
+      stable on AVX-512), and a stable sort would depart from it.
+
+    ``fun`` is the minimum over the final simplex (NaN if any value is NaN).
+    """
+    def clip(x):
+        # np.clip: NaN passes, and a coordinate equal to a bound takes the bound
+        out = []
+        for c, low, high in zip(x, lo, hi):
+            if c == c:
+                c = c if c > low else low
+                c = c if c < high else high
+            out.append(c)
+        return out
+
+    n_evals = 0
+
+    def call(x):
+        nonlocal n_evals
+        if n_evals >= max_evals:
+            raise _BudgetSpent
+        n_evals += 1
+        return f(x)
+
+    x0 = clip(x0)
+    sim = [x0]
+    for k in range(len(x0)):
+        vertex = list(x0)
+        vertex[k] = 1.05 * vertex[k] if vertex[k] != 0 else 0.00025
+        sim.append(vertex)
+    sim = [clip([2 * high - c if c > high else c for c, high in zip(vertex, hi)])
+           for vertex in sim]
+    fsim = [math.inf] * len(sim)
+
+    def reorder():
+        order = np.argsort(fsim).tolist()
+        sim[:] = [sim[k] for k in order]
+        fsim[:] = [fsim[k] for k in order]
+
+    def trial(xbar, coef):
+        # (1 + coef) xbar - coef x_worst: reflection 1, expansion 2,
+        # outside contraction 1/2, inside contraction -1/2
+        return clip([(1 + coef) * b - coef * w for b, w in zip(xbar, sim[-1])])
+
+    try:
+        for k, vertex in enumerate(sim):
+            fsim[k] = call(vertex)
+    except _BudgetSpent:
+        pass
+    # scipy sorts the initial simplex twice (in a ``finally`` and after it);
+    # on a ``break`` of the loop below it does not sort
+    reorder()
+    reorder()
+
+    while n_evals < max_evals:
+        best = sim[0]
+        if (all(abs(c - b) <= xatol for vertex in sim[1:] for c, b in zip(vertex, best))
+                and all(abs(fsim[0] - fk) <= fatol for fk in fsim[1:])):
+            break
+        xbar = list(best)
+        for vertex in sim[1:-1]:
+            xbar = [a + c for a, c in zip(xbar, vertex)]
+        xbar = [a / len(x0) for a in xbar]
+        try:
+            xr = trial(xbar, 1)
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = trial(xbar, 2)
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = trial(xbar, 0.5)
+                    fxc = call(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = trial(xbar, -0.5)
+                    fxc = call(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, len(sim)):
+                        sim[j] = clip([b + 0.5 * (c - b) for b, c in zip(best, sim[j])])
+                        fsim[j] = call(sim[j])
+        except _BudgetSpent:
+            pass
+        reorder()
+    return sim[0], float(np.min(fsim)), n_evals
 
 
 def optimize(problem: OptimizationProblem) -> OptimumReport:
     """Multi-start Nelder-Mead minimization of the squeezing objective.
 
-    Deterministic for a given problem (seeded Sobol restarts, fixed simplex
-    options).  The reported minimum is re-evaluated with a fresh squeezing
-    trace at the argmin, so it is reproducible to full precision.
+    Deterministic for a given problem: one ``_nelder_mead`` search (xatol
+    1e-4, fatol 1e-7, at most ``max_evals`` evaluations) from each of the
+    ``restarts`` seeded Sobol' starts of ``_start_points``.  The reported
+    minimum is re-evaluated with a fresh squeezing trace at the argmin, so it
+    is reproducible to full precision.
     """
-    # imported here, like qmc: scipy.optimize would add about a third to the
-    # package import time, and scipy.stats loads it for the starts anyway
-    from scipy.optimize import minimize
-
     objective = _Objective(problem)
-    lo, hi = _search_box(problem)
+    lo, hi = (bound.tolist() for bound in _search_box(problem))
     records = []
     best = None
-    for x0 in _start_points(problem):
-        before = objective.n_evals
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       bounds=list(zip(lo, hi)),
-                       options={"maxfev": problem.max_evals, "xatol": 1e-4,
-                                "fatol": 1e-7, "disp": False})
-        rec = RestartRecord(x0=tuple(x0), x_best=tuple(res.x), f_best=float(res.fun),
-                            n_evals=objective.n_evals - before,
-                            success=bool(res.fun <= 1.0))
+    for x0 in _start_points(problem).tolist():
+        x, fun, n_evals = _nelder_mead(objective, x0, lo, hi, problem.max_evals,
+                                       xatol=1e-4, fatol=1e-7)
+        rec = RestartRecord(x0=tuple(x0), x_best=tuple(x), f_best=fun,
+                            n_evals=n_evals, success=fun <= 1.0)
         records.append(rec)
-        if best is None or res.fun < best[1]:
-            best = (res.x, float(res.fun))
+        if best is None or fun < best[1]:
+            best = (x, fun)
 
     x_best, f_best = best
     if f_best > 1.0:
         raise RuntimeError("optimization failed: no start reached the validity region")
-    r, delta, d1 = objective.unpack(np.asarray(x_best))
+    r, delta, d1 = objective.unpack(x_best)
     params = problem.params_at(r, delta, d1)
     report = check_validity(params)
     if params.omega_1 == 0 or params.omega_2 == 0:

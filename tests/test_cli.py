@@ -471,14 +471,19 @@ class TestValidate:
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
 def test_import_leaves_scipy_stats_unloaded(module):
-    # scipy.stats (the Sobol starts) and scipy.optimize (Nelder-Mead) are
-    # needed only by optimize; either would add a third or more to the
-    # import time of every command
+    # either would add a third or more to the import time of every command,
+    # and optimize has its own Sobol' starts and Nelder-Mead: a small run
+    # loads neither
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = f"import sys, cavspin, cavspin.cli; print({module!r} in sys.modules)"
+    code = ("import sys, cavspin, cavspin.cli\n"
+            f"print({module!r} in sys.modules)\n"
+            "cavspin.optimize(cavspin.OptimizationProblem(\n"
+            "    n_atoms=10 ** 6, omega_ab=1e5, kappa=100.0, gamma_total=100.0,\n"
+            "    restarts=2, max_evals=8))\n"
+            f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False"]
 
 
 class TestParser:

@@ -1,15 +1,16 @@
 import importlib
 import math
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.stats import qmc
 
 from cavspin.moments import evolve_squeezing
 from cavspin.optimize import (OptimizationProblem, delta_zero_check, optimize,
                               problem_for_cooperativity, scaling_sweep)
-
-warnings.filterwarnings("ignore", message="The balance properties of Sobol")
 
 # the package re-exports the function optimize under the module's own name
 optimize_mod = importlib.import_module("cavspin.optimize")
@@ -80,6 +81,110 @@ class TestProblem:
         starts = optimize_mod._start_points(prob)
         assert starts.shape == (16, 3)
         assert np.all((starts >= lo) & (starts <= hi))
+
+
+# ---------------------------------------------------------------------------
+# the plain-float Nelder-Mead and Sobol' ports against scipy, compared with ==
+# ---------------------------------------------------------------------------
+
+#: the simplex tolerances ``optimize`` uses
+XATOL, FATOL = 1e-4, 1e-7
+
+
+def scipy_nelder_mead(f, x0, lo, hi, max_evals):
+    """Evaluation points, x, fun and evaluation count of scipy's bounded search."""
+    points = []
+
+    def read(x):
+        points.append(x.tolist())
+        return f(x.tolist())
+
+    res = minimize(read, np.array(x0, dtype=float), method="Nelder-Mead",
+                   bounds=list(zip(lo, hi)),
+                   options={"maxfev": max_evals, "xatol": XATOL, "fatol": FATOL})
+    return points, res.x.tolist(), float(res.fun), int(res.nfev)
+
+
+def ported_nelder_mead(f, x0, lo, hi, max_evals):
+    """The same four results from ``optimize._nelder_mead``."""
+    points = []
+
+    def read(x):
+        points.append(list(x))
+        return f(list(x))
+
+    x, fun, n_evals = optimize_mod._nelder_mead(read, list(x0), list(lo), list(hi),
+                                                max_evals, xatol=XATOL, fatol=FATOL)
+    return points, list(x), fun, n_evals
+
+
+def box_objective(kind, centre, weights, cut):
+    """A quadratic, a kink, or a quadratic walled off by the failure penalty."""
+    def f(x):
+        if kind == "kink":
+            return sum(w * abs(c - m) for c, m, w in zip(x, centre, weights))
+        if kind == "plateau" and x[0] > cut:
+            return optimize_mod._Objective.PENALTY_FAILURE
+        return sum(w * (c - m) ** 2 for c, m, w in zip(x, centre, weights))
+    return f
+
+
+@st.composite
+def box_searches(draw):
+    lo = [draw(st.floats(-5.0, 5.0)) for _ in range(3)]
+    hi = [low + draw(st.floats(0.01, 6.0)) for low in lo]
+    x0 = [draw(st.floats(low - 1.0, high + 1.0)) for low, high in zip(lo, hi)]
+    centre = [draw(st.floats(low - 1.0, high + 1.0)) for low, high in zip(lo, hi)]
+    weights = [draw(st.floats(0.1, 10.0)) for _ in range(3)]
+    kind = draw(st.sampled_from(["quadratic", "kink", "plateau"]))
+    cut = draw(st.floats(lo[0], hi[0]))
+    # 1 to 4 evaluations stop the search inside the initial simplex
+    max_evals = draw(st.sampled_from([1, 2, 3, 4, 20, 200]))
+    return box_objective(kind, centre, weights, cut), x0, lo, hi, max_evals
+
+
+@pytest.mark.filterwarnings("ignore:Initial guess is not within the specified bounds")
+class TestNelderMead:
+    @settings(max_examples=150, deadline=None)
+    @given(box_searches())
+    def test_matches_scipy(self, search):
+        assert ported_nelder_mead(*search) == scipy_nelder_mead(*search)
+
+    @pytest.mark.parametrize("max_evals", [1, 4, 200])
+    @pytest.mark.parametrize("x0,lo,hi", [
+        ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),     # on the upper bound
+        ([0.0, 0.4, -0.3], [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]),  # a zero coordinate
+        ([0.5, 0.5, 0.5], [0.5, -2.0, 3.0], [0.5, -2.0, 3.0]),    # all three bounds equal
+        ([0.3, 2.0, 0.1], [0.0, 2.0, 0.0], [1.0, 2.0, 1.0]),      # one fixed coordinate
+    ], ids=["upper_bound", "zero", "all_fixed", "one_fixed"])
+    @pytest.mark.parametrize("kind", ["quadratic", "plateau"])
+    def test_edge_cases_match_scipy(self, kind, x0, lo, hi, max_evals):
+        f = box_objective(kind, [0.2, -0.1, 0.0], [1.0, 2.0, 3.0], 0.25)
+        ported = ported_nelder_mead(f, x0, lo, hi, max_evals)
+        assert ported == scipy_nelder_mead(f, x0, lo, hi, max_evals)
+        if lo == hi:    # no fixed variable is dropped: four reads, then xatol stops
+            assert ported[3] == min(max_evals, 4)
+
+    @pytest.mark.parametrize("cooperativity", [1.0, 100.0, 1000.0])
+    def test_matches_scipy_on_the_squeezing_objective(self, cooperativity):
+        # the configs/fig3.cfg template at three of its cooperativities
+        template = OptimizationProblem(n_atoms=10 ** 6, omega_ab=1e5, seed=2024)
+        prob = problem_for_cooperativity(template, cooperativity)
+        lo, hi = optimize_mod._search_box(prob)
+        x0 = optimize_mod._start_points(prob)[0].tolist()
+        objective = optimize_mod._Objective(prob)
+        assert (ported_nelder_mead(objective, x0, lo, hi, 30)
+                == scipy_nelder_mead(objective, x0, lo, hi, 30))
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
+def test_start_points_match_scipy_sobol():
+    for seed in (0, 1, 7, 99, 2024, 12345):
+        for restarts in (1, 2, 3, 5, 6, 8, 13, 64):
+            prob = quick_problem(seed=seed, restarts=restarts)
+            lo, hi = optimize_mod._search_box(prob)
+            unit = qmc.Sobol(d=3, scramble=True, seed=seed).random(restarts)
+            assert (optimize_mod._start_points(prob) == lo + unit * (hi - lo)).all()
 
 
 class TestOptimize:
