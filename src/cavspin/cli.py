@@ -426,7 +426,7 @@ def main(argv=None) -> int:
         for key, value in sorted(config.items()):
             print(f"  {key} = {value}")
         return EXIT_OK
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError) as exc:

@@ -13,6 +13,9 @@ any set of times, for every N up to ``MAX_ATOMS``.  With matched drives all
 four coefficients are equal and H reduces to one-axis twisting, chi * J_x^2
 with chi = 4 c; that special case additionally admits an exact product-state
 solution for all six collective moments, used for the large-N twisting scans.
+The tridiagonal eigensolver is scipy's ``eigh_tridiagonal``, imported when
+a propagator first diagonalizes a sector; the closed-form twisting moments
+need no scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .moments import (MomentState, SqueezingTrace, _jz_undefined, _refined_min,
                       _theta, _undefined_reason, _xi2, squeezing_parameter)
@@ -149,6 +151,7 @@ class DickePropagator:
     def _sector(self, parity: int):
         """Gauge phases g, eigenvalues w and real eigenvectors V of one sector."""
         if parity not in self._sectors:
+            from scipy.linalg import eigh_tridiagonal
             off = self._off2[parity::2]
             gauge = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(off)))))
             w, v = eigh_tridiagonal(self._diag[parity::2], np.abs(off))

@@ -34,7 +34,9 @@ once more at the vertex of the parabola through the best reading and its
 neighbours.  Each read propagates from the grid row v left of the minimum
 by a Taylor series of exp(M s) v of the smallest degree K with
 x^K / K! <= 1e-18, x = ||M||_1 times the bracket width; above x = 8 each
-read is one stacked expm call.  ``propagate`` always uses expm.
+read is one stacked expm call.  ``propagate`` always uses expm.  expm is
+scipy's, imported when it is first called (``expm``), so a trace with a
+well-conditioned eigenbasis and every read at x <= 8 loads no scipy module.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .params import PhysicalParams, _check_detunings, kappa_prime
 
@@ -214,6 +215,17 @@ def assemble_generator(params: PhysicalParams) -> MomentGenerator:
         m[row, 2] += pref_a * a_jpp
 
     return MomentGenerator(m=m)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm`` of a matrix or a stack of them, imported here.
+
+    Importing scipy.linalg takes longer than most commands' physics, so it
+    is loaded on the first call: by ``propagate``, by an ill-conditioned
+    grid in ``_moment_kernel`` or by a ``_taylor_probe`` read above x = 8.
+    """
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 def propagate(gen: MomentGenerator, v0: MomentState, t: float) -> MomentState:

@@ -19,6 +19,9 @@ partial propagators at the output remainders, and composes them with powers
 of the period propagator; a dissipation-free static model needs no stepping
 and is propagated exactly with ``eigh``.  ``validate_elimination`` compares
 the two models, level by level, against the linearized moment equations.
+scipy is imported where it is called: ``scipy.sparse`` when a dissipative
+model builds its superoperator, and ``scipy.linalg`` through
+``moments.propagate`` for the moment equations.
 
 Frame bookkeeping: the full model rotates |b> at twice the ground-state
 splitting while the intermediate model (and hence the moment equations)
@@ -34,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .moments import (MOMENT_ORDER, MomentState, assemble_generator, initial_state,
                       propagate)
@@ -419,6 +421,7 @@ def _lindblad_rhs(liou: Liouvillian):
     stacked into one CSR matrix, so a call is one sparse product contracted
     with the phases (1, e^{i w_1 t}, ...).
     """
+    from scipy import sparse
     dim = liou.basis.dim
     eye = sparse.identity(dim, dtype=complex, format="csr")
     h = liou.hamiltonian_static

@@ -309,11 +309,16 @@ def read_config(path) -> dict[str, str]:
     """Parse a ``key = value`` configuration file into an ordered mapping.
 
     Blank lines and lines starting with ``#`` are ignored.  Malformed lines
-    and duplicate keys raise :class:`ConfigError` with the line number.
+    and duplicate keys raise :class:`ConfigError` with the line number, and
+    a file that is not UTF-8 text raises it with the path.
     """
     source = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{source}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -152,6 +152,29 @@ class TestEvolve:
         assert main(["evolve", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe" + "command = evolve\n".encode("utf-16-le"))
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: not UTF-8 text")
+        assert not out.exists()
+
+    def test_directory_config_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("kept\n")
+        assert main(["evolve", "--config", config_path("fig2.cfg"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("config error: ")
+        assert out.read_text() == "kept\n"
+        assert os.listdir(tmp_path) == ["run"]
+
 
 class TestBudget:
     def test_demo_budget(self, tmp_path, capsys):
@@ -484,6 +507,56 @@ def test_import_leaves_scipy_stats_unloaded(module):
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "False"]
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def scipy_imports(stderr):
+    """The scipy modules named in ``python -X importtime`` output."""
+    names = (line.rpartition("|")[2].strip() for line in stderr.splitlines()
+             if line.startswith("import time:"))
+    return [n for n in names if n == "scipy" or n.startswith("scipy.")]
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # importing scipy.linalg and scipy.sparse took longer than an evolve run
+    # spends in its physics, which never calls them on these configs
+    run = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                          "import cavspin, cavspin.cli"],
+                         cwd=SRC, check=True, capture_output=True, text=True)
+    assert "cavspin.cli" in run.stderr and scipy_imports(run.stderr) == []
+    for name in ("fig2.cfg", "fig2_nodissipation.cfg"):
+        cold, warm = tmp_path / f"cold-{name}", tmp_path / f"warm-{name}"
+        cfg = os.path.abspath(config_path(name))
+        run = subprocess.run([sys.executable, "-X", "importtime", "-m", "cavspin.cli",
+                              "evolve", "--config", cfg, "--out", str(cold)],
+                             cwd=SRC, check=True, capture_output=True, text=True)
+        assert scipy_imports(run.stderr) == []
+        assert main(["evolve", "--config", cfg, "--out", str(warm)]) == 0
+        assert (cold / "trace.csv").read_bytes() == (warm / "trace.csv").read_bytes()
+
+
+@pytest.mark.parametrize("module, call", [
+    ("scipy.linalg", "cavspin.propagate(cavspin.assemble_generator(p),\n"
+                     "    cavspin.initial_state(2), 1.0)"),
+    ("scipy.linalg", "from cavspin.dicke import DickePropagator\n"
+                     "DickePropagator(cavspin.EffectiveCoeffs(.1, .1, .1, .1), 4)"
+                     ".evolve_amplitudes(\n"
+                     "    cavspin.stretched_state(4).amplitudes, [1.0])"),
+    ("scipy.sparse", "cavspin.validate_elimination(p, cavspin.HilbertSpec(2, 3, 1),"
+                     " [0.0, 0.5])"),
+], ids=["propagate", "dicke", "dissipative-oracle"])
+def test_scipy_is_imported_where_it_is_called(module, call):
+    code = ("import sys, cavspin, cavspin.cli\n"
+            "p = cavspin.PhysicalParams(n_atoms=2, omega_1=1.2, delta_1=30.0,\n"
+            "    omega_ab=60.0, delta=0.5, kappa=0.5, gamma_a=0.1)\n"
+            f"print({module!r} in sys.modules)\n"
+            f"{call}\n"
+            f"print({module!r} in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 class TestParser:
