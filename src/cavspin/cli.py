@@ -19,8 +19,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .moments import (_csv_rows, assemble_generator, default_t_max, evolve_squeezing,
-                      trace_csv_rows)
+from .moments import (_csv_table, _g17, assemble_generator, default_t_max,
+                      evolve_squeezing, trace_csv_rows)
 from .optimize import (OptimizationProblem, SweepResult, optimize,
                        problem_for_cooperativity, scaling_sweep)
 from .oracle import HilbertSpec, _check_model, validate_elimination
@@ -138,10 +138,6 @@ def _csv_text(config: dict, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -210,8 +206,8 @@ def _read_budget(config: dict, args: argparse.Namespace):
 def _run_budget(config: dict, params, out_dir: str) -> int:
     n_gamma, n_kappa = decoherence_budget(params)
     rows = ["quantity,value",
-            f"decayed_atoms,{_fmt(n_gamma)}",
-            "lost_photons," + ("unbounded" if math.isinf(n_kappa) else _fmt(n_kappa))]
+            f"decayed_atoms,{_g17(n_gamma)}",
+            "lost_photons," + ("unbounded" if math.isinf(n_kappa) else _g17(n_kappa))]
     print("\n".join(rows))
     payload = {"budget": {
         "decayed_atoms": n_gamma,
@@ -322,8 +318,8 @@ def _sweep_rows(result: SweepResult):
     table = [(pt.cooperativity, r.xi2_min, r.r_opt, r.delta_opt, r.delta1_opt, r.t_min,
               c_fixed)
              for pt in result.points if (r := pt.report) is not None]
-    return _csv_rows("cooperativity,xi2_min,r_opt,delta_opt,delta1_opt,t_min,"
-                     "C_fixed_slope", table)
+    return _csv_table("cooperativity,xi2_min,r_opt,delta_opt,delta1_opt,t_min,"
+                      "C_fixed_slope", table)
 
 
 def _read_sweep(config: dict, args: argparse.Namespace) -> tuple:

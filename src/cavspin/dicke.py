@@ -239,11 +239,28 @@ def oat_moments(n_atoms: int, chi_t) -> np.ndarray:
     """
     mu = np.atleast_1d(np.asarray(chi_t, dtype=float))
     n = n_atoms
-    c = np.cos(mu)
-    jz = 0.5 * n * c ** (n - 1)
     pair = n * (n - 1.0)
-    a_term = 1.0 - np.cos(2.0 * mu) ** (n - 2) if n >= 2 else np.zeros_like(mu)
-    b_term = np.sin(mu) * c ** (n - 2) if n >= 2 else np.zeros_like(mu)
+    if n < 2:
+        jz, a_term, b_term = 0.5 * n * np.ones_like(mu), np.zeros_like(mu), np.zeros_like(mu)
+    else:
+        # cos^(n-2) mu and 1 - cos^(n-2) 2mu: a power of a base near 1 taken
+        # directly is off by about n ulps (1e-12 relative at N = 10^4), so
+        # where sin^2 mu < 1/4 they go through log cos mu = log1p(-sin^2 mu)/2
+        # and log cos 2mu = log1p(-2 sin^2 mu), within a few ulps times
+        # |n log cos| (Higham, Accuracy and Stability of Numerical Algorithms,
+        # 2nd ed., 1.14); elsewhere cos^n mu < 0.87^n, and the plain powers
+        # keep their signs
+        sin, cos = np.sin(mu), np.cos(mu)
+        sin2 = sin * sin
+        near = sin2 < 0.25
+        sin2 = np.minimum(sin2, 0.25)
+        power = np.exp((n - 2) * 0.5 * np.log1p(-sin2))
+        a_term = -np.expm1((n - 2) * np.log1p(-2.0 * sin2))
+        if not near.all():
+            power = np.where(near, power, cos ** (n - 2))
+            a_term = np.where(near, a_term, 1.0 - np.cos(2.0 * mu) ** (n - 2))
+        jz = 0.5 * n * power * cos
+        b_term = sin * power
     jx2 = 0.25 * n * np.ones_like(mu)
     jy2 = 0.25 * n + pair * a_term / 8.0
     cross = -0.5 * pair * b_term            # <JxJy + JyJx>

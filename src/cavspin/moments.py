@@ -37,10 +37,15 @@ x^K / K! <= 1e-18, x = ||M||_1 times the bracket width; above x = 8 each
 read is one stacked expm call.  ``propagate`` always uses expm.  expm is
 scipy's, imported when it is first called (``expm``), so a trace with a
 well-conditioned eigenbasis and every read at x <= 8 loads no scipy module.
+
+``trace_csv_rows`` exports a trace through ``_csv_table``, the one writer of
+the CLI's CSV tables: each cell has the bytes of ``"%.17g"``, produced for
+the whole table in array operations (``_digits17``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -510,23 +515,202 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
                           truncated=truncated, truncation_reason=reason)
 
 
-def _csv_rows(header: str, table):
-    """Yield ``header``, then each row of ``table`` as one CSV line.
+def _g17(x: float) -> str:
+    """One exported number: 17 significant digits, which round-trip a float64."""
+    return "%.17g" % x
 
-    Every cell is written with 17 significant digits, which round-trips a
-    float64; the header's column count fixes the row width.
+
+#: decimal exponents k of the double-double table 10^k = hi + lo: 16 - E for
+#: every decimal exponent E of a magnitude in [1e-280, 1e280], plus one of margin
+_POW10_MIN, _POW10_MAX = -265, 298
+
+#: Veltkamp's splitting constant 2^27 + 1 for Dekker's exact product
+_SPLIT = 134217729.0
+
+#: exponents written by the tail table are -_EXP_RANGE ... _EXP_RANGE
+_EXP_RANGE = 300
+
+#: 8 bytes of a cell (ASCII, NUL where unused) as one little-endian integer,
+#: byte j in bits 8j ... 8j + 7
+_WORD = np.dtype("<u8")
+
+#: the first 0 ... 4 digits (with their point bytes) of a four-digit word
+_DIGIT_MASKS = np.array([0, 0xFFFF, 0xFFFFFFFF, 0xFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF],
+                        dtype=np.uint64)
+
+
+@functools.cache
+def _pow10():
+    """10^k = hi + lo for k in [_POW10_MIN, _POW10_MAX], built on first use.
+
+    Each part is rounded from exact integer arithmetic; hi also comes split
+    in halves (hi_hi, hi_lo) for Dekker's product.
     """
-    fmt = ",".join(["%.17g"] * (header.count(",") + 1))
-    yield header
-    for row in table:
-        yield fmt % tuple(row)
+    hi, lo = [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        h = num / den                               # correctly rounded
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi, lo = np.array(hi), np.array(lo)
+    c = hi * _SPLIT
+    hi_hi = c - (c - hi)
+    return hi, hi_hi, hi - hi_hi, lo
 
 
-def trace_csv_rows(trace: SqueezingTrace):
-    """Yield the export header and formatted rows (17 significant digits)."""
+@functools.cache
+def _cell_words():
+    """The ``_WORD`` tables ``_csv_table`` spells cells with, built on first use.
+
+    A cell is 6 words: the head (sign, the "0." and leading zeros of a small
+    fixed-notation number, the first digit, a point byte), 4 words of the 16
+    other digits as (digit, point byte) pairs, and the tail (exponent and
+    separator).  ``quad`` holds the 4-digit words of 0 ... 9999, then the same
+    with their trailing zeros cut; ``head`` is indexed by
+    (sign * 5 + leading zeros) * 10 + first digit, ``tail`` by
+    exponent code * 2 + (1 for a row's last cell), code 0 being no exponent.
+    """
+    v = np.arange(10000, dtype=np.int16)[:, None]
+    place = np.array([1000, 100, 10, 1], dtype=np.int16)
+    quad = np.zeros((2, 10000, 4, 2), np.uint8)
+    quad[:, :, :, 0] = v // place % 10 + 48
+    quad[1, :, :, 0][v % (10 * place) == 0] = 0
+
+    head = np.zeros((2, 5, 10, 8), np.uint8)
+    head[1, ..., 0] = ord("-")
+    for zeros in range(1, 5):                       # "0.", "0.0", "0.00", "0.000"
+        head[:, zeros, :, 1:2 + zeros] = ord("0")
+        head[:, zeros, :, 2] = ord(".")
+    head[..., 6] = np.arange(10) + 48
+
+    exp = np.arange(-_EXP_RANGE, _EXP_RANGE + 1)[:, None]
+    mag = np.abs(exp)
+    tail = np.zeros((2 * _EXP_RANGE + 2, 2, 8), np.uint8)
+    tail[1:, :, 0] = ord("e")
+    tail[1:, :, 1] = np.where(exp < 0, ord("-"), ord("+"))
+    tail[1:, :, 2] = np.where(mag >= 100, mag // 100 + 48, 0)
+    tail[1:, :, 3] = mag // 10 % 10 + 48
+    tail[1:, :, 4] = mag % 10 + 48
+    tail[:, :, 5] = [ord(","), ord("\n")]
+    return tuple(table.reshape(-1, 8).view(_WORD)[:, 0] for table in (quad, head, tail))
+
+
+def _scaled(a: np.ndarray, e: np.ndarray):
+    """a 10^(16 - e) as p + r: p = fl(a hi), r its exact error plus a lo."""
+    hi, hi_hi, hi_lo, lo = _pow10()
+    k = 16 - _POW10_MIN - e
+    p = a * hi[k]
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    r = ((a_hi * hi_hi[k] - p) + a_hi * hi_lo[k] + a_lo * hi_hi[k]) + a_lo * hi_lo[k]
+    return p, r + a * lo[k]
+
+
+def _digits17(x: np.ndarray):
+    """The 17 significant digits ``d`` and decimal exponents ``e`` of x.
+
+    |x| rounded to 17 digits is d 10^(e - 16), 10^16 <= d < 10^17, wherever
+    the returned mask is set: 1e-280 <= |x| <= 1e280 and the rounding is
+    certain.  s = |x| 10^(16 - e) is formed as p + r with a double-double
+    power of ten and Dekker's exact product (Numer. Math. 18, 224, 1971): p
+    is an integer and |p + r - s| < 1e-14, so d = p + round(r) unless
+    |frac(r) - 1/2| < 1e-6, where an exact tie (which the C library rounds
+    to even) cannot be told from a near one.
+    """
+    a = np.abs(x)
+    certain = (a >= 1e-280) & (a <= 1e280)
+    a[~certain] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, r = _scaled(a, e)
+    # log10 can miss by one next to a power of ten, so e moves until
+    # 1e16 <= p + r < 1e17; a comparison can err only within 1e-14 of either
+    # end, where both exponents round to the same digits
+    shift = ((p - 1e17) + r >= 0).astype(np.int64) - ((p - 1e16) + r < 0)
+    moved = np.flatnonzero(shift)
+    if len(moved):
+        e[moved] += shift[moved]
+        p[moved], r[moved] = _scaled(a[moved], e[moved])
+    certain &= np.abs(r - np.floor(r) - 0.5) >= 1e-6
+    d = p.astype(np.int64) + np.rint(r).astype(np.int64)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    return d, e + carry, certain
+
+
+def _csv_table(header: str, table) -> list[str]:
+    """The CSV lines of a float table: ``header``, then one line per row.
+
+    Every cell has exactly the bytes of ``_g17(x)``, but the table is written
+    in array operations.  ``_digits17`` gives each cell's 17 digits, a
+    4-digit ASCII table spells them, C's %g rule picks fixed notation for
+    decimal exponents -4 <= e < 17, trailing zeros of the fraction and a
+    bare point are dropped, and each cell is laid out in 48 bytes whose NUL
+    padding one ``bytearray.translate`` removes.  Zeros, nan, inf,
+    magnitudes outside [1e-280, 1e280] and near-ties go through ``_g17``.
+    The header's column count fixes the row width.
+    """
+    ncols = header.count(",") + 1
+    x = np.asarray(table, dtype=float).reshape(-1)
+    n = x.size
+    if not n:
+        return [header]
+    quad, head, tail = _cell_words()
+    d, e, certain = _digits17(x)
+
+    # the first digit and four 4-digit chunks; a chunk after which every
+    # chunk is 0 takes the table half with its trailing zeros cut
+    top = d // 10 ** 16
+    rest = d - top * 10 ** 16
+    chunks = np.empty((n, 4), np.int32)
+    for i in (3, 2, 1):
+        q = rest // 10000
+        chunks[:, i] = rest - q * 10000
+        rest = q
+    chunks[:, 0] = rest
+    zero = chunks == 0
+    chunks[:, 3] += 10000
+    for i in (2, 1, 0):
+        chunks[:, i] += np.int32(10000) * zero[:, i + 1]
+        zero[:, i] &= zero[:, i + 1]
+
+    # digit j of a cell sits at byte 6 + 2j, the point after it at 7 + 2j;
+    # ``point`` is the digit the point follows (< 0: a "0.0..." head instead)
+    fixed = (e >= -4) & (e < 17)
+    point = np.where(fixed, e, 0)
+    buffer = bytearray(48 * n)
+    words = np.frombuffer(buffer, _WORD).reshape(n, 6)
+    words[:, 0] = head[(np.signbit(x) * 5 + np.maximum(-point, 0)) * 10 + top]
+    words[:, 1:5] = quad[chunks]
+    last = np.zeros(n, bool)
+    last.reshape(-1, ncols)[:, -1] = True
+    words[:, 5] = tail[np.where(fixed, 0, e + _EXP_RANGE + 1) * 2 + last]
+    flat = words.view(np.uint8).reshape(-1)
+    at = np.arange(0, 48 * n, 48) + 2 * np.maximum(point, 0)
+    # an integer part that ends in cut zeros gets them back
+    whole = np.flatnonzero((point > 0) & (flat[at + 6] == 0))
+    if len(whole):
+        keep = np.clip(point[whole, None] - 4 * np.arange(4), 0, 4)
+        words[whole, 1:5] = quad[chunks[whole] % 10000] & _DIGIT_MASKS[keep]
+    # a point only where a digit follows it
+    flat[at[(point >= 0) & (flat[at + 8] != 0)] + 7] = ord(".")
+
+    cells = flat.reshape(n, 48)
+    for i in np.flatnonzero(~certain):
+        cell = _g17(x[i]).encode()
+        cells[i] = 0
+        cells[i, :len(cell)] = np.frombuffer(cell, np.uint8)
+        cells[i, -1] = ord("\n") if last[i] else ord(",")
+    body = buffer.translate(None, b"\0").decode("ascii")
+    return [header] + body[:-1].split("\n")
+
+
+def trace_csv_rows(trace: SqueezingTrace) -> list[str]:
+    """The export header and one line per trace point (``_csv_table``)."""
     m = trace.moments.T
     table = np.column_stack((trace.times, trace.xi2, trace.theta_min, m[0].real,
                              m[1].real, m[2].real, m[2].imag, m[4].real, m[5].real,
                              trace.commutator_residual))
-    return _csv_rows("t,xi2,theta_min,jz_re,nab_re,jpp_re,jpp_im,jpm_re,jmp_re,"
-                     "commutator_residual", table.tolist())
+    return _csv_table("t,xi2,theta_min,jz_re,nab_re,jpp_re,jpp_im,jpm_re,jmp_re,"
+                      "commutator_residual", table)

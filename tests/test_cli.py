@@ -12,7 +12,7 @@ import pytest
 from cavspin import __version__
 from cavspin.cli import COMMAND_KEYS, _problem_from_config, _sweep_rows, build_parser, main
 from cavspin.dicke import EffectiveCoeffs, ideal_trace
-from cavspin.moments import evolve_squeezing, trace_csv_rows
+from cavspin.moments import MomentGenerator, evolve_squeezing, trace_csv_rows
 from cavspin.optimize import SweepPoint, SweepResult
 from cavspin.params import demo_params, params_to_mapping, read_config
 
@@ -88,6 +88,20 @@ class TestEvolve:
         summary = json.loads((tmp_path / "summary.json").read_text())["summary"]
         assert summary["truncated"]
         assert summary["truncation_reason"].startswith("<J_z> below 1e-12 N")
+
+    def test_trace_truncated_at_row_1_writes_one_data_row(self, tmp_path, monkeypatch):
+        # Im <J_z> / N = sin(1.5e-7 t) / 2 leaves the physicality tolerance at t = 1
+        gen = MomentGenerator(m=np.diag([1.5e-7j, 0, 0, 0, 0, 0]))
+        monkeypatch.setattr(sys.modules["cavspin.moments"], "assemble_generator",
+                            lambda params: gen)
+        cfg = write_config(tmp_path, "short.cfg", evolve_mapping(t_max=9, n_steps=10))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = [l for l in (tmp_path / "trace.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        assert rows[0].startswith("t,xi2,")
+        assert rows[1:] == ["0,1,1.5707963267948966,500000,1000000,0,0,1000000,0,0"]
+        summary = json.loads((tmp_path / "summary.json").read_text())["summary"]
+        assert summary["truncation_reason"] == "physicality tolerance exceeded at t=1"
 
     @pytest.mark.parametrize("key,value", [("t_max", "0"), ("t_max", "-1"),
                                            ("max_extensions", "-3")])
@@ -432,6 +446,26 @@ class TestSweepCommand:
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and "cooperativities" in err
         assert not out.exists()
+
+    def test_every_point_failed_exits_numerical_and_writes_nothing(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        def fail(problem):
+            raise RuntimeError("no feasible start")
+        monkeypatch.setattr(sys.modules["cavspin.optimize"], "optimize", fail)
+        mapping = {"command": "sweep", "n_atoms": "1000000", "omega_ab": "100000",
+                   "cooperativities": "10,100", "kappa_over_gamma": "1"}
+        cfg = write_config(tmp_path, "sweep.cfg", mapping)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+        assert "no successful sweep points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_rows_of_failed_points_are_the_header(self):
+        result = SweepResult(points=(SweepPoint(100.0, None, "no feasible start"),),
+                             prefactor_fixed_slope=math.nan, free_slope=math.nan,
+                             free_intercept=math.nan)
+        assert list(_sweep_rows(result)) == [
+            "cooperativity,xi2_min,r_opt,delta_opt,delta1_opt,t_min,C_fixed_slope"]
 
     def test_failed_point_exits_numerical(self, tmp_path):
         mapping = {"command": "sweep", "n_atoms": "1000000",

@@ -1,9 +1,10 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -12,7 +13,7 @@ from cavspin.dicke import (DickePropagator, DickeState, EffectiveCoeffs,
                            _hamiltonian_bands, _moment_array, dicke_evolve,
                            dicke_moments, dicke_xi2, dicke_xi2_trace, effective_coeffs,
                            oat_min_squeezing, oat_moments, stretched_state)
-from cavspin.moments import squeezing_parameter
+from cavspin.moments import _xi2, squeezing_parameter
 from cavspin.params import PhysicalParams, demo_params, match_raman
 
 
@@ -199,11 +200,26 @@ def kitagawa_ueda_xi2(n, mu):
 
     With A = 1 - cos^(N-2) 2mu and B = 4 sin mu cos^(N-2) mu the minimal
     transverse variance is N/4 [1 + (N-1)(A - sqrt(A^2 + B^2))/4] and
-    <J_z> = N/2 cos^(N-1) mu (Kitagawa & Ueda, PRA 47, 5138, 1993).
+    <J_z> = N/2 cos^(N-1) mu (Kitagawa & Ueda, PRA 47, 5138, 1993).  Evaluated
+    at 40 digits with mpmath for each mu, then rounded to float64: in float64
+    the powers alone are off by about N ulps.
     """
-    a = 1.0 - np.cos(2.0 * mu) ** (n - 2)
-    b = 4.0 * np.sin(mu) * np.cos(mu) ** (n - 2)
-    return (1.0 + (n - 1) * (a - np.hypot(a, b)) / 4.0) / np.cos(mu) ** (2 * (n - 1))
+    out = []
+    with mpmath.workdps(40):
+        for m in np.atleast_1d(mu).tolist():
+            m = mpmath.mpf(m)
+            c = mpmath.cos(m)
+            a = 1 - mpmath.cos(2 * m) ** (n - 2)
+            b = 4 * mpmath.sin(m) * c ** (n - 2)
+            out.append(float((1 + (n - 1) * (a - mpmath.sqrt(a * a + b * b)) / 4)
+                             / c ** (2 * (n - 1))))
+    return np.array(out)
+
+
+#: atom numbers of the twisting accuracy checks, up to MAX_ATOMS, with the five
+#: at which float64 powers taken directly miss the 1e-10 scan margin
+TWISTING_CORPUS = (2, 3, 5, 10, 30, 100, 300, 1000, 3000, 4319, 5620, 7200, 8230,
+                   9487, 10_000)
 
 
 class TestTwisting:
@@ -238,6 +254,11 @@ class TestTwisting:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 10 ** 4))
+    @example(4319)
+    @example(5620)
+    @example(7200)
+    @example(8230)
+    @example(9487)
     def test_refinement_stays_in_the_bracket_and_beats_the_closed_form(self, n):
         seen = {}
         refine = dicke_mod._refined_min
@@ -254,9 +275,18 @@ class TestTwisting:
         i = int(np.argmin(xi2))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
         assert lo <= t_min <= hi
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            scan = np.nanmin(kitagawa_ueda_xi2(n, np.linspace(lo, hi, 201)))
+        scan = np.nanmin(kitagawa_ueda_xi2(n, np.linspace(lo, hi, 201)))
         assert xi2_min <= scan * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("n", TWISTING_CORPUS)
+    def test_closed_form_within_1e10_of_40_digits(self, n):
+        guess = n ** (-2.0 / 3.0)
+        mu = np.geomspace(guess / 30.0, min(30.0 * guess, 0.499 * math.pi), 60)
+        got = _xi2(oat_moments(n, mu), n)
+        ref = kitagawa_ueda_xi2(n, mu)
+        assert np.all(np.abs(got - ref) <= 1e-10 * ref)
+        xi2_min, t_min = oat_min_squeezing(n)
+        assert xi2_min == pytest.approx(kitagawa_ueda_xi2(n, t_min)[0], rel=1e-10)
 
     def test_size_limits(self):
         with pytest.raises(ValueError):

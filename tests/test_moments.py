@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 from dataclasses import replace
@@ -763,3 +764,117 @@ class TestSpectralKernel:
         inject_generator(monkeypatch, np.diag([0.75e-8j, 400.0, 0, 0, 0, 0]))
         with pytest.raises(PropagationError, match="non-finite moments at t=2"):
             evolve_squeezing(demo_params(n_atoms=n), t_max=9.0, n_steps=10)
+
+
+# ---------------------------------------------------------------------------
+# the CSV table writer
+# ---------------------------------------------------------------------------
+
+def per_cell_lines(header, table):
+    """The per-cell "%.17g" join that the table writer must reproduce."""
+    return [header] + [",".join("%.17g" % c for c in row) for row in np.asarray(table)]
+
+
+def header_of(ncols):
+    return ",".join(f"c{k}" for k in range(ncols))
+
+
+def table_of(values, ncols=7):
+    """``values`` in rows of ``ncols``, the last row padded with 1.0."""
+    values = list(values) + [1.0] * (-len(values) % ncols)
+    return np.array(values, dtype=float).reshape(-1, ncols)
+
+
+def with_neighbours(x, k=1):
+    """x, its k float64 neighbours on each side, and the negatives of all."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out + [-v for v in out]
+
+
+def exact_ties():
+    """Numbers whose decimal digits end in a 5 right after the 17th.
+
+    x = r / 2^(j+1) with r odd has x 10^j = r 5^j / 2, a half-integer, so it is
+    an exact 17-digit tie wherever that lies in [1e16, 1e17).
+    """
+    ties = []
+    for j in range(1, 24):
+        lo = -(-2 * 10 ** 16 // 5 ** j) | 1             # smallest odd r in range
+        hi = min(2 * 10 ** 17 // 5 ** j, 2 ** 53)
+        for r in range(lo, hi, max(2, (hi - lo) // 40 // 2 * 2)):
+            ties.append(r / 2 ** (j + 1))
+    return ties
+
+
+def carried(x):
+    """Whether the 17 digits of x round up to the next power of ten."""
+    exact = decimal.Decimal(float(x))
+    written = decimal.Decimal("%.17g" % x)
+    return written.adjusted() > exact.adjusted()
+
+
+class TestCsvTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda ncols: st.tuples(
+        st.just(ncols), st.lists(st.floats(), max_size=8 * ncols))))
+    def test_floats_match_per_cell_formatting(self, drawn):
+        ncols, values = drawn
+        table = np.array(values[:len(values) // ncols * ncols]).reshape(-1, ncols)
+        assert moments_mod._csv_table(header_of(ncols), table) == \
+            per_cell_lines(header_of(ncols), table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=70))
+    def test_bit_patterns_match_per_cell_formatting(self, bits):
+        table = table_of(np.array(bits, dtype=np.uint64).view(np.float64))
+        assert moments_mod._csv_table(header_of(7), table) == \
+            per_cell_lines(header_of(7), table)
+
+    def test_corpus_matches_per_cell_formatting(self):
+        corpus = [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]
+        for edge in (1e-280, 1e280):
+            corpus += with_neighbours(edge, 3)
+        for k in range(-323, 309):
+            corpus += with_neighbours(float(f"1e{k}"))
+        corpus += [t for tie in exact_ties() for t in (tie, -tie)]
+        corpus += [float(2 ** b + d) for b in range(54, 63) for d in (-1, 0, 5, 2 ** (b - 52))]
+        assert sum(map(carried, corpus)) >= 10        # the corpus holds carries to 10^17
+        table = table_of(corpus)
+        assert moments_mod._csv_table(header_of(7), table) == \
+            per_cell_lines(header_of(7), table)
+
+    def test_random_magnitudes_match_per_cell_formatting(self):
+        rng = np.random.default_rng(5)
+        values = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-300, 300, 20_000)
+        table = table_of(values, 10)
+        assert moments_mod._csv_table(header_of(10), table) == \
+            per_cell_lines(header_of(10), table)
+
+    def test_empty_table_is_the_header(self):
+        assert moments_mod._csv_table("a,b", np.empty((0, 2))) == ["a,b"]
+        assert moments_mod._csv_table("a,b", []) == ["a,b"]
+
+    def test_ties_zeros_and_the_range_ends_take_the_per_cell_path(self, monkeypatch):
+        # an exact tie rounds to even in the C library, which the error bound
+        # of the vector path cannot tell from a near-tie
+        per_cell = []
+        monkeypatch.setattr(moments_mod, "_g17",
+                            lambda x: per_cell.append(x) or "%.17g" % x)
+        slow = exact_ties() + [0.0, -0.0, math.nan, -math.inf, 5e-324, 9.9e-281, 1.1e280]
+        table = table_of(slow + [1.5, 0.1, -2.5e-7, 1e280, 1e-280])
+        assert moments_mod._csv_table(header_of(7), table) == \
+            per_cell_lines(header_of(7), table)
+        assert len(per_cell) == len(slow)
+
+    def test_demo_trace_writes_only_its_zeros_per_cell(self, monkeypatch):
+        trace = evolve_squeezing(demo_params())
+        per_cell = []
+        monkeypatch.setattr(moments_mod, "_g17",
+                            lambda x: per_cell.append(x) or "%.17g" % x)
+        rows = trace_csv_rows(trace)
+        cells = [c for row in rows[1:] for c in row.split(",")]
+        assert len(cells) == 10 * len(trace.times)
+        assert per_cell == [0.0] * cells.count("0")
