@@ -24,8 +24,9 @@ from .moments import (_csv_table, _g17, assemble_generator, default_t_max,
 from .optimize import (OptimizationProblem, SweepResult, optimize,
                        problem_for_cooperativity, scaling_sweep)
 from .oracle import HilbertSpec, _check_model, validate_elimination
-from .params import (CONFIG_KEYS, ConfigError, check_validity,
-                     decoherence_budget, params_from_mapping, read_config)
+from .params import (CONFIG_KEYS, ConfigError, _float, _float_list, _int,
+                     check_validity, decoherence_budget, params_from_mapping,
+                     read_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,37 +78,6 @@ def _check_keys(command: str, mapping: dict) -> None:
     accepted = {command, "evolve"} if command == "budget" else {command}
     if declared is not None and declared not in accepted:
         raise ConfigError(f"config declares command = {declared!r}, invoked as {command!r}")
-
-
-def _float(mapping: dict, key: str, default: float | None = None) -> float | None:
-    if key not in mapping:
-        return default
-    try:
-        value = float(mapping[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number: {mapping[key]!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"key {key!r}: not a finite number: {mapping[key]!r}")
-    return value
-
-
-def _int(mapping: dict, key: str, default: int | None = None) -> int | None:
-    if key not in mapping:
-        return default
-    try:
-        return int(mapping[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not an integer: {mapping[key]!r}") from exc
-
-
-def _float_list(mapping: dict, key: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in mapping[key].split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a comma-separated number list") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"key {key!r}: not a list of finite numbers: {mapping[key]!r}")
-    return values
 
 
 def _atomic_write(path: str, text: str) -> None:

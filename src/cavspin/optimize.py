@@ -92,8 +92,7 @@ class OptimizationProblem:
         total = sum(self.gamma_split)
         return tuple(self.gamma_total * s / total for s in self.gamma_split)
 
-    def params_at(self, r: float, delta: float, delta_1: float,
-                  omega_1: float | None = None) -> PhysicalParams:
+    def params_at(self, r: float, delta: float, delta_1: float) -> PhysicalParams:
         """Physical parameters at a candidate point, with |Omega_1| pinned."""
         g_a, g_b, g_o = self.gammas()
         base = PhysicalParams(
@@ -101,13 +100,12 @@ class OptimizationProblem:
             omega_1=0.0, omega_2=0.0,
             delta_1=delta_1, omega_ab=self.omega_ab, delta=delta,
             kappa=self.kappa, gamma_a=g_a, gamma_b=g_b, gamma_o=g_o)
-        if omega_1 is None:
-            gt = base.gamma_total
-            kp = kappa_prime(base)
-            d1sq = delta_1 ** 2 + gt * gt / 4.0
-            csq = delta ** 2 + kp * kp / 4.0
-            omega_1 = 2.0 * math.sqrt(
-                DRIVE_PIN_RATIO * d1sq * csq / (self.n_atoms * abs(self.g_b) ** 2))
+        gt = base.gamma_total
+        kp = kappa_prime(base)
+        d1sq = delta_1 ** 2 + gt * gt / 4.0
+        csq = delta ** 2 + kp * kp / 4.0
+        omega_1 = 2.0 * math.sqrt(
+            DRIVE_PIN_RATIO * d1sq * csq / (self.n_atoms * abs(self.g_b) ** 2))
         return base.with_drives(omega_1, r * omega_1)
 
 
@@ -136,8 +134,7 @@ class OptimumReport:
     problem: OptimizationProblem
 
     def params(self) -> PhysicalParams:
-        return self.problem.params_at(self.r_opt, self.delta_opt, self.delta1_opt,
-                                      omega_1=self.omega_1)
+        return self.problem.params_at(self.r_opt, self.delta_opt, self.delta1_opt)
 
 
 class _Objective:
@@ -277,9 +274,11 @@ def _nelder_mead(f, x0, lo, hi, max_evals: int, xatol: float, fatol: float):
       and their values within fatol, or at the call after the budget is
       spent, which may fall inside the initial simplex (unread vertices keep
       +inf) or inside a shrink;
-    * the vertices are ordered by ``np.argsort`` wherever scipy orders them:
-      its order of equal values depends on the platform's sort kernel (not
-      stable on AVX-512), and a stable sort would depart from it.
+    * wherever scipy orders the vertices, a stable sort with NaN last orders
+      them, which is scipy's order under a stable ``np.argsort``.  Equal
+      values are common here (the failure penalty, the 1.0 of no drive),
+      and a stable order keeps the search independent of the CPU's sort
+      kernel.
 
     ``fun`` is the minimum over the final simplex (NaN if any value is NaN).
     """
@@ -313,7 +312,7 @@ def _nelder_mead(f, x0, lo, hi, max_evals: int, xatol: float, fatol: float):
     fsim = [math.inf] * len(sim)
 
     def reorder():
-        order = np.argsort(fsim).tolist()
+        order = sorted(range(len(fsim)), key=lambda k: (fsim[k] != fsim[k], fsim[k]))
         sim[:] = [sim[k] for k in order]
         fsim[:] = [fsim[k] for k in order]
 

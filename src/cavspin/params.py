@@ -4,6 +4,11 @@ All rates, detunings and couplings are dimensionless, expressed in units of a
 single reference rate (conventionally the cavity coupling |g_a| = 1).  A
 reference rate in Hz, which converts output times to seconds, is a setting of
 the ``evolve`` command only (``ref_rate_hz``); it never enters the dynamics.
+
+The config file names each field by the key or keys of one table,
+``_FIELD_KEYS``; ``CONFIG_KEYS``, ``params_from_mapping`` and
+``params_to_mapping`` all go through it.  The config number readers that
+every command shares sit next to ``read_config``.
 """
 
 from __future__ import annotations
@@ -15,16 +20,25 @@ from dataclasses import dataclass, replace
 PASS_THRESHOLD = 1e-2
 WARN_THRESHOLD = 1e-1
 
+#: config key or keys of each PhysicalParams field, in canonical order: one
+#: key for a real field, a ``_re``/``_im`` pair for a complex one
+_FIELD_KEYS = {
+    "n_atoms": ("n_atoms",),
+    "g_a": ("g_a_re", "g_a_im"),
+    "g_b": ("g_b_re", "g_b_im"),
+    "omega_1": ("omega1_re", "omega1_im"),
+    "omega_2": ("omega2_re", "omega2_im"),
+    "delta_1": ("delta1",),
+    "omega_ab": ("omega_ab",),
+    "delta": ("delta",),
+    "kappa": ("kappa",),
+    "gamma_a": ("gamma_a",),
+    "gamma_b": ("gamma_b",),
+    "gamma_o": ("gamma_o",),
+}
+
 #: exact keys of the structured-text parameter block, in canonical order
-CONFIG_KEYS = (
-    "n_atoms",
-    "g_a_re", "g_a_im",
-    "g_b_re", "g_b_im",
-    "omega1_re", "omega1_im",
-    "omega2_re", "omega2_im",
-    "delta1", "omega_ab", "delta",
-    "kappa", "gamma_a", "gamma_b", "gamma_o",
-)
+CONFIG_KEYS = tuple(key for keys in _FIELD_KEYS.values() for key in keys)
 
 
 class ConfigError(ValueError):
@@ -110,7 +124,6 @@ class ValidityReport:
     ratio_excited_2: float
     ratio_freqs: float
     ratio_cavity: float
-    mean_photon_estimate: float
     verdicts: dict[str, str]
 
     RATIO_NAMES = ("ratio_excited_1", "ratio_excited_2", "ratio_freqs", "ratio_cavity")
@@ -208,9 +221,8 @@ def check_validity(params: PhysicalParams) -> ValidityReport:
     r1 = _ratio(abs(params.omega_1) ** 2 / 4.0, d1sq)
     r2 = _ratio(abs(params.omega_2) ** 2 / 4.0, d2sq)
     rf = _ratio(max(abs(params.delta), kp), abs(params.omega_ab))
+    # the photon number of the eliminated cavity at t=0, all population in |a>
     rc = _ratio(params.n_atoms * abs(params.omega_1 * params.g_b) ** 2 / 4.0, d1sq * csq)
-    # photon number of the eliminated cavity at t=0, all population in |a>
-    photons = rc
     ratios = {
         "ratio_excited_1": r1,
         "ratio_excited_2": r2,
@@ -223,7 +235,6 @@ def check_validity(params: PhysicalParams) -> ValidityReport:
         ratio_excited_2=r2,
         ratio_freqs=rf,
         ratio_cavity=rc,
-        mean_photon_estimate=photons,
         verdicts=verdicts,
     )
 
@@ -337,58 +348,68 @@ def read_config(path) -> dict[str, str]:
     return out
 
 
+def _number(mapping: dict, key: str, kind=float):
+    """``mapping[key]`` as a ``kind`` (float or int), finite or not."""
+    try:
+        return kind(mapping[key])
+    except ValueError as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key!r}: not {noun}: {mapping[key]!r}") from exc
+
+
+def _float(mapping: dict, key: str, default: float | None = None) -> float | None:
+    """The finite number under ``key``, or ``default`` where the key is absent."""
+    if key not in mapping:
+        return default
+    value = _number(mapping, key)
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: not a finite number: {mapping[key]!r}")
+    return value
+
+
+def _int(mapping: dict, key: str, default: int | None = None) -> int | None:
+    """The integer under ``key``, or ``default`` where the key is absent."""
+    return default if key not in mapping else _number(mapping, key, int)
+
+
+def _float_list(mapping: dict, key: str) -> list[float]:
+    """The comma-separated finite numbers under ``key``."""
+    try:
+        values = [float(tok) for tok in mapping[key].split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: not a comma-separated number list") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"key {key!r}: not a list of finite numbers: {mapping[key]!r}")
+    return values
+
+
 def params_from_mapping(mapping: dict[str, str]) -> PhysicalParams:
-    """Build :class:`PhysicalParams` from the 16 canonical config keys."""
+    """Build :class:`PhysicalParams` from the 16 canonical config keys.
+
+    Non-finite values are left to :class:`PhysicalParams`, whose refusal
+    names the field.
+    """
     missing = [k for k in CONFIG_KEYS if k not in mapping]
     if missing:
         raise ConfigError(f"missing parameter keys: {', '.join(missing)}")
-
-    def f(key: str) -> float:
-        try:
-            return float(mapping[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: not a number: {mapping[key]!r}") from exc
-
+    values = {}
+    for name, keys in _FIELD_KEYS.items():
+        parts = [_number(mapping, key, int if name == "n_atoms" else float) for key in keys]
+        values[name] = complex(*parts) if len(parts) == 2 else parts[0]
     try:
-        n = int(mapping["n_atoms"])
-    except ValueError as exc:
-        raise ConfigError(f"key 'n_atoms': not an integer: {mapping['n_atoms']!r}") from exc
-    try:
-        return PhysicalParams(
-            n_atoms=n,
-            g_a=complex(f("g_a_re"), f("g_a_im")),
-            g_b=complex(f("g_b_re"), f("g_b_im")),
-            omega_1=complex(f("omega1_re"), f("omega1_im")),
-            omega_2=complex(f("omega2_re"), f("omega2_im")),
-            delta_1=f("delta1"),
-            omega_ab=f("omega_ab"),
-            delta=f("delta"),
-            kappa=f("kappa"),
-            gamma_a=f("gamma_a"),
-            gamma_b=f("gamma_b"),
-            gamma_o=f("gamma_o"),
-        )
+        return PhysicalParams(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def params_to_mapping(params: PhysicalParams) -> dict[str, str]:
     """Inverse of :func:`params_from_mapping`, with full double precision."""
-    fmt = "%.17g"
-    return {
-        "n_atoms": str(params.n_atoms),
-        "g_a_re": fmt % params.g_a.real, "g_a_im": fmt % params.g_a.imag,
-        "g_b_re": fmt % params.g_b.real, "g_b_im": fmt % params.g_b.imag,
-        "omega1_re": fmt % params.omega_1.real, "omega1_im": fmt % params.omega_1.imag,
-        "omega2_re": fmt % params.omega_2.real, "omega2_im": fmt % params.omega_2.imag,
-        "delta1": fmt % params.delta_1,
-        "omega_ab": fmt % params.omega_ab,
-        "delta": fmt % params.delta,
-        "kappa": fmt % params.kappa,
-        "gamma_a": fmt % params.gamma_a,
-        "gamma_b": fmt % params.gamma_b,
-        "gamma_o": fmt % params.gamma_o,
-    }
+    out = {}
+    for name, keys in _FIELD_KEYS.items():
+        value = getattr(params, name)
+        parts = (value.real, value.imag) if len(keys) == 2 else (value,)
+        out.update(zip(keys, (str(x) if name == "n_atoms" else "%.17g" % x for x in parts)))
+    return out
 
 
 def demo_params(n_atoms: int = 10 ** 6, dissipation: bool = True) -> PhysicalParams:

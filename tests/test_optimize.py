@@ -1,5 +1,7 @@
+import functools
 import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,17 +93,33 @@ class TestProblem:
 XATOL, FATOL = 1e-4, 1e-7
 
 
-def scipy_nelder_mead(f, x0, lo, hi, max_evals):
-    """Evaluation points, x, fun and evaluation count of scipy's bounded search."""
+#: numpy's argsort with a stable order of equal values; the default kind's
+#: order of equal values depends on the CPU (not stable on AVX-512)
+stable_argsort = functools.partial(np.argsort, kind="stable")
+
+
+def tie_reversing_argsort(a, *args, **kwargs):
+    """An argsort that puts equal values in reverse order of position."""
+    a = np.asarray(a)
+    return np.lexsort((-np.arange(len(a)), a))
+
+
+def scipy_nelder_mead(f, x0, lo, hi, max_evals, argsort=stable_argsort):
+    """Evaluation points, x, fun and evaluation count of scipy's bounded search.
+
+    scipy orders the simplex with ``np.argsort``, here a stable one unless
+    ``argsort`` says otherwise.
+    """
     points = []
 
     def read(x):
         points.append(x.tolist())
         return f(x.tolist())
 
-    res = minimize(read, np.array(x0, dtype=float), method="Nelder-Mead",
-                   bounds=list(zip(lo, hi)),
-                   options={"maxfev": max_evals, "xatol": XATOL, "fatol": FATOL})
+    with mock.patch.object(np, "argsort", argsort):
+        res = minimize(read, np.array(x0, dtype=float), method="Nelder-Mead",
+                       bounds=list(zip(lo, hi)),
+                       options={"maxfev": max_evals, "xatol": XATOL, "fatol": FATOL})
     return points, res.x.tolist(), float(res.fun), int(res.nfev)
 
 
@@ -164,6 +182,19 @@ class TestNelderMead:
         assert ported == scipy_nelder_mead(f, x0, lo, hi, max_evals)
         if lo == hi:    # no fixed variable is dropped: four reads, then xatol stops
             assert ported[3] == min(max_evals, 4)
+
+    def test_tied_values_keep_a_stable_order(self):
+        # a staircase ties most reads, so the order of equal values steers the
+        # search: scipy under a tie-reversing argsort reads other points
+        def staircase(x):
+            return float(sum(math.floor(4.0 * abs(c - 0.3)) for c in x))
+
+        search = (staircase, [0.9, -0.7, 0.5], [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], 200)
+        ported = ported_nelder_mead(*search)
+        assert ported == scipy_nelder_mead(*search)
+        assert scipy_nelder_mead(*search, argsort=tie_reversing_argsort)[0] != ported[0]
+        with mock.patch.object(np, "argsort", tie_reversing_argsort):
+            assert ported_nelder_mead(*search) == ported
 
     @pytest.mark.parametrize("cooperativity", [1.0, 100.0, 1000.0])
     def test_matches_scipy_on_the_squeezing_objective(self, cooperativity):

@@ -7,7 +7,8 @@ from scipy.linalg import expm
 
 from cavspin import oracle
 from cavspin.dicke import effective_coeffs
-from cavspin.moments import initial_state
+from cavspin.moments import (MomentGenerator, PropagationError, assemble_generator,
+                             initial_state, propagate)
 from cavspin.oracle import (Basis, DensityMatrix, HilbertSpec, IntegrationError,
                             Liouvillian, ModelError, _lindblad_rhs, _rk4, _step_count,
                             _unitary_states, build_full_model, build_intermediate_model,
@@ -619,6 +620,21 @@ class TestValidateElimination:
         # two models, two nonzero output intervals each
         assert len(calls) == 4
         assert all(res.trace_drift <= 1e-8 for res in calls)
+
+    def test_linear_level_is_propagate_at_each_time(self, quarter_pair_report):
+        p, rep = quarter_pair_report
+        gen, v0 = assemble_generator(p), initial_state(p.n_atoms)
+        ref = np.array([propagate(gen, v0, t).as_array() for t in rep.times])
+        lin = rep.moments["linear"]
+        assert np.abs(lin - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_linear_level_raises(self, monkeypatch):
+        # a generator that overflows exp(M t) at the second output time
+        growing = MomentGenerator(m=1e4 * np.eye(6, dtype=complex))
+        monkeypatch.setattr(oracle, "assemble_generator", lambda params: growing)
+        with pytest.raises(PropagationError, match="propagation to t=0.5"):
+            validate_elimination(n2_matched(), HilbertSpec(2, 3, 1), [0.0, 0.5])
 
     def test_report_records_shape(self):
         p = n2_matched()
