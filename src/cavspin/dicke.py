@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import (MomentState, SqueezingTrace, _jz_undefined, _refined_min,
-                      _theta, _undefined_reason, _xi2, squeezing_parameter)
+                      _theta, _undefined_reason, _xi2)
 from .params import PhysicalParams, _check_detunings
 
 logger = logging.getLogger(__name__)
@@ -51,14 +51,6 @@ class EffectiveCoeffs:
             c = getattr(self, name)
             if abs(complex(c).imag) > 1e-12 * max(1.0, abs(c)):
                 raise ValueError(f"{name} must be real for a Hermitian Hamiltonian")
-
-    def matched_chi(self) -> float | None:
-        """One-axis twisting rate 4*c if all four coefficients coincide, else None."""
-        cs = np.array([self.c_pm, self.c_mp, self.c_pp, self.c_mm], dtype=complex)
-        tol = 1e-12 * max(abs(cs).max(), 1e-300)
-        if np.abs(cs - cs[0]).max() <= tol and abs(cs[0].imag) <= tol:
-            return 4.0 * cs[0].real
-        return None
 
 
 def effective_coeffs(params: PhysicalParams) -> EffectiveCoeffs:
@@ -158,9 +150,6 @@ class DickePropagator:
             self._sectors[parity] = (gauge, w, v)
         return self._sectors[parity]
 
-    def evolve(self, state: DickeState, t: float) -> DickeState:
-        return DickeState(self.n_atoms, self.evolve_amplitudes(state.amplitudes, [t])[0])
-
     def evolve_amplitudes(self, amps: np.ndarray, times) -> np.ndarray:
         """Amplitudes at each requested time, shape (len(times), N+1)."""
         times = np.asarray(times, dtype=float)
@@ -184,13 +173,15 @@ class DickePropagator:
 def dicke_evolve(coeffs: EffectiveCoeffs, n_atoms: int, t: float) -> DickeState:
     """The all-|a> stretched state evolved to time t by the exact unitary.
 
-    It always starts from the stretched state; evolve any other state with
-    :meth:`DickePropagator.evolve`.  Refuses atom numbers above the
-    exact-propagation budget.
+    It always starts from the stretched state; evolve any other amplitude
+    vector with :meth:`DickePropagator.evolve_amplitudes`.  Refuses atom
+    numbers above the exact-propagation budget.
     """
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
-    return DickePropagator(coeffs, n_atoms).evolve(stretched_state(n_atoms), t)
+    amps = DickePropagator(coeffs, n_atoms).evolve_amplitudes(
+        stretched_state(n_atoms).amplitudes, [t])[0]
+    return DickeState(n_atoms, amps)
 
 
 def _moment_array(amps: np.ndarray, n_atoms: int) -> np.ndarray:
@@ -219,11 +210,6 @@ def _moment_array(amps: np.ndarray, n_atoms: int) -> np.ndarray:
 def dicke_moments(state: DickeState) -> MomentState:
     """All six collective moments from exact ladder-operator matrix elements."""
     return MomentState.from_array(_moment_array(state.amplitudes, state.n_atoms))
-
-
-def dicke_xi2(state: DickeState) -> tuple[float, float]:
-    """Squeezing parameter of a Dicke state via its exact moments."""
-    return squeezing_parameter(dicke_moments(state), state.n_atoms, clamp_warning=False)
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +291,6 @@ def oat_min_squeezing(n_atoms: int) -> tuple[float, float]:
     return xi2_min, t_min
 
 
-def _evolved_moments(coeffs: EffectiveCoeffs, n_atoms: int, times) -> np.ndarray:
-    """Moments (len(times), 6) of the stretched state evolved to each time."""
-    prop = DickePropagator(coeffs, n_atoms)
-    amps = prop.evolve_amplitudes(stretched_state(n_atoms).amplitudes, times)
-    return _moment_array(amps / np.linalg.norm(amps, axis=1, keepdims=True), n_atoms)
-
-
-def dicke_xi2_trace(coeffs: EffectiveCoeffs, n_atoms: int, times) -> np.ndarray:
-    """xi^2 along the exact Dicke evolution, reusing one decomposition.
-
-    Raises ``ValueError`` if xi^2 is undefined (|<J_z>| < 1e-12 N) at any of
-    the times.
-    """
-    moments = _evolved_moments(coeffs, n_atoms, times)
-    if _jz_undefined(moments, n_atoms).any():
-        raise ValueError("squeezing parameter undefined: <J_z> is (numerically) zero")
-    return _xi2(moments, n_atoms)
-
-
 def ideal_trace(coeffs: EffectiveCoeffs, n_atoms: int, times) -> SqueezingTrace:
     """Exact-evolution squeezing trace in the moment-trace export format.
 
@@ -334,7 +301,9 @@ def ideal_trace(coeffs: EffectiveCoeffs, n_atoms: int, times) -> SqueezingTrace:
     ``ValueError``.
     """
     times = np.asarray(sorted(float(t) for t in times))
-    moments = _evolved_moments(coeffs, n_atoms, times)
+    amps = DickePropagator(coeffs, n_atoms).evolve_amplitudes(
+        stretched_state(n_atoms).amplitudes, times)
+    moments = _moment_array(amps / np.linalg.norm(amps, axis=1, keepdims=True), n_atoms)
     undefined = _jz_undefined(moments, n_atoms)
     truncated, reason = False, None
     if undefined.any():

@@ -282,8 +282,7 @@ def _theta(moments: np.ndarray):
     return np.mod((np.pi + np.angle(moments.T[2])) / 2.0, np.pi)
 
 
-def squeezing_parameter(v: MomentState, n_atoms: int,
-                        clamp_warning: bool = True) -> tuple[float, float]:
+def squeezing_parameter(v: MomentState, n_atoms: int) -> tuple[float, float]:
     """Squeezing parameter and optimal transverse angle for a moment vector.
 
     Returns ``(xi2, theta_min)`` with ``theta_min`` in [0, pi).  Raises
@@ -296,7 +295,7 @@ def squeezing_parameter(v: MomentState, n_atoms: int,
     if _jz_undefined(moments, n_atoms):
         raise ValueError("squeezing parameter undefined: <J_z> is (numerically) zero")
     var_min = _min_variance(moments)
-    if var_min < 0.0 and clamp_warning:
+    if var_min < 0.0:
         warnings.warn(
             f"minimal transverse variance {var_min:.3e} < 0 clamped to zero",
             RuntimeWarning, stacklevel=2)

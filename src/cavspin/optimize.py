@@ -8,10 +8,11 @@ in the drive amplitudes, the minimal xi^2 is independent of the overall drive
 scale; |Omega_1| is therefore pinned per evaluation so that the cavity
 adiabaticity ratio sits at a fixed small value inside the validity region.
 
-Candidates violating the validity region (any ratio at or above
-``WARN_THRESHOLD``, a "fail" verdict) are penalized (objective 1 + excess)
-rather than rejected, which keeps the simplex away from meaningless regions
-without hard walls.
+Candidates violating the validity region (any ratio above
+``WARN_THRESHOLD``) are penalized (objective 1 + excess) rather than
+rejected, which keeps the simplex away from meaningless regions without hard
+walls.  A ratio of exactly ``WARN_THRESHOLD`` has the "fail" verdict but zero
+excess, so it is not penalized.
 
 The drive ratio is searched over real positive values only; a relative drive
 phase merely rotates the phase of the pair coupling, which the squeezing

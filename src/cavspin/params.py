@@ -136,9 +136,6 @@ class ValidityReport:
         order = {"pass": 0, "warn": 1, "fail": 2}
         return max(self.verdicts.values(), key=order.__getitem__)
 
-    def all_below(self, limit: float) -> bool:
-        return all(r < limit for r in self.ratios().values())
-
 
 def kappa_prime(params: PhysicalParams) -> float:
     """Effective cavity decay rate, broadened by photon scattering off the atoms."""
@@ -408,7 +405,7 @@ def params_to_mapping(params: PhysicalParams) -> dict[str, str]:
     for name, keys in _FIELD_KEYS.items():
         value = getattr(params, name)
         parts = (value.real, value.imag) if len(keys) == 2 else (value,)
-        out.update(zip(keys, (str(x) if name == "n_atoms" else "%.17g" % x for x in parts)))
+        out.update(zip(keys, (str(int(x)) if name == "n_atoms" else "%.17g" % x for x in parts)))
     return out
 
 

@@ -11,10 +11,10 @@ from scipy.linalg import expm
 from cavspin import dicke as dicke_mod
 from cavspin.dicke import (DickePropagator, DickeState, EffectiveCoeffs,
                            _hamiltonian_bands, _moment_array, dicke_evolve,
-                           dicke_moments, dicke_xi2, dicke_xi2_trace, effective_coeffs,
+                           dicke_moments, effective_coeffs, ideal_trace,
                            oat_min_squeezing, oat_moments, stretched_state)
 from cavspin.moments import _xi2, squeezing_parameter
-from cavspin.params import PhysicalParams, demo_params, match_raman
+from cavspin.params import PhysicalParams, demo_params, derive, match_raman
 
 
 def _dense_hamiltonian(coeffs: EffectiveCoeffs, n_atoms: int) -> np.ndarray:
@@ -37,10 +37,11 @@ class TestEffectiveCoeffs:
     def test_matched_drive_collapses_to_twisting(self):
         p = matched_params()
         co = effective_coeffs(p)
-        chi = abs(p.omega_1 * p.g_b / p.delta_1) ** 2 / p.delta
+        chi = derive(p).chi
+        assert chi == pytest.approx(abs(p.omega_1 * p.g_b / p.delta_1) ** 2 / p.delta,
+                                    rel=1e-12)
         for c in (co.c_pm, co.c_mp, co.c_pp, co.c_mm):
             assert complex(c) == pytest.approx(chi / 4.0, rel=1e-12)
-        assert co.matched_chi() == pytest.approx(chi, rel=1e-12)
 
     def test_single_drive_keeps_only_dispersive_term(self):
         p = PhysicalParams(n_atoms=10, omega_1=3.0, omega_2=0.0, delta_1=50.0,
@@ -183,11 +184,11 @@ class TestDickeMoments:
         assert m.jmm == pytest.approx(np.conj(m.jpp), rel=1e-14)
 
     def test_xi2_matches_direct_angle_minimization(self):
-        co = effective_coeffs(matched_params(n_atoms=40))
-        chi = co.matched_chi()
-        state = dicke_evolve(co, 40, 0.3 / (40 * chi) * 40 ** (1 / 3))
-        xi2, _ = dicke_xi2(state)
+        p = matched_params(n_atoms=40)
+        co = effective_coeffs(p)
+        state = dicke_evolve(co, 40, 0.3 / (40 * derive(p).chi) * 40 ** (1 / 3))
         m = dicke_moments(state)
+        xi2, _ = squeezing_parameter(m, 40)
         thetas = np.linspace(0, np.pi, 40001, endpoint=False)
         var = ((m.jpm.real + m.jmp.real) / 4.0
                + 0.5 * np.real(m.jpp * np.exp(-2j * thetas)))
@@ -360,7 +361,7 @@ def _linear_vs_exact(n_atoms):
         dev_jz = max(dev_jz, abs(lin[0].real - exact.jz) / abs(exact.jz))
         dev_jpp = max(dev_jpp, abs(lin[2] - exact.jpp) / abs(exact.jpp))
     wide = np.linspace(1e-9, 2.5 * trace.times[-1], 300)
-    exact_min = dicke_xi2_trace(co, n_atoms, wide).min()
+    exact_min = ideal_trace(co, n_atoms, wide).xi2.min()
     min_dev = abs(trace.min_xi2 - exact_min) / exact_min
     return dev_jz, dev_jpp, min_dev
 
@@ -409,11 +410,10 @@ class TestMomentArray:
 
 class TestIdealTrace:
     def test_export_format_and_exact_commutator(self):
-        from cavspin.dicke import ideal_trace
         from cavspin.moments import trace_csv_rows
-        co = effective_coeffs(matched_params(n_atoms=30))
-        chi = co.matched_chi()
-        times = np.linspace(0.0, 0.5 / (30 * chi), 20)
+        p = matched_params(n_atoms=30)
+        co = effective_coeffs(p)
+        times = np.linspace(0.0, 0.5 / (30 * derive(p).chi), 20)
         trace = ideal_trace(co, 30, times)
         rows = list(trace_csv_rows(trace))
         assert rows[0].startswith("t,xi2,theta_min,")
@@ -424,10 +424,10 @@ class TestIdealTrace:
 
     def test_quarter_turn_truncates_before_undefined_jz(self):
         # <J_z> = (N/2) cos^(N-1)(chi t) vanishes at chi t = pi/2
-        from cavspin.dicke import ideal_trace
         n = 30
-        co = effective_coeffs(matched_params(n_atoms=n))
-        chi = co.matched_chi()
+        p = matched_params(n_atoms=n)
+        co = effective_coeffs(p)
+        chi = derive(p).chi
         times = np.linspace(0.0, 0.5 * np.pi / chi, 60)
         trace = ideal_trace(co, n, times)
         assert trace.truncated
@@ -438,15 +438,23 @@ class TestIdealTrace:
         assert np.isfinite(trace.xi2).all()
         assert abs(oat_moments(n, chi * times[k])[0, 0].real) < 1e-12 * n
         assert trace.min_xi2 == pytest.approx(oat_min_squeezing(n)[0], rel=1e-2)
-        with pytest.raises(ValueError, match="undefined"):
-            dicke_xi2_trace(co, n, times)
+
+    def test_undefined_earliest_time_refused(self):
+        n = 30
+        p = matched_params(n_atoms=n)
+        chi = derive(p).chi
+        # chi t starts at pi/2, where <J_z> vanishes
+        times = np.linspace(0.5 * np.pi, 0.6 * np.pi, 5) / chi
+        assert abs(oat_moments(n, chi * times[0])[0, 0].real) < 1e-12 * n
+        with pytest.raises(ValueError, match="earliest time"):
+            ideal_trace(effective_coeffs(p), n, times)
 
     def test_trace_matches_per_state_squeezing(self):
         n = 40
-        co = effective_coeffs(matched_params(n_atoms=n))
-        times = np.linspace(0.0, 0.3 / co.matched_chi(), 7)
-        xi2 = dicke_xi2_trace(co, n, times)
-        prop = DickePropagator(co, n)
+        p = matched_params(n_atoms=n)
+        co = effective_coeffs(p)
+        times = np.linspace(0.0, 0.3 / derive(p).chi, 7)
+        xi2 = ideal_trace(co, n, times).xi2
         for t, got in zip(times, xi2):
-            ref = dicke_xi2(prop.evolve(stretched_state(n), t))[0]
+            ref = squeezing_parameter(dicke_moments(dicke_evolve(co, n, t)), n)[0]
             assert got == pytest.approx(ref, rel=1e-12)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,10 +197,16 @@ class TestConfig:
                        omega_1=complex(3.0, 1.5), omega_2=complex(-2.5, 0.7),
                        delta_1=40.0, omega_ab=9.0, delta=-0.6, kappa=0.4,
                        gamma_a=0.1, gamma_b=0.2, gamma_o=0.3),
-    ], ids=["demo", "complex_drives"])
+        # an integral float count is written as the integer the reader wants
+        PhysicalParams(n_atoms=10.0, omega_1=1.0, omega_2=1.0, delta_1=50.0,
+                       omega_ab=5.0, delta=2.0),
+        PhysicalParams(n_atoms=np.float64(10.0), omega_1=1.0, omega_2=1.0,
+                       delta_1=50.0, omega_ab=5.0, delta=2.0),
+    ], ids=["demo", "complex_drives", "float_count", "numpy_float_count"])
     def test_mapping_roundtrip_is_the_identity(self, p):
         mapping = params_to_mapping(p)
         assert params_to_mapping(params_from_mapping(mapping)) == mapping
+        assert params_from_mapping(mapping) == p
 
     def test_parse_reports_line_numbers(self, tmp_path):
         path = tmp_path / "bad.cfg"
