@@ -12,6 +12,10 @@ oracle
     Brute-force Lindblad models validating the adiabatic-elimination chain.
 optimize
     Derivative-free minimization of the squeezing parameter and sweeps.
+    The package attribute ``cavspin.optimize`` is the function of that name,
+    re-exported below, not the submodule: ``from cavspin.optimize import ...``
+    and ``importlib.import_module("cavspin.optimize")`` reach the module,
+    while ``import cavspin.optimize as m`` binds the function.
 cli
     Batch command-line interface.
 """

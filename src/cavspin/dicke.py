@@ -14,7 +14,7 @@ four coefficients are equal and H reduces to one-axis twisting, chi * J_x^2
 with chi = 4 c; that special case additionally admits an exact product-state
 solution for all six collective moments, used for the large-N twisting scans.
 The tridiagonal eigensolver is scipy's ``eigh_tridiagonal``, imported when
-a propagator first diagonalizes a sector; the closed-form twisting moments
+a propagator diagonalizes a sector; the closed-form twisting moments
 need no scipy.
 """
 
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import (MomentState, SqueezingTrace, _jz_undefined, _refined_min,
-                      _theta, _undefined_reason, _xi2)
+from .moments import (MomentState, SqueezingTrace, _refined_min, _squeezing_trace,
+                      _xi2)
 from .params import PhysicalParams, _check_detunings
 
 logger = logging.getLogger(__name__)
@@ -124,9 +124,9 @@ class DickePropagator:
     real diagonal d and complex off-diagonal e.  With the gauge G = diag(g),
     g_0 = 1 and g_{k+1} = g_k exp(i arg e_k), the sector is G S G* for the
     real symmetric S with off-diagonal |e|, and S = V diag(w) V^T.  A sector
-    evolves as G V exp(-i w t) V^T G* a_0.  A sector is decomposed the first
-    time an amplitude vector populates it and is kept for later calls; the
-    stretched state populates only one.
+    evolves as G V exp(-i w t) V^T G* a_0.  ``evolve_amplitudes`` decomposes
+    each sector its amplitude vector populates; the stretched state populates
+    only one.
     """
 
     def __init__(self, coeffs: EffectiveCoeffs, n_atoms: int):
@@ -138,17 +138,6 @@ class DickePropagator:
         self.coeffs = coeffs
         self.n_atoms = n_atoms
         self._diag, self._off2 = _hamiltonian_bands(coeffs, n_atoms)
-        self._sectors: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def _sector(self, parity: int):
-        """Gauge phases g, eigenvalues w and real eigenvectors V of one sector."""
-        if parity not in self._sectors:
-            from scipy.linalg import eigh_tridiagonal
-            off = self._off2[parity::2]
-            gauge = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(off)))))
-            w, v = eigh_tridiagonal(self._diag[parity::2], np.abs(off))
-            self._sectors[parity] = (gauge, w, v)
-        return self._sectors[parity]
 
     def evolve_amplitudes(self, amps: np.ndarray, times) -> np.ndarray:
         """Amplitudes at each requested time, shape (len(times), N+1)."""
@@ -163,7 +152,10 @@ class DickePropagator:
             start = amps[parity::2]
             if not start.any():
                 continue
-            gauge, w, v = self._sector(parity)
+            from scipy.linalg import eigh_tridiagonal
+            off = self._off2[parity::2]
+            gauge = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(off)))))
+            w, v = eigh_tridiagonal(self._diag[parity::2], np.abs(off))
             proj = _times_real(gauge.conj() * start, v)          # V^T G* a_0
             phased = np.exp(-1j * np.outer(times, w)) * proj
             out[:, parity::2] = gauge * _times_real(phased, v.T)
@@ -265,26 +257,25 @@ def oat_moments(n_atoms: int, chi_t) -> np.ndarray:
 def oat_min_squeezing(n_atoms: int) -> tuple[float, float]:
     """Minimal squeezing parameter of one-axis twisting at unit rate.
 
-    Scans chi*t logarithmically around the N**(-2/3) scaling guess, scoring
-    grid times at which xi^2 is undefined (|<J_z>| < 1e-12 N) as +inf, and
-    refines the grid minimum with the sampled zoom that ``evolve_squeezing``
-    uses (``cavspin.moments._refined_min``) between its two neighbours, each
-    read one array call of the closed-form twisting moments.
+    Scans chi*t logarithmically around the N**(-2/3) scaling guess, cuts the
+    scanned curve by the truncation rule of the moment traces
+    (``cavspin.moments._squeezing_trace``), which ends it before its first
+    time at which xi^2 is undefined (|<J_z>| < 1e-12 N), and refines the
+    grid minimum with the sampled zoom that ``evolve_squeezing`` uses
+    (``cavspin.moments._refined_min``) between its two neighbours, each read
+    one array call of the closed-form twisting moments.
     Returns ``(xi2_min, t_min)``.
     """
     if not 2 <= n_atoms <= MAX_ATOMS:
         raise ValueError(f"n_atoms must lie in [2, {MAX_ATOMS}]")
     guess = n_atoms ** (-2.0 / 3.0)
     grid = np.geomspace(guess / 30.0, min(30.0 * guess, 0.499 * math.pi), 220)
-    mom = oat_moments(n_atoms, grid)
-    defined = ~_jz_undefined(mom, n_atoms)
-    xi2 = np.full(len(grid), np.inf)
-    xi2[defined] = _xi2(mom[defined], n_atoms)
+    trace = _squeezing_trace(grid, oat_moments(n_atoms, grid), n_atoms)
 
     def probe(lo: int):
         return lambda t: _xi2(oat_moments(n_atoms, t), n_atoms)
 
-    t_min, xi2_min = _refined_min(grid, xi2, probe)
+    t_min, xi2_min = _refined_min(trace.times, trace.xi2, probe)
     logger.info("one-axis twisting N=%d: xi2_min=%.6g at chi*t=%.6g "
                 "(xi2_min * N^(2/3) = %.4g)",
                 n_atoms, xi2_min, t_min, xi2_min * n_atoms ** (2.0 / 3.0))
@@ -294,27 +285,14 @@ def oat_min_squeezing(n_atoms: int) -> tuple[float, float]:
 def ideal_trace(coeffs: EffectiveCoeffs, n_atoms: int, times) -> SqueezingTrace:
     """Exact-evolution squeezing trace in the moment-trace export format.
 
-    The domain rule of ``cavspin.moments`` applies: the trace ends before the
-    first time after the earliest one at which xi^2 is undefined
-    (|<J_z>| < 1e-12 N) and is flagged ``truncated`` with a reason that names
-    <J_z>, so its xi2 column stays finite.  An undefined earliest time raises
-    ``ValueError``.
+    The moment traces' truncation rule (``cavspin.moments._squeezing_trace``)
+    cuts it: the trace ends before the first time after the earliest one at
+    which xi^2 is undefined (|<J_z>| < 1e-12 N) and is flagged ``truncated``
+    with a reason that names <J_z>, so its xi2 column stays finite.  An
+    undefined earliest time raises ``ValueError``.
     """
     times = np.asarray(sorted(float(t) for t in times))
     amps = DickePropagator(coeffs, n_atoms).evolve_amplitudes(
         stretched_state(n_atoms).amplitudes, times)
     moments = _moment_array(amps / np.linalg.norm(amps, axis=1, keepdims=True), n_atoms)
-    undefined = _jz_undefined(moments, n_atoms)
-    truncated, reason = False, None
-    if undefined.any():
-        k = int(np.argmax(undefined))
-        if k == 0:
-            raise ValueError("squeezing parameter undefined at the earliest time: "
-                             "<J_z> is (numerically) zero")
-        truncated, reason = True, _undefined_reason(times[k])
-        times, moments = times[:k], moments[:k]
-    xi2 = _xi2(moments, n_atoms)
-    i = int(np.argmin(xi2))
-    return SqueezingTrace(times=times, xi2=xi2, theta_min=_theta(moments),
-                          moments=moments, min_xi2=float(xi2[i]), t_min=float(times[i]),
-                          truncated=truncated, truncation_reason=reason)
+    return _squeezing_trace(times, moments, n_atoms)

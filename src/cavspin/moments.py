@@ -18,11 +18,12 @@ the exact Dicke layer calls it too.  A negative minimal variance, which the
 linearized dynamics can produce, is clamped to zero.  One domain rule
 applies everywhere: xi^2 is undefined where |<J_z>| < 1e-12 N
 (``_jz_undefined``).  ``squeezing_parameter`` raises ``ValueError`` there.
-A trace (``evolve_squeezing``, ``dicke.ideal_trace``) ends before its first
-undefined point after the initial one and is flagged truncated with a
-reason that names <J_z>, just as it ends before its first unphysical point,
-so an exported trace never holds an infinite xi^2.  The one-axis-twisting
-scan scores undefined points +inf.
+One cut ends every xi^2 curve (``_squeezing_trace``): the moment trace
+(``evolve_squeezing``), the exact trace (``dicke.ideal_trace``) and the
+one-axis-twisting scan (``dicke.oat_min_squeezing``) end before their first
+undefined or unphysical point and are flagged truncated with a reason that
+names <J_z> or the physicality tolerance, so a curve never holds an
+infinite xi^2; a non-finite point or a bad first point raises instead.
 
 A squeezing trace diagonalizes M once, M = V diag(w) V^-1, and evaluates
 v(t) = V e^{w t} V^-1 v(0) for all grid times at once, or steps with
@@ -48,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,10 +98,6 @@ class MomentState:
     @classmethod
     def from_array(cls, v: np.ndarray) -> "MomentState":
         return cls(*(complex(x) for x in np.asarray(v, dtype=complex)))
-
-    def commutator_residual(self) -> complex:
-        """jpm - jmp - 2 jz; vanishes exactly for the initial state."""
-        return self.jpm - self.jmp - 2.0 * self.jz
 
 
 def _physicality_violation(moments: np.ndarray, n_atoms: int) -> np.ndarray:
@@ -252,12 +249,6 @@ def _jz_undefined(moments: np.ndarray, n_atoms: int):
     return abs(moments.T[0].real) < _JZ_FLOOR * n_atoms
 
 
-def _undefined_reason(t: float) -> str:
-    """Truncation reason of a trace that reaches an undefined point at t."""
-    return (f"<J_z> below {_JZ_FLOOR:g} N (squeezing parameter undefined) "
-            f"at t={t:.6g}")
-
-
 def _min_variance(m: np.ndarray):
     """Unclamped minimal transverse variance of ``m = moments.T``."""
     return (m[4].real + m[5].real) / 4.0 - abs(m[2]) / 2.0
@@ -318,6 +309,44 @@ class SqueezingTrace:
     @property
     def commutator_residual(self) -> np.ndarray:
         return (self.moments[:, 4] - self.moments[:, 5] - 2.0 * self.moments[:, 0]).real
+
+
+def _squeezing_trace(times: np.ndarray, moments: np.ndarray, n_atoms: int,
+                     unphysical: np.ndarray | None = None) -> SqueezingTrace:
+    """The xi^2 curve of moment rows at ``times``, cut by the one truncation rule.
+
+    A row is bad where it is not finite, where ``unphysical`` is set, or
+    where xi^2 is undefined (``_jz_undefined``); the first bad row decides.
+    A non-finite one raises ``PropagationError``, a bad first row raises
+    ``ValueError``, and any other ends the curve before it, flagged
+    ``truncated`` with a reason that names the physicality tolerance (which
+    wins a tie) or <J_z>.  The minimum is the grid minimum.
+    """
+    nonfinite = ~np.isfinite(moments.view(float)).all(axis=1)
+    bad = nonfinite | _jz_undefined(moments, n_atoms)
+    if unphysical is not None:
+        bad |= unphysical
+    truncated, reason = False, None
+    if bad.any():
+        k = int(np.argmax(bad))
+        t = float(times[k])
+        if nonfinite[k]:
+            raise PropagationError(f"non-finite moments at t={t}")
+        if k == 0:
+            raise ValueError("squeezing parameter undefined at the earliest time: "
+                             "<J_z> is (numerically) zero")
+        truncated = True
+        if unphysical is not None and unphysical[k]:
+            reason = f"physicality tolerance exceeded at t={t:.6g}"
+        else:
+            reason = (f"<J_z> below {_JZ_FLOOR:g} N (squeezing parameter undefined) "
+                      f"at t={t:.6g}")
+        times, moments = times[:k], moments[:k]
+    xi2 = _xi2(moments, n_atoms)
+    i = int(np.argmin(xi2))
+    return SqueezingTrace(times=times, xi2=xi2, theta_min=_theta(moments), moments=moments,
+                          min_xi2=float(xi2[i]), t_min=float(times[i]),
+                          truncated=truncated, truncation_reason=reason)
 
 
 def default_t_max(params: PhysicalParams) -> float:
@@ -450,11 +479,13 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
     an array of times propagated from the left one by a truncated Taylor
     series (``_taylor_probe``); expm is called only to step an
     ill-conditioned grid, or once per read (stacked over its times) where
-    ||M||_1 times the bracket width exceeds 8 (a long horizon over few steps).  The first bad grid point after t = 0 decides:
-    a non-finite one raises ``PropagationError``; one that violates the
-    physicality tolerances, or at which xi^2 is undefined (|<J_z>| < 1e-12 N),
-    ends the trace before it, and the trace is flagged ``truncated`` with
-    the reason.
+    ||M||_1 times the bracket width exceeds 8 (a long horizon over few steps).
+    The grid is cut by the one truncation rule (``_squeezing_trace``) before
+    the horizon check and the refinement: the first bad grid point after
+    t = 0 decides, a non-finite one raises ``PropagationError``, and one that
+    violates the physicality tolerances, or at which xi^2 is undefined
+    (|<J_z>| < 1e-12 N), ends the trace before it, flagged ``truncated``
+    with the reason.
 
     With ``max_extensions > 0`` the horizon is doubled (up to that many
     times) whenever the discrete minimum falls on the trailing edge of the
@@ -472,46 +503,28 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
     v0 = initial_state(params.n_atoms).as_array()
     dt = t_max / (n_steps - 1)
     moments = _moment_kernel(gen.m, v0, dt, n_steps)
-
-    nonfinite = ~np.isfinite(moments.view(float)).all(axis=1)
     with np.errstate(invalid="ignore"):
         unphysical = _physicality_violation(moments, params.n_atoms) > PHYSICALITY_TOL
-    bad = nonfinite | unphysical | _jz_undefined(moments, params.n_atoms)
-    truncated = False
-    reason = None
-    n_kept = n_steps
-    if bad[1:].any():
-        k = 1 + int(np.argmax(bad[1:]))
-        if nonfinite[k]:
-            raise PropagationError(f"non-finite moments at t={k * dt}")
-        # drop the offending point: the exported trace stays physical and finite
-        truncated = True
-        reason = (f"physicality tolerance exceeded at t={k * dt:.6g}" if unphysical[k]
-                  else _undefined_reason(k * dt))
-        n_kept = k
+    # row 0 is the initial state, never bad, so a bad row truncates or raises
+    # PropagationError and the exported trace stays physical and finite
+    trace = _squeezing_trace(np.arange(n_steps) * dt, moments, params.n_atoms, unphysical)
+    times, moments = trace.times, trace.moments
 
-    moments = moments[:n_kept]
-    times = np.arange(n_kept) * dt
-    xi2 = _xi2(moments, params.n_atoms)
-    theta = _theta(moments)
-
-    i_min = int(np.argmin(xi2))
-    if max_extensions > 0 and not truncated and i_min >= n_kept - 2:
-        # re-entered through the module-level name, so a wrapper installed
-        # on it sees every extension
+    if (max_extensions > 0 and not trace.truncated
+            and int(np.argmin(trace.xi2)) >= len(times) - 2):
+        # the grid minimum is on the trailing edge; re-entered through the
+        # module-level name, so a wrapper installed on it sees every extension
         return evolve_squeezing(params, t_max=2.0 * t_max, n_steps=n_steps,
                                 max_extensions=max_extensions - 1)
 
     def probe(lo: int):
         # the bracket ends two steps right of lo, or at the last grid point
-        t_lo, t_hi = times[lo], times[min(lo + 2, n_kept - 1)]
+        t_lo, t_hi = times[lo], times[min(lo + 2, len(times) - 1)]
         from_lo = _taylor_probe(gen.m, moments[lo], t_hi - t_lo)
         return lambda t: _xi2(from_lo(t - t_lo), params.n_atoms)
 
-    t_min, min_xi2 = _refined_min(times, xi2, probe)
-    return SqueezingTrace(times=times, xi2=xi2, theta_min=theta, moments=moments,
-                          min_xi2=min_xi2, t_min=t_min,
-                          truncated=truncated, truncation_reason=reason)
+    t_min, min_xi2 = _refined_min(times, trace.xi2, probe)
+    return replace(trace, min_xi2=min_xi2, t_min=t_min)
 
 
 def _g17(x: float) -> str:

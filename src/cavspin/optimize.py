@@ -84,11 +84,6 @@ class OptimizationProblem:
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
 
-    @property
-    def cooperativity(self) -> float:
-        denom = self.kappa * self.gamma_total
-        return math.inf if denom == 0 else self.n_atoms * abs(self.g_a * self.g_b) / denom
-
     def gammas(self) -> tuple[float, float, float]:
         total = sum(self.gamma_split)
         return tuple(self.gamma_total * s / total for s in self.gamma_split)
@@ -327,9 +322,7 @@ def _nelder_mead(f, x0, lo, hi, max_evals: int, xatol: float, fatol: float):
             fsim[k] = call(vertex)
     except _BudgetSpent:
         pass
-    # scipy sorts the initial simplex twice (in a ``finally`` and after it);
-    # on a ``break`` of the loop below it does not sort
-    reorder()
+    # as in scipy, a ``break`` of the loop below leaves the simplex unsorted
     reorder()
 
     while n_evals < max_evals:

@@ -88,7 +88,20 @@ class Basis:
         self._index = {lvl: i for i, lvl in enumerate(levels)}
         self._cavity_eye = np.eye(cavity_cutoff + 1, dtype=complex)
         self._atom_eye = np.eye(self.n_levels, dtype=complex)
-        self._collective_ops: dict[str, np.ndarray] | None = None
+        jp = self.collective("a", "b")
+        jm = jp.conj().T
+        na = self.collective("a", "a")
+        nb = self.collective("b", "b")
+        c = self.annihilator()
+        self._collective_ops = {
+            "jz": 0.5 * (na - nb),
+            "nab": na + nb,
+            "jpp": jp @ jp,
+            "jmm": jm @ jm,
+            "jpm": jp @ jm,
+            "jmp": jm @ jp,
+            "photons": c.conj().T @ c,
+        }
 
     def transition(self, upper: str, lower: str) -> np.ndarray:
         """Single-atom |upper><lower| on the atomic level space."""
@@ -120,22 +133,7 @@ class Basis:
         return psi
 
     def collective_ops(self) -> dict[str, np.ndarray]:
-        """The moment and photon-number operators, built on the first call only."""
-        if self._collective_ops is None:
-            jp = self.collective("a", "b")
-            jm = jp.conj().T
-            na = self.collective("a", "a")
-            nb = self.collective("b", "b")
-            c = self.annihilator()
-            self._collective_ops = {
-                "jz": 0.5 * (na - nb),
-                "nab": na + nb,
-                "jpp": jp @ jp,
-                "jmm": jm @ jm,
-                "jpm": jp @ jm,
-                "jmp": jm @ jp,
-                "photons": c.conj().T @ c,
-            }
+        """The moment and photon-number operators, built with the basis."""
         return self._collective_ops
 
 

@@ -477,8 +477,8 @@ class TestSweepCommand:
 
 
 class TestValidate:
-    @pytest.mark.parametrize("name", ["fig2.cfg", "fig2_nodissipation.cfg",
-                                      "fig3.cfg", "oracle_n2.cfg"])
+    @pytest.mark.parametrize("name", sorted(n for n in os.listdir(CONFIG_DIR)
+                                            if n.endswith(".cfg")))
     def test_bundled_configs_validate(self, name, capsys):
         assert main(["validate", "--config", config_path(name)]) == 0
         assert "config OK" in capsys.readouterr().out

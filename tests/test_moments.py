@@ -12,7 +12,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 import cavspin.moments as moments_mod
-from cavspin.dicke import effective_coeffs
+from cavspin.dicke import effective_coeffs, oat_min_squeezing, oat_moments
 from cavspin.moments import (MomentState, PropagationError, assemble_generator,
                              default_t_max, evolve_squeezing, initial_state,
                              propagate, squeezing_parameter, trace_csv_rows)
@@ -202,7 +202,8 @@ class TestInitialState:
         assert tuple(initial_state(n).as_array()) == tuple(complex(x) for x in expect)
 
     def test_commutator_identity_exact(self):
-        assert initial_state(123).commutator_residual() == 0.0
+        v = initial_state(123)
+        assert v.jpm - v.jmp - 2.0 * v.jz == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 17, 10 ** 6])
     def test_unsqueezed(self, n):
@@ -395,6 +396,29 @@ class TestUndefinedTruncation:
         trace = evolve_squeezing(demo_params(n_atoms=n), t_max=40.0, n_steps=41)
         assert len(trace.times) == 27
         assert trace.truncation_reason == "physicality tolerance exceeded at t=27"
+
+    def test_one_rule_cuts_every_curve(self):
+        # rows: initial, defined, undefined, non-finite
+        n = 10
+        rows = np.array([initial_state(n).as_array()] * 4)
+        rows[1, 0], rows[2, 0], rows[3, 1] = 2.0, 1e-12, np.nan
+        times = np.array([0.0, 0.5, 1.0, 1.5])
+        trace = moments_mod._squeezing_trace(times, rows, n)
+        assert trace.times.tolist() == [0.0, 0.5]
+        assert trace.truncation_reason == (
+            "<J_z> below 1e-12 N (squeezing parameter undefined) at t=1")
+        assert (trace.min_xi2, trace.t_min) == (1.0, 0.0)
+        tie = moments_mod._squeezing_trace(times, rows, n, np.array([0, 0, 1, 0], bool))
+        assert tie.truncation_reason == "physicality tolerance exceeded at t=1"
+        with pytest.raises(PropagationError, match=r"^non-finite moments at t=1.5$"):
+            moments_mod._squeezing_trace(times[[0, 1, 3]], rows[[0, 1, 3]], n)
+        with pytest.raises(ValueError, match="undefined at the earliest time"):
+            moments_mod._squeezing_trace(times[2:], rows[2:], n)
+        # the twisting scan's grid at N = 1000 runs past <J_z> = 0 and is cut
+        grid = np.geomspace(1e-3, 0.3, 220)
+        cut = moments_mod._squeezing_trace(grid, oat_moments(1000, grid), 1000)
+        assert cut.truncated and np.isfinite(cut.xi2).all()
+        assert oat_min_squeezing(1000)[0] <= cut.min_xi2
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from cavspin import oracle
-from cavspin.dicke import effective_coeffs
+from cavspin.dicke import DickePropagator, effective_coeffs, stretched_state
 from cavspin.moments import (MomentGenerator, PropagationError, assemble_generator,
                              initial_state, propagate)
 from cavspin.oracle import (Basis, DensityMatrix, HilbertSpec, IntegrationError,
@@ -474,6 +474,29 @@ class TestUnitaryStates:
         for t, psi in zip(times, states):
             ref = expm(-1j * liou.hamiltonian_static * t) @ psi0
             assert np.abs(psi - ref).max() <= 1e-10
+
+
+def attribute_state(obj):
+    """Every attribute of ``obj``, arrays by their bytes and dicts by their items."""
+    def frozen(value):
+        if isinstance(value, dict):
+            return tuple((k, frozen(v)) for k, v in value.items())
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        return value
+    return {name: frozen(value) for name, value in vars(obj).items()}
+
+
+class TestImmutability:
+    def test_evolving_and_extracting_leave_every_attribute(self):
+        prop = DickePropagator(effective_coeffs(n2_matched()), 6)
+        before = attribute_state(prop)
+        prop.evolve_amplitudes(stretched_state(6).amplitudes, [0.0, 0.3])
+        assert attribute_state(prop) == before
+        basis = Basis(2, ("a", "b", "e"), 1)
+        before = attribute_state(basis)
+        extract_moments(DensityMatrix.from_pure(basis.vacuum_all_a()), basis)
+        assert attribute_state(basis) == before
 
 
 class TestExtractMoments:
