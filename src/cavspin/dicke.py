@@ -13,9 +13,13 @@ any set of times, for every N up to ``MAX_ATOMS``.  With matched drives all
 four coefficients are equal and H reduces to one-axis twisting, chi * J_x^2
 with chi = 4 c; that special case additionally admits an exact product-state
 solution for all six collective moments, used for the large-N twisting scans.
-The tridiagonal eigensolver is scipy's ``eigh_tridiagonal``, imported when
-a propagator diagonalizes a sector; the closed-form twisting moments
-need no scipy.
+The tridiagonal eigensolver is scipy's ``eigh_tridiagonal`` with LAPACK's
+MRRR driver ``stemr`` (Dhillon & Parlett, SIAM J. Matrix Anal. Appl. 25,
+858 (2004)), imported when a propagator diagonalizes a sector.  MRRR needs
+O(n) workspace beside the n x n eigenvectors; the divide-and-conquer driver
+``stevd``, which ``'auto'`` picks in recent scipy releases, needs a second
+n x n matrix, so a sector would cost twice its eigenvectors (401 MB instead
+of 202 MB at N = 10^4).  The closed-form twisting moments need no scipy.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ class DickeState:
         if self.amplitudes.shape != (self.n_atoms + 1,):
             raise ValueError("amplitude vector must have length N + 1")
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"state not normalized: ||amplitudes|| = {norm!r}")
 
 
@@ -125,8 +129,10 @@ class DickePropagator:
     g_0 = 1 and g_{k+1} = g_k exp(i arg e_k), the sector is G S G* for the
     real symmetric S with off-diagonal |e|, and S = V diag(w) V^T.  A sector
     evolves as G V exp(-i w t) V^T G* a_0.  ``evolve_amplitudes`` decomposes
-    each sector its amplitude vector populates; the stretched state populates
-    only one.
+    each sector its amplitude vector populates, with the MRRR driver
+    ``stemr`` of ``eigh_tridiagonal``, whose workspace is O(n) where divide
+    and conquer's is a second n x n matrix; the stretched state populates
+    only one sector.
     """
 
     def __init__(self, coeffs: EffectiveCoeffs, n_atoms: int):
@@ -140,10 +146,15 @@ class DickePropagator:
         self._diag, self._off2 = _hamiltonian_bands(coeffs, n_atoms)
 
     def evolve_amplitudes(self, amps: np.ndarray, times) -> np.ndarray:
-        """Amplitudes at each requested time, shape (len(times), N+1)."""
+        """Amplitudes at each requested time, shape (len(times), N+1).
+
+        Every time must be finite and nonnegative.
+        """
         times = np.asarray(times, dtype=float)
-        if np.any(times < 0):
-            raise ValueError("evolution times must be nonnegative")
+        ok = np.isfinite(times) & (times >= 0)
+        if not ok.all():
+            raise ValueError(f"evolution times must be finite and nonnegative, "
+                             f"got {times[~ok][0]}")
         amps = np.asarray(amps, dtype=complex)
         if amps.shape != (self.n_atoms + 1,):
             raise ValueError("amplitude vector must have length N + 1")
@@ -155,7 +166,9 @@ class DickePropagator:
             from scipy.linalg import eigh_tridiagonal
             off = self._off2[parity::2]
             gauge = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(off)))))
-            w, v = eigh_tridiagonal(self._diag[parity::2], np.abs(off))
+            # MRRR needs O(n) workspace; 'auto' may pick stevd, which adds an n x n one
+            w, v = eigh_tridiagonal(self._diag[parity::2], np.abs(off),
+                                    lapack_driver="stemr")
             proj = _times_real(gauge.conj() * start, v)          # V^T G* a_0
             phased = np.exp(-1j * np.outer(times, w)) * proj
             out[:, parity::2] = gauge * _times_real(phased, v.T)
@@ -166,11 +179,10 @@ def dicke_evolve(coeffs: EffectiveCoeffs, n_atoms: int, t: float) -> DickeState:
     """The all-|a> stretched state evolved to time t by the exact unitary.
 
     It always starts from the stretched state; evolve any other amplitude
-    vector with :meth:`DickePropagator.evolve_amplitudes`.  Refuses atom
-    numbers above the exact-propagation budget.
+    vector with :meth:`DickePropagator.evolve_amplitudes`.  A NaN, infinite
+    or negative t raises ``ValueError``, and so do atom numbers above the
+    exact-propagation budget.
     """
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
     amps = DickePropagator(coeffs, n_atoms).evolve_amplitudes(
         stretched_state(n_atoms).amplitudes, [t])[0]
     return DickeState(n_atoms, amps)
@@ -289,10 +301,11 @@ def ideal_trace(coeffs: EffectiveCoeffs, n_atoms: int, times) -> SqueezingTrace:
     cuts it: the trace ends before the first time after the earliest one at
     which xi^2 is undefined (|<J_z>| < 1e-12 N) and is flagged ``truncated``
     with a reason that names <J_z>, so its xi2 column stays finite.  An
-    undefined earliest time raises ``ValueError``.
+    undefined earliest time, or a NaN, infinite or negative time, raises
+    ``ValueError``.
     """
     times = np.asarray(sorted(float(t) for t in times))
     amps = DickePropagator(coeffs, n_atoms).evolve_amplitudes(
         stretched_state(n_atoms).amplitudes, times)
-    moments = _moment_array(amps / np.linalg.norm(amps, axis=1, keepdims=True), n_atoms)
-    return _squeezing_trace(times, moments, n_atoms)
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    return _squeezing_trace(times, _moment_array(amps, n_atoms), n_atoms)

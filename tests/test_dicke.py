@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -123,8 +124,9 @@ class TestDickeEvolve:
         for t, row in zip(times, got):
             assert np.abs(row - expm(-1j * t * h) @ amps).max() <= 1e-10
 
-    def test_stretched_state_matches_twisting_closed_form_at_3001(self):
-        n, c = 3001, 0.37
+    @staticmethod
+    def _check_twisting_closed_form(n):
+        c = 0.37
         co = EffectiveCoeffs(c, c, c, c)
         times = [f * n ** (-2.0 / 3.0) / (4.0 * c) for f in (0.6, 1.2, 1.8)]
         amps = DickePropagator(co, n).evolve_amplitudes(stretched_state(n).amplitudes,
@@ -134,6 +136,40 @@ class TestDickeEvolve:
             closed = oat_moments(n, 4.0 * c * t)[0]
             scale = np.maximum(np.abs(closed), float(n))
             assert np.max(np.abs(exact - closed) / scale) <= 1e-10
+
+    def test_stretched_state_matches_twisting_closed_form_at_3001(self):
+        self._check_twisting_closed_form(3001)      # odd sector
+
+    def test_stretched_state_matches_twisting_closed_form_at_3002(self):
+        self._check_twisting_closed_form(3002)      # even sector
+
+    def test_sector_workspace_stays_near_its_eigenvectors(self):
+        # MRRR keeps the extra workspace O(n); divide and conquer (stevd)
+        # allocates a second n x n matrix and reads about 2x here
+        n, c = 1001, 0.37
+        prop = DickePropagator(EffectiveCoeffs(c, c, c, c), n)
+        start = stretched_state(n).amplitudes
+        times = [f * n ** (-2.0 / 3.0) / (4.0 * c) for f in (0.6, 1.2, 1.8)]
+        prop.evolve_amplitudes(start, times)        # the first call imports scipy
+        tracemalloc.start()
+        try:
+            prop.evolve_amplitudes(start, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sector = (n + 1) // 2
+        assert peak <= 1.25 * sector * sector * 8
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_refused(self, t):
+        coeffs = EffectiveCoeffs(0.1, 0.1, 0.1, 0.1)
+        prop = DickePropagator(coeffs, 4)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            prop.evolve_amplitudes(stretched_state(4).amplitudes, [0.5, t])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            dicke_evolve(coeffs, 4, t)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ideal_trace(coeffs, 4, [0.0, t])
 
     def test_amplitude_length_checked(self):
         # an odd-sector-only vector one entry short fits that sector's length
@@ -158,6 +194,8 @@ class TestDickeEvolve:
     def test_state_normalization_checked(self):
         with pytest.raises(ValueError):
             DickeState(3, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
+        with pytest.raises(ValueError, match="not normalized"):
+            DickeState(3, np.array([math.nan, 0.0, 0.0, 0.0], dtype=complex))
 
 
 class TestDickeMoments:
