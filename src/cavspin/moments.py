@@ -25,19 +25,11 @@ undefined or unphysical point and are flagged truncated with a reason that
 names <J_z> or the physicality tolerance, so a curve never holds an
 infinite xi^2; a non-finite point or a bad first point raises instead.
 
-A squeezing trace diagonalizes M once, M = V diag(w) V^-1, and evaluates
-v(t) = V e^{w t} V^-1 v(0) for all grid times at once, or steps with
-expm(M dt) when V is ill-conditioned (M nearly defective).  The minimum is
-refined by a sampled zoom: the bracket around the grid minimum is read at
-65 equal spacings in one array call, narrowed to the two spacings around
-the best reading until it is within 1e-3 of its first magnitude, and read
-once more at the vertex of the parabola through the best reading and its
-neighbours.  Each read propagates from the grid row v left of the minimum
-by a Taylor series of exp(M s) v of the smallest degree K with
-x^K / K! <= 1e-18, x = ||M||_1 times the bracket width; above x = 8 each
-read is one stacked expm call.  ``propagate`` always uses expm.  expm is
-scipy's, imported when it is first called (``expm``), so a trace with a
-well-conditioned eigenbasis and every read at x <= 8 loads no scipy module.
+A squeezing trace evaluates v(t) = V e^{w t} V^-1 v(0) on its whole grid
+from one eigendecomposition M = V diag(w) V^-1.  Every other exp(M s) v is
+one Taylor kernel, ``_exp_action``: the grid where V is ill-conditioned,
+each read of the refinement of the minimum (``_refined_min``),
+``propagate`` and the oracle's linear level.  This module imports no scipy.
 
 ``trace_csv_rows`` exports a trace through ``_csv_table``, the one writer of
 the CLI's CSV tables: each cell has the bytes of ``"%.17g"``, produced for
@@ -64,7 +56,7 @@ PHYSICALITY_TOL = 1e-8
 #: largest ||V||_1 ||V^-1||_1 of the generator's eigenbasis that is trusted
 _COND_LIMIT = 1e4
 
-#: largest x = ||M||_1 w at which a Taylor table serves a bracket of width w
+#: largest ||M||_1 h of a block of width h that one Taylor table serves
 _TAYLOR_BOUND = 8.0
 
 #: |<J_z>| below this fraction of N leaves the squeezing parameter undefined
@@ -219,22 +211,11 @@ def assemble_generator(params: PhysicalParams) -> MomentGenerator:
     return MomentGenerator(m=m)
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.expm`` of a matrix or a stack of them, imported here.
-
-    Importing scipy.linalg takes longer than most commands' physics, so it
-    is loaded on the first call: by ``propagate``, by an ill-conditioned
-    grid in ``_moment_kernel`` or by a ``_taylor_probe`` read above x = 8.
-    """
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
-
-
 def propagate(gen: MomentGenerator, v0: MomentState, t: float) -> MomentState:
-    """exp(M t) applied to the moment vector (scaling-and-squaring Pade)."""
-    if t < 0:
-        raise ValueError("propagation time must be nonnegative")
-    out = expm(gen.m * t) @ v0.as_array()
+    """exp(M t) v0 by the Taylor kernel ``_exp_action``, for a finite t >= 0."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"propagation time must be finite and nonnegative, got {t}")
+    out = _exp_action(gen.m, v0.as_array(), t)(t)
     if not np.all(np.isfinite(out.view(float))):
         raise PropagationError(f"non-finite moments after propagation to t={t}")
     return MomentState.from_array(out)
@@ -368,18 +349,16 @@ def default_t_max(params: PhysicalParams) -> float:
 def _refined_min(times: np.ndarray, xi2: np.ndarray, probe) -> tuple[float, float]:
     """Minimum ``(t_min, xi2_min)`` of a sampled xi^2 curve, refined off the grid.
 
-    The grid argmin i is bracketed by its neighbours, lo = i - 1 and
-    hi = i + 1 clipped to the grid, and ``probe(lo)``, the xi^2 function on
-    [times[lo], times[hi]] that takes an array of times, is read there at
-    ``_ZOOM_POINTS`` equally spaced times, the ends included, in one call.
-    The bracket then narrows to the two spacings around the best reading, and
-    the reads repeat until it is within ``_ZOOM_TOL`` of its first magnitude,
-    which is free of the time unit.  One last read at the vertex of the
-    parabola through the best reading and its two neighbours ends the search.
-    NaN is never the best reading, and among equal best readings the middle
-    one is taken, so a plateau flat to rounding gives its centre.  The grid
-    value is kept when it is strictly lower, so the result never lies above
-    the grid minimum.
+    The grid argmin i is bracketed by its neighbours lo = i - 1 and
+    hi = i + 1, clipped to the grid; ``probe(lo)``, the xi^2 function of an
+    array of times on [times[lo], times[hi]], is read at ``_ZOOM_POINTS``
+    equal spacings, ends included, in one call.  The bracket narrows to the
+    two spacings around the best reading until it is within ``_ZOOM_TOL`` of
+    its first magnitude (free of the time unit); a last read at the vertex of
+    the parabola through the best reading and its neighbours ends the search.
+    NaN is never the best reading; of equal best readings the middle one is
+    taken, so a plateau flat to rounding gives its centre.  The grid value is
+    kept where strictly lower: the result never lies above the grid minimum.
     """
     i = int(np.argmin(xi2))
     t_min, xi2_min = float(times[i]), float(xi2[i])
@@ -412,12 +391,12 @@ def _refined_min(times: np.ndarray, xi2: np.ndarray, probe) -> tuple[float, floa
     return t_min, xi2_min
 
 
-def _moment_kernel(m: np.ndarray, v0: np.ndarray, dt: float, n_steps: int):
-    """Moments ``grid[k] = exp(M t_k) v0`` on the grid t_k = k dt, k < n_steps.
+def _moment_kernel(m: np.ndarray, v0: np.ndarray, times: np.ndarray):
+    """Moments ``grid[k] = exp(M t_k) v0`` at the grid times t_k = k dt.
 
     The grid is V e^{w t} V^-1 v0 from one eigendecomposition M = V diag(w)
     V^-1 or, where ||V||_1 ||V^-1||_1 > ``_COND_LIMIT`` (M nearly defective),
-    repeated multiplication with expm(M dt).  Overflow gives inf/nan.
+    one read of ``_exp_action`` over the whole grid.  Overflow gives inf/nan.
     """
     try:
         w, vecs = np.linalg.eig(m)
@@ -426,66 +405,88 @@ def _moment_kernel(m: np.ndarray, v0: np.ndarray, dt: float, n_steps: int):
         cond = math.inf
     else:
         cond = np.abs(vecs).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
-    if cond <= _COND_LIMIT:
-        times = np.arange(n_steps) * dt
-        with np.errstate(over="ignore", invalid="ignore"):
-            grid = (np.exp(np.outer(times, w)) * (inv @ v0)) @ vecs.T
-        grid[0] = v0
-        return grid
-
-    step = expm(m * dt)
-    grid = np.empty((n_steps, 6), dtype=complex)
-    grid[0] = v0
+    if cond > _COND_LIMIT:
+        return _exp_action(m, v0, times[-1])(times)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps):
-            grid[k] = step @ grid[k - 1]
+        grid = (np.exp(np.outer(times, w)) * (inv @ v0)) @ vecs.T
+    grid[0] = v0
     return grid
 
 
-def _taylor_probe(m: np.ndarray, v: np.ndarray, width: float):
-    """The function s -> exp(M s) v for 0 <= s <= width, shaped s.shape + (6,).
-
-    A truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-    488, 2011): one table T_k = M^k v / k!, k < K, with K the smallest
-    degree at which x^K / K! <= 1e-18 for x = ||M||_1 width; a read at the
-    times s is the single product (s^0, ..., s^{K-1}) @ T.  Above
-    x = ``_TAYLOR_BOUND``, where cancellation between the terms costs
-    accuracy, each read is one stacked expm call over the times s.
-    """
-    x = float(np.abs(m).sum(axis=0).max()) * width
-    if not x <= _TAYLOR_BOUND:
-        return lambda s: expm(m * np.asarray(s)[..., None, None]) @ v
+def _taylor_table(m: np.ndarray, v: np.ndarray, x: float) -> np.ndarray:
+    """T_k = M^k v / k! (v a vector or columns) for k < K, least with x^K/K! <= 1e-18."""
     n_terms, term = 1, x            # term = x^K / K! for K = n_terms
     while term > 1e-18:
         n_terms += 1
         term *= x / n_terms
-    table = np.empty((n_terms, len(v)), dtype=complex)
+    table = np.empty((n_terms,) + v.shape, dtype=complex)
     table[0] = v
     for k in range(1, n_terms):
         np.dot(m, table[k - 1] / k, out=table[k])
-    powers = np.arange(n_terms)
-    return lambda s: (np.asarray(s)[..., None] ** powers) @ table
+    return table
+
+
+def _exp_action(m: np.ndarray, v: np.ndarray, width: float):
+    """The function s -> exp(M s) v for 0 <= s <= width, shaped s.shape + (6,).
+
+    A Taylor series re-anchored every block (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488, 2011): n = ceil(||M||_1 width / ``_TAYLOR_BOUND``)
+    blocks bound the cancellation between the terms.  One block is one table
+    T_k = M^k v / k!, read at the times s as (s^0, ..., s^{K-1}) @ T.  More
+    shift M by mu = Re tr(M) / 6, taking a common decay out of the
+    cancellation, and read P(r) = e^{mu r} sum_k r^k (M - mu)^k / k! at
+    r = s - j h off the anchor exp(M j h) v of block j, walked in increasing
+    j by E = P(h), each gap in binary digits over the squares E^(2^i): the
+    work grows with the reads and log n.  Squaring amplifies rounding where
+    ||E^k|| has a hump (Moler & Van Loan, SIAM Rev. 45, 3, 2003), as in
+    scipy's expm.  A non-finite ||M||_1 width gives non-finite rows.
+    """
+    x = float(np.abs(m).sum(axis=0).max()) * width
+    if not math.isfinite(x):
+        return lambda s: np.full(np.shape(s) + v.shape, complex(math.nan, math.nan))
+    blocks = max(math.ceil(x / _TAYLOR_BOUND), 1)
+    if blocks == 1:
+        table = _taylor_table(m, v, x)
+        return lambda s: (np.asarray(s)[..., None] ** np.arange(len(table))) @ table
+    h, mu = width / blocks, np.trace(m).real / len(m)
+    shifted = m - mu * np.eye(len(m))
+    terms = _taylor_table(shifted, np.eye(len(m)), np.abs(shifted).sum(axis=0).max() * h)
+    terms = terms.reshape(len(terms), -1).view(float)
+
+    def taylor(r):      # e^{-mu r} P(r): one real product with the (Re, Im) of the terms
+        return ((r[:, None] ** np.arange(len(terms))) @ terms).view(complex).reshape(-1, 6, 6)
+
+    squares = [math.exp(mu * h) * taylor(np.array([h]))[0]]   # E^(2^i), as reads need
+
+    def read(s):
+        s = np.asarray(s, dtype=float)
+        j = np.clip(np.nan_to_num(np.floor(s.ravel() / h)), 0.0, blocks - 1)
+        targets, at = np.unique(j, return_inverse=True)
+        anchors, anchor, done = [], v, 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for target in targets.tolist():
+                gap, done = int(target) - done, int(target)
+                for bit in range(gap.bit_length()):     # E^gap from the last anchor
+                    if bit == len(squares):
+                        squares.append(squares[-1] @ squares[-1])
+                    if gap >> bit & 1:
+                        anchor = squares[bit] @ anchor
+                anchors.append(anchor)
+            r = np.clip(s.ravel() - j * h, 0.0, h)
+            rows = np.exp(mu * r)[:, None] * (taylor(r) @ np.array(anchors)[at, :, None])[..., 0]
+        return rows.reshape(s.shape + v.shape)
+
+    return read
 
 
 def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
                      n_steps: int = 400, max_extensions: int = 0) -> SqueezingTrace:
     """Evaluate xi^2 on a uniform time grid and refine its minimum.
 
-    The moments on the whole grid come from one eigendecomposition of the
-    generator, v(t) = V e^{Lambda t} V^-1 v0, with expm stepping as the
-    fallback for an ill-conditioned eigenbasis (see ``_moment_kernel``).
-    The grid minimum is refined by the shared sampled zoom
-    (``_refined_min``) between the two neighbouring grid points, each read
-    an array of times propagated from the left one by a truncated Taylor
-    series (``_taylor_probe``); expm is called only to step an
-    ill-conditioned grid, or once per read (stacked over its times) where
-    ||M||_1 times the bracket width exceeds 8 (a long horizon over few steps).
-    The grid is cut by the one truncation rule (``_squeezing_trace``) before
-    the horizon check and the refinement: the first bad grid point after
-    t = 0 decides, a non-finite one raises ``PropagationError``, and one that
-    violates the physicality tolerances, or at which xi^2 is undefined
-    (|<J_z>| < 1e-12 N), ends the trace before it, flagged ``truncated``
-    with the reason.
+    The grid comes from ``_moment_kernel``; the sampled zoom ``_refined_min``
+    refines its minimum, reading by ``_exp_action`` from the left neighbour.
+    The grid is cut by the one truncation rule (``_squeezing_trace``), with
+    the physicality tolerance, before the horizon check and the refinement.
 
     With ``max_extensions > 0`` the horizon is doubled (up to that many
     times) whenever the discrete minimum falls on the trailing edge of the
@@ -497,17 +498,16 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
         raise ValueError("n_steps must be >= 2")
     if t_max is None:
         t_max = default_t_max(params)
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    if not (t_max > 0 and math.isfinite(t_max)):
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     gen = assemble_generator(params)
-    v0 = initial_state(params.n_atoms).as_array()
-    dt = t_max / (n_steps - 1)
-    moments = _moment_kernel(gen.m, v0, dt, n_steps)
+    times = np.arange(n_steps) * (t_max / (n_steps - 1))
+    moments = _moment_kernel(gen.m, initial_state(params.n_atoms).as_array(), times)
     with np.errstate(invalid="ignore"):
         unphysical = _physicality_violation(moments, params.n_atoms) > PHYSICALITY_TOL
     # row 0 is the initial state, never bad, so a bad row truncates or raises
     # PropagationError and the exported trace stays physical and finite
-    trace = _squeezing_trace(np.arange(n_steps) * dt, moments, params.n_atoms, unphysical)
+    trace = _squeezing_trace(times, moments, params.n_atoms, unphysical)
     times, moments = trace.times, trace.moments
 
     if (max_extensions > 0 and not trace.truncated
@@ -520,7 +520,7 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
     def probe(lo: int):
         # the bracket ends two steps right of lo, or at the last grid point
         t_lo, t_hi = times[lo], times[min(lo + 2, len(times) - 1)]
-        from_lo = _taylor_probe(gen.m, moments[lo], t_hi - t_lo)
+        from_lo = _exp_action(gen.m, moments[lo], t_hi - t_lo)
         return lambda t: _xi2(from_lo(t - t_lo), params.n_atoms)
 
     t_min, min_xi2 = _refined_min(times, trace.xi2, probe)

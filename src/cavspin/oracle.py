@@ -19,9 +19,8 @@ partial propagators at the output remainders, and composes them with powers
 of the period propagator; a dissipation-free static model needs no stepping
 and is propagated exactly with ``eigh``.  ``validate_elimination`` compares
 the two models, level by level, against the linearized moment equations.
-scipy is imported where it is called: ``scipy.sparse`` when a dissipative
-model builds its superoperator, and ``scipy.linalg`` through
-``moments.expm`` for the moment equations.
+The moment equations use the moment layer's kernel ``_exp_action``; the one
+scipy import, ``scipy.sparse``, comes with a dissipative superoperator.
 
 Frame bookkeeping: the full model rotates |b> at twice the ground-state
 splitting while the intermediate model (and hence the moment equations)
@@ -38,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import (MOMENT_ORDER, MomentState, PropagationError, assemble_generator,
-                      expm, initial_state)
+from .moments import (MOMENT_ORDER, MomentState, PropagationError, _exp_action,
+                      assemble_generator, initial_state)
 from .params import PhysicalParams, check_validity, kappa_prime, stark_shifts
 
 DIM_BUDGET = 1024
@@ -685,8 +684,9 @@ def validate_elimination(params: PhysicalParams, spec: HilbertSpec, t_grid,
     predicted by the linear equations.
     """
     times = np.asarray(sorted(float(t) for t in t_grid))
-    if len(times) == 0 or times[0] < 0.0:
-        raise ValueError("t_grid must contain nonnegative times")
+    bad = [t for t in times.tolist() if not (math.isfinite(t) and t >= 0.0)]
+    if bad or len(times) == 0:
+        raise ValueError(f"t_grid must hold finite nonnegative times, got {bad or 'none'}")
 
     validity = check_validity(params)
     # the moment generator refuses vanishing detunings before the builders
@@ -699,8 +699,7 @@ def validate_elimination(params: PhysicalParams, spec: HilbertSpec, t_grid,
     m_full = _frame_aligned(m_full, times, params.omega_ab)
     m_int, ph_int, _ = _run_brute_force(inter, times, dt_intermediate)
 
-    # exp(M t) v0 at every output time in one stacked call
-    m_lin = expm(gen.m * times[:, None, None]) @ initial_state(params.n_atoms).as_array()
+    m_lin = _exp_action(gen.m, initial_state(params.n_atoms).as_array(), times[-1])(times)
     finite = np.isfinite(m_lin.view(float)).all(axis=1)
     if not finite.all():
         raise PropagationError("non-finite moments after propagation to "

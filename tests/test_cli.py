@@ -555,7 +555,8 @@ def scipy_imports(stderr):
 
 def test_cold_start_loads_no_scipy(tmp_path):
     # importing scipy.linalg and scipy.sparse took longer than an evolve run
-    # spends in its physics, which never calls them on these configs
+    # spends in its physics, which never calls them on these configs; the
+    # dissipation-free oracle propagates its linear level by the moment kernel
     run = subprocess.run([sys.executable, "-X", "importtime", "-c",
                           "import cavspin, cavspin.cli"],
                          cwd=SRC, check=True, capture_output=True, text=True)
@@ -569,20 +570,34 @@ def test_cold_start_loads_no_scipy(tmp_path):
         assert scipy_imports(run.stderr) == []
         assert main(["evolve", "--config", cfg, "--out", str(warm)]) == 0
         assert (cold / "trace.csv").read_bytes() == (warm / "trace.csv").read_bytes()
+    cfg = os.path.abspath(config_path("oracle_n2.cfg"))
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "cavspin.cli",
+                          "oracle", "--config", cfg, "--out", str(tmp_path / "oracle")],
+                         cwd=SRC, check=True, capture_output=True, text=True)
+    assert scipy_imports(run.stderr) == []
+    assert (tmp_path / "oracle" / "validation.json").exists()
 
 
-@pytest.mark.parametrize("module, call", [
+@pytest.mark.parametrize("module, call, loaded", [
     ("scipy.linalg", "cavspin.propagate(cavspin.assemble_generator(p),\n"
-                     "    cavspin.initial_state(2), 1.0)"),
+                     "    cavspin.initial_state(2), 1.0)", False),
+    ("scipy.linalg", "cavspin.validate_elimination(\n"
+                     "    dataclasses.replace(p, kappa=0.0, gamma_a=0.0),\n"
+                     "    cavspin.HilbertSpec(2, 3, 1), [0.0, 0.5])", False),
+    ("scipy.linalg", "cavspin.moments._COND_LIMIT = 0.0\n"
+                     "cavspin.evolve_squeezing(cavspin.params.demo_params())", False),
     ("scipy.linalg", "from cavspin.dicke import DickePropagator\n"
                      "DickePropagator(cavspin.EffectiveCoeffs(.1, .1, .1, .1), 4)"
                      ".evolve_amplitudes(\n"
-                     "    cavspin.stretched_state(4).amplitudes, [1.0])"),
+                     "    cavspin.stretched_state(4).amplitudes, [1.0])", True),
     ("scipy.sparse", "cavspin.validate_elimination(p, cavspin.HilbertSpec(2, 3, 1),"
-                     " [0.0, 0.5])"),
-], ids=["propagate", "dicke", "dissipative-oracle"])
-def test_scipy_is_imported_where_it_is_called(module, call):
-    code = ("import sys, cavspin, cavspin.cli\n"
+                     " [0.0, 0.5])", True),
+], ids=["propagate", "dissipation-free-oracle", "fallback-grid", "dicke",
+        "dissipative-oracle"])
+def test_scipy_is_imported_where_it_is_called(module, call, loaded):
+    # only the Dicke layer loads scipy.linalg and only a dissipative oracle
+    # scipy.sparse; the moment kernel serves the rest
+    code = ("import dataclasses, sys, cavspin, cavspin.cli\n"
             "p = cavspin.PhysicalParams(n_atoms=2, omega_1=1.2, delta_1=30.0,\n"
             "    omega_ab=60.0, delta=0.5, kappa=0.5, gamma_a=0.1)\n"
             f"print({module!r} in sys.modules)\n"
@@ -590,7 +605,7 @@ def test_scipy_is_imported_where_it_is_called(module, call):
             f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], cwd=SRC, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", str(loaded)]
 
 
 class TestParser:

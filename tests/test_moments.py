@@ -255,6 +255,23 @@ class TestPropagate:
             warnings.simplefilter("ignore", RuntimeWarning)
             propagate(huge, initial_state(10 ** 6), 1e6)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_time_rejected(self, t):
+        # bad input, not a numerical failure: ValueError, not PropagationError
+        gen = assemble_generator(demo_params())
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            propagate(gen, initial_state(10 ** 6), t)
+
+    def test_cost_is_bounded_at_a_huge_horizon(self):
+        # ||M||_1 t = 1e25 is 1.25e24 Taylor blocks, read by 81 squarings
+        decaying = -np.eye(6, dtype=complex)
+        decaying[0, 1] = 0.3
+        v0, t = initial_state(1000), 1e25 / 1.3
+        got = propagate(moments_mod.MomentGenerator(m=decaying), v0, t).as_array()
+        assert np.array_equal(got, expm(decaying * t) @ v0.as_array())
+        with pytest.raises(PropagationError, match="after propagation"):
+            propagate(moments_mod.MomentGenerator(m=-decaying), v0, t)
+
 
 def physical_moment_states(n_atoms=100):
     amp = st.floats(-50.0, 50.0, allow_nan=False)
@@ -448,6 +465,16 @@ class TestEvolveSqueezing:
         ideal = evolve_squeezing(demo_params(dissipation=False))
         assert ideal.min_xi2 < dissipative.min_xi2
 
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan, 0.0, -1.0])
+    def test_t_max_must_be_positive_and_finite(self, t_max):
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            evolve_squeezing(demo_params(), t_max=t_max)
+
+    def test_infinite_default_horizon_is_refused(self, monkeypatch):
+        monkeypatch.setattr(moments_mod, "default_t_max", lambda params: math.inf)
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            evolve_squeezing(demo_params())
+
     def test_short_horizon_returns_unsqueezed(self):
         trace = evolve_squeezing(demo_params(), t_max=1e-9, n_steps=16)
         assert trace.min_xi2 == pytest.approx(1.0, abs=1e-6)
@@ -563,7 +590,7 @@ class TestRefinedMinimum:
     @pytest.mark.parametrize("n_steps", [3, 5, 8])
     def test_coarse_grid_beats_a_scan(self, dissipation, n_steps):
         # ||M||_1 times the probe width is 19.9, 9.9 and 5.7 with dissipation
-        # (10.0, 5.0 and 2.9 without): stacked expm reads and the Taylor table
+        # (10.0, 5.0 and 2.9 without): Taylor blocks and a single table
         p = demo_params(dissipation=dissipation)
         trace = evolve_squeezing(p, n_steps=n_steps)
         i = int(np.argmin(trace.xi2))
@@ -662,16 +689,39 @@ def mpmath_expm_apply(m, v, s):
         return np.array([complex(x) for x in out])
 
 
-def count_expm(monkeypatch):
-    calls = []
-    monkeypatch.setattr(moments_mod, "expm", lambda a: calls.append(1) or expm(a))
-    return calls
+def mpmath_grid(m, v, dt, n_steps):
+    """exp(M k dt) v for k < n_steps by 40-digit steps of an mpmath expm(M dt)."""
+    with mpmath.workdps(40):
+        step = mpmath.expm(mpmath.matrix(m.tolist()) * dt)
+        row, rows = mpmath.matrix(v.tolist()), []
+        for _ in range(n_steps):
+            rows.append([complex(x) for x in row])
+            row = step * row
+        return np.array(rows)
 
 
-@pytest.fixture(params=["spectral", "stepping"])
+def max_row_error(got, ref):
+    """Largest deviation of a row from its reference, over the reference row's scale."""
+    return (np.abs(got - ref).max(axis=-1) / np.abs(ref).max(axis=-1)).max()
+
+
+def record_kernel(monkeypatch):
+    """x = ||M||_1 width of every ``_exp_action`` call, in call order."""
+    xs = []
+    kernel = moments_mod._exp_action
+
+    def spy(m, v, width):
+        xs.append(float(np.abs(m).sum(axis=0).max()) * width)
+        return kernel(m, v, width)
+
+    monkeypatch.setattr(moments_mod, "_exp_action", spy)
+    return xs
+
+
+@pytest.fixture(params=["spectral", "fallback"])
 def kernel_path(request, monkeypatch):
     """Run a test on the eigenbasis path and, with no basis trusted, on the fallback."""
-    if request.param == "stepping":
+    if request.param == "fallback":
         monkeypatch.setattr(moments_mod, "_COND_LIMIT", 0.0)
     return request.param
 
@@ -690,17 +740,17 @@ class TestSpectralKernel:
     @given(demo_perturbations(), st.integers(0, 398), st.integers(1, 399))
     def test_semigroup(self, p, j, span):
         # exp(M (t_k - t_j)) v(t_j) = v(t_k): the refinement's probe from a
-        # grid row continues the grid, by its Taylor table or, over spans too
-        # long for the table, by expm
+        # grid row continues the grid, by one Taylor table or, over spans too
+        # long for one, by Taylor blocks
         gen = assemble_generator(p)
         n_steps = 400
         k = min(j + span, n_steps - 1)
         assume(k > j)
         dt = default_t_max(p) / (n_steps - 1)
         v0 = initial_state(p.n_atoms).as_array()
-        grid = moments_mod._moment_kernel(gen.m, v0, dt, n_steps)
+        grid = moments_mod._moment_kernel(gen.m, v0, np.arange(n_steps) * dt)
         s = (k - j) * dt
-        continued = moments_mod._taylor_probe(gen.m, grid[j], s)(s)
+        continued = moments_mod._exp_action(gen.m, grid[j], s)(s)
         assert np.abs(continued - grid[k]).max() <= 1e-12 * np.abs(grid[k]).max()
 
     @settings(max_examples=20, deadline=None)
@@ -719,43 +769,69 @@ class TestSpectralKernel:
             evolve_squeezing(p).min_xi2, rel=1e-9)
 
     def test_demo_takes_the_eigenbasis_path(self, monkeypatch):
-        # neither the grid nor the refinement calls expm, also where the
-        # eigenvalues cluster
-        calls = count_expm(monkeypatch)
+        # the grid never falls back to the kernel, also where the eigenvalues
+        # cluster, and each refinement reads one Taylor table: one kernel call
+        # per trace, within the bound
+        xs = record_kernel(monkeypatch)
         evolve_squeezing(demo_params(), max_extensions=2)
-        assert calls == []
         for p in REFINEMENT_EXAMPLES:
             evolve_squeezing(p)
-            assert calls == []
+        assert len(xs) == 1 + len(REFINEMENT_EXAMPLES)
+        assert max(xs) <= moments_mod._TAYLOR_BOUND
 
-    def test_defective_generator_falls_back_to_stepping(self, monkeypatch):
+    @pytest.mark.parametrize("t_max", [2.0, 20.0], ids=["one_table", "blocks"])
+    def test_defective_generator_falls_back_to_the_kernel(self, t_max, monkeypatch):
         # a Jordan block in (jz, nab): eig returns two (nearly) parallel vectors
         n = 1000
         m = -np.eye(6)
         m[0, 1] = 0.3
         inject_generator(monkeypatch, m)
-        calls = count_expm(monkeypatch)
-        trace = evolve_squeezing(demo_params(n_atoms=n), t_max=2.0, n_steps=50)
-        assert len(calls) == 1         # the grid step; the probe needs none
+        xs = record_kernel(monkeypatch)
+        trace = evolve_squeezing(demo_params(n_atoms=n), t_max=t_max, n_steps=50)
+        # the grid over the whole horizon, then the probe over one bracket
+        assert xs == pytest.approx([1.3 * t_max, 1.3 * 2.0 * t_max / 49], rel=1e-12)
         assert not trace.truncated
-        v0 = initial_state(n).as_array()
-        direct = np.array([expm(m * t) @ v0 for t in trace.times])
-        assert np.abs(trace.moments - direct).max() <= 1e-12 * np.abs(direct).max()
+        ref = mpmath_grid(m, initial_state(n).as_array(), trace.times[1], 50)
+        assert max_row_error(trace.moments, ref) <= 1e-13
 
-    def test_probe_falls_back_to_expm_above_the_bound(self, monkeypatch):
+    @pytest.mark.parametrize("n_steps", [240, 400])
+    @pytest.mark.parametrize("p", [demo_params(), demo_params(dissipation=False),
+                                   demo_params(n_atoms=1000)],
+                             ids=["fig2", "fig2_nodissipation", "n1000"])
+    def test_fallback_grid_matches_a_40_digit_reference(self, p, n_steps, monkeypatch):
+        # ||M||_1 t_max is 19.8, 20.0 and 385 (3, 3 and 49 Taylor blocks)
+        monkeypatch.setattr(moments_mod, "_COND_LIMIT", 0.0)
+        m = assemble_generator(p).m
+        v0 = initial_state(p.n_atoms).as_array()
+        dt = default_t_max(p) / (n_steps - 1)
+        grid = moments_mod._moment_kernel(m, v0, np.arange(n_steps) * dt)
+        assert max_row_error(grid, mpmath_grid(m, v0, dt, n_steps)) <= 1e-13
+
+    @pytest.mark.parametrize("factor, tol_1e6", [(0.999, 1e-13), (1.001, 1e-13),
+                                                 (10.0, 1e-12), (100.0, 1e-9)])
+    def test_probe_widths_match_a_40_digit_reference(self, factor, tol_1e6):
+        # one Taylor table below the bound, blocks above it; a probe reads 65
+        # points across its width.  At N = 10^6 the non-normal hump of exp(M t)
+        # amplifies the rounding of the block steps and their squares: at
+        # 10 and 100 times the bound the reads reach 6.1e-13 and 3.0e-10 of
+        # the row scale, where the stacked expm they replace reached 5.4e-13
+        # and 4.2e-8
+        for p, tol in ((demo_params(n_atoms=1000), 1e-13), (demo_params(), tol_1e6),
+                       (demo_params(dissipation=False), tol_1e6)):
+            m = assemble_generator(p).m
+            v = initial_state(p.n_atoms).as_array()
+            width = factor * moments_mod._TAYLOR_BOUND / np.abs(m).sum(axis=0).max()
+            s = np.linspace(0.0, width, 65)
+            got = moments_mod._exp_action(m, v, width)(s)[::16]
+            ref = np.array([mpmath_expm_apply(m, v, t) for t in s[::16]])
+            assert max_row_error(got, ref) <= tol
+
+    def test_non_finite_reads_give_non_finite_rows(self):
         m = assemble_generator(demo_params()).m
-        v = initial_state(demo_params().n_atoms).as_array()
-        norm_1 = np.abs(m).sum(axis=0).max()
-        calls = count_expm(monkeypatch)
-        for factor, expm_calls in ((0.999, 0), (1.001, 4)):
-            width = factor * moments_mod._TAYLOR_BOUND / norm_1
-            probe = moments_mod._taylor_probe(m, v, width)
-            for s in (0.3, 0.5, 0.85, 1.0):
-                ref = expm(m * s * width) @ v
-                got = probe(s * width)
-                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-            assert len(calls) == expm_calls
-            calls.clear()
+        v = initial_state(10 ** 6).as_array()
+        for width in (1e-3, 1.0, math.inf):     # one table, blocks, non-finite x
+            rows = moments_mod._exp_action(m, v, width)(np.array([math.nan]))
+            assert rows.shape == (1, 6) and np.isnan(rows).all()
 
     @pytest.mark.parametrize("p", [demo_params()] + REFINEMENT_EXAMPLES,
                              ids=["demo", "clustered_a", "clustered_b", "falling_at_end"])
@@ -765,7 +841,7 @@ class TestSpectralKernel:
         m = assemble_generator(p).m
         dt, lo = trace.times[1], max(int(np.argmin(trace.xi2)) - 1, 0)
         v = trace.moments[lo]
-        probe = moments_mod._taylor_probe(m, v, 2.0 * dt)
+        probe = moments_mod._exp_action(m, v, 2.0 * dt)
         for f in (0.3, 1.0, 1.7, 2.0):
             ref = mpmath_expm_apply(m, v, f * dt)
             assert np.abs(probe(f * dt) - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -659,6 +659,11 @@ class TestValidateElimination:
         with pytest.raises(PropagationError, match="propagation to t=0.5"):
             validate_elimination(n2_matched(), HilbertSpec(2, 3, 1), [0.0, 0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_is_named(self, bad):
+        with pytest.raises(ValueError, match=rf"finite nonnegative times, got \[{bad}\]"):
+            validate_elimination(n2_matched(), HilbertSpec(2, 3, 1), [0.0, bad, 0.5])
+
     def test_report_records_shape(self):
         p = n2_matched()
         rep = validate_elimination(p, HilbertSpec(2, 3, 1), [0.0, 0.5])
