@@ -13,14 +13,21 @@ moment equations:
 One fixed-step RK4 kernel, ``_rk4``, propagates both, in three ways:
 a dissipative model steps its density matrix through the Lindblad master
 equation (``integrate_master``), whose right-hand side is one sparse CSR
-superoperator on vec(rho) built once per call; a dissipation-free periodic
-model steps the identity over one drive period in a single pass, keeping the
-partial propagators at the output remainders, and composes them with powers
-of the period propagator; a dissipation-free static model needs no stepping
-and is propagated exactly with ``eigh``.  ``validate_elimination`` compares
-the two models, level by level, against the linearized moment equations.
-The moment equations use the moment layer's kernel ``_exp_action``; the one
-scipy import, ``scipy.sparse``, comes with a dissipative superoperator.
+superoperator built once per call; a dissipation-free periodic model steps
+the identity over one drive period in a single pass, keeping the partial
+propagators at the output remainders, and composes them with powers of the
+period propagator; a dissipation-free static model needs no stepping and is
+propagated exactly with ``eigh``.  ``validate_elimination`` compares the two
+models, level by level, against the linearized moment equations.  The moment
+equations use the moment layer's kernel ``_exp_action``; the one scipy
+import, ``scipy.sparse``, comes with a dissipative superoperator.
+
+Both models are built on the tensor-product ``Basis`` and propagated in
+exchange-orbit coordinates: with collective drives and cavity and one jump
+set per atom, a start state symmetric under atom exchange stays symmetric.
+The isometry onto the orbits of basis states (or of index pairs, for
+vec(rho)) is the identity where the start state or the model breaks the
+symmetry, and the step size always comes from the full model.
 
 Frame bookkeeping: the full model rotates |b> at twice the ground-state
 splitting while the intermediate model (and hence the moment equations)
@@ -32,8 +39,9 @@ Diagonal observables (J_z, populations, photon number) are frame invariant.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,7 +84,11 @@ class HilbertSpec:
 
 
 class Basis:
-    """Dense operator algebra on (atom levels)^n_atoms x Fock(cutoff)."""
+    """Dense operator algebra on (atom levels)^n_atoms x Fock(cutoff).
+
+    Atom 0 is the most significant digit of a basis index, the photon number
+    the least.  Everything the basis holds is built with it and never changes.
+    """
 
     def __init__(self, n_atoms: int, levels: tuple[str, ...], cavity_cutoff: int):
         self.n_atoms = n_atoms
@@ -101,6 +113,13 @@ class Basis:
             "jmp": jm @ jp,
             "photons": c.conj().T @ c,
         }
+        shape = (self.n_levels,) * n_atoms + (cavity_cutoff + 1,)
+        digits = np.unravel_index(np.arange(self.dim), shape)
+        table = np.array([np.ravel_multi_index([digits[k] for k in order] + [digits[-1]],
+                                               shape)
+                          for order in itertools.permutations(range(n_atoms))])
+        table.flags.writeable = False
+        self._permutations = table
 
     def transition(self, upper: str, lower: str) -> np.ndarray:
         """Single-atom |upper><lower| on the atomic level space."""
@@ -134,6 +153,13 @@ class Basis:
     def collective_ops(self) -> dict[str, np.ndarray]:
         """The moment and photon-number operators, built with the basis."""
         return self._collective_ops
+
+    def atom_permutations(self) -> np.ndarray:
+        """Read-only (N!, dim) table: each state's index under each atom permutation.
+
+        Row 0 is the identity; a column's minimum labels the state's exchange orbit.
+        """
+        return self._permutations
 
 
 @dataclass(frozen=True)
@@ -390,10 +416,13 @@ def _step_count(span: float, dt: float) -> tuple[int, float]:
 
 
 def _rk4(rhs, y: np.ndarray, t0: float, h: float, n_steps: int,
-         hermitian: bool = False) -> np.ndarray:
+         adjoint=None) -> np.ndarray:
     """Classical RK4 for dy/dt = rhs(t, y): ``n_steps`` steps of size ``h`` from t0.
 
-    ``hermitian`` re-Hermitizes a density matrix after every step.
+    ``y`` is stepped in whatever coordinates ``rhs`` takes.  Where given,
+    ``adjoint`` maps a state to its adjoint in those coordinates, and every
+    step ends with y = (y + adjoint(y)) / 2, which re-Hermitizes a density
+    matrix.
     """
     time = t0
     for _ in range(n_steps):
@@ -402,21 +431,62 @@ def _rk4(rhs, y: np.ndarray, t0: float, h: float, n_steps: int,
         k3 = rhs(time + 0.5 * h, y + 0.5 * h * k2)
         k4 = rhs(time + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if hermitian:
-            y = 0.5 * (y + y.conj().T)
+        if adjoint:
+            y = 0.5 * (y + adjoint(y))
         time += h
     return y
 
 
-def _lindblad_rhs(liou: Liouvillian):
-    """Sparse right-hand side ``rhs(t, rho)`` of the Lindblad master equation.
+def _orbit_projection(labels: np.ndarray, start: np.ndarray, parts, sparse: bool = False):
+    """Isometry onto the orbits that ``labels`` mark, and ``parts`` projected onto it.
+
+    ``labels[i]`` is the smallest index in the orbit of i.  Column k of the
+    real isometry is the normalized indicator of the k-th orbit in label
+    order, 1/sqrt(|orbit|) on each member, so every row holds one entry; it
+    is a CSR matrix with ``sparse``, else a dense array.  Returns
+    ``(iso, [iso^T A iso for A in parts])`` where ``start`` lies in
+    range(iso) and every part A maps that range into itself, each to a
+    residual of 1e-12 of its own scale.  Otherwise every orbit is a
+    singleton: the isometry is the identity and the parts come back as given.
+    """
+    rows = len(labels)
+
+    def isometry(columns: np.ndarray):
+        sizes = np.bincount(columns)
+        values = 1.0 / np.sqrt(sizes[columns])
+        if sparse:
+            from scipy.sparse import csr_matrix
+            return csr_matrix((values, columns, np.arange(rows + 1)),
+                              shape=(rows, len(sizes)))
+        iso = np.zeros((rows, len(sizes)))
+        iso[np.arange(rows), columns] = values
+        return iso
+
+    iso = isometry((np.cumsum(labels == np.arange(rows)) - 1)[labels])
+    projected = []
+    for x in itertools.chain([start], (part @ iso for part in parts)):
+        y = iso.T @ x
+        if abs(x - iso @ y).max() > 1e-12 * abs(x).max():
+            return isometry(np.arange(rows)), parts
+        projected.append(y)
+    return iso, projected[1:]
+
+
+def _lindblad_rhs(liou: Liouvillian, rho0: np.ndarray):
+    """Sparse Lindblad right-hand side in exchange-orbit coordinates.
 
     On row-major vec(rho), X rho Y is (X kron Y^T) vec(rho).  With
     G = 1/2 sum_D D^dag D, the static part is
     L0 = (-i H - G) x I + I x (i H - G)^T + sum_D D x D*, and each
-    oscillating term V e^{i w t} adds -i (V x I - I x V^T).  The parts are
-    stacked into one CSR matrix, so a call is one sparse product contracted
-    with the phases (1, e^{i w_1 t}, ...).
+    oscillating term V e^{i w t} adds -i (V x I - I x V^T).
+
+    Index pairs (i, j) form orbits under permutations of the atoms in both
+    indices.  Their isometry Q (:func:`_orbit_projection`) is the identity
+    unless ``rho0`` and every part keep range(Q).  The projected parts
+    Q^T L Q are stacked into one CSR matrix, so ``rhs(t, y)`` on
+    y = Q^T vec(rho) is one sparse product contracted with the phases
+    (1, e^{i w_1 t}, ...).  Returns ``(rhs, Q, adjoint)``; ``adjoint`` maps
+    y to the coordinates of rho^dag, the conjugate at the transposed orbit.
     """
     from scipy import sparse
     dim = liou.basis.dim
@@ -433,27 +503,33 @@ def _lindblad_rhs(liou: Liouvillian):
     for mat, _ in liou.hamiltonian_oscillating:
         v = sparse.csr_matrix(mat, dtype=complex)
         parts.append(-1j * (sparse.kron(v, eye) - sparse.kron(eye, v.T)))
+    pairs = functools.reduce(np.minimum, (np.add.outer(row * dim, row).ravel()
+                                          for row in liou.basis.atom_permutations()))
+    q, parts = _orbit_projection(pairs, rho0.ravel(), parts, sparse=True)
     stacked = sparse.vstack(parts, format="csr")
     freqs = np.array([0.0] + [f for _, f in liou.hamiltonian_oscillating])
+    dag = np.empty(q.shape[1], dtype=np.intp)
+    dag[q.indices] = q.indices.reshape(dim, dim).T.ravel()
 
-    def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-        blocks = (stacked @ rho.ravel()).reshape(len(freqs), dim * dim)
-        return (np.exp(1j * freqs * t) @ blocks).reshape(dim, dim)
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        return np.exp(1j * freqs * t) @ (stacked @ y).reshape(len(freqs), -1)
 
-    return rhs
+    return rhs, q, lambda y: y[dag].conj()
 
 
 def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t: float,
                      dt: float | None = None) -> MasterResult:
     """Fixed-step 4th-order integration of the master equation.
 
-    The Liouvillian acts as one sparse superoperator on vec(rho), built once
-    per call (:func:`_lindblad_rhs`).  ``t`` must be finite and nonnegative
-    and ``dt`` finite and positive.  The step must resolve the fastest
-    oscillation: dt * max(omega, ||H||) <= 0.05 is enforced.  The state is
-    re-Hermitized after every step; the final state is checked by
-    :meth:`DensityMatrix.validate`, whose trace drift and minimum eigenvalue
-    are reported.
+    The Liouvillian acts as one sparse superoperator, built once per call
+    (:func:`_lindblad_rhs`), on the exchange-orbit coordinates y = Q^T vec(rho)
+    of the state.  Q is the identity, and the whole of vec(rho) is stepped,
+    unless the start state and the model are symmetric under atom exchange.
+    ``t`` must be finite and nonnegative and ``dt`` finite and positive.  The
+    step is set by the full model: dt * max(omega, ||H||) <= 0.05 is
+    enforced.  The state is re-Hermitized after every step.  The final
+    rho = Q y is checked by :meth:`DensityMatrix.validate`, whose trace drift
+    and minimum eigenvalue are reported.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"integration time t must be finite and nonnegative, got {t}")
@@ -470,8 +546,9 @@ def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t: float,
         return MasterResult(result, *result.validate(), 0, dt)
 
     n_steps, h = _step_count(t, dt)
-    rho = _rk4(_lindblad_rhs(liou), rho, 0.0, h, n_steps, hermitian=True)
-    result = DensityMatrix(rho)
+    rhs, q, adjoint = _lindblad_rhs(liou, rho)
+    y = _rk4(rhs, q.T @ rho.ravel(), 0.0, h, n_steps, adjoint)
+    result = DensityMatrix((q @ y).reshape(rho.shape))
     drift, min_eig = result.validate()
     return MasterResult(result, drift, min_eig, n_steps, h)
 
@@ -493,25 +570,39 @@ def extract_moments(rho: DensityMatrix, basis: Basis) -> tuple[MomentState, floa
 def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """States of a dissipation-free model at every output time, as (T, dim).
 
-    A static model is propagated exactly through its eigendecomposition.  A
-    periodic H(t) steps the identity over one drive period once (RK4 on the
-    Schroedinger equation is linear per step, so this gives the propagator)
-    and keeps the partial propagator U(k h) at the last step boundary below
-    each output's remainder t mod period.  An output is that partial times
-    the composed whole periods, plus one short RK4 step up to the remainder.
-    H(t) is built once per RK4 stage time, two builds per step.
+    The states are propagated in the coordinates P^T psi of the exchange
+    orbits of the basis states, with every Hamiltonian part projected to
+    P^T H P, and mapped back with P.  P (:func:`_orbit_projection`) is the
+    identity, and the whole space is propagated, unless psi0 and every part
+    keep range(P).  A static model is propagated exactly through the
+    eigendecomposition of the projected Hamiltonian.  A periodic H(t) steps
+    the identity over one drive period once (RK4 on the Schroedinger
+    equation is linear per step, so this gives the propagator) and keeps
+    the partial propagator U(k h) at the last step boundary below each
+    output's remainder t mod period.  An output is that partial times the
+    composed whole periods, plus one short RK4 step up to the remainder.
+    The step h is set by the full model.  H(t) is built once per RK4 stage
+    time, two builds per step.
     """
-    if not liou.hamiltonian_oscillating:
-        w, v = np.linalg.eigh(liou.hamiltonian_static)
-        coeffs = v.conj().T @ psi0
-        return np.array([v @ (np.exp(-1j * w * t) * coeffs) for t in times])
+    osc = liou.hamiltonian_oscillating
+    p, (static, *moving) = _orbit_projection(
+        liou.basis.atom_permutations().min(axis=0), psi0,
+        [liou.hamiltonian_static] + [mat for mat, _ in osc])
+    # the model's parts in orbit coordinates; its basis stays the full one
+    reduced = replace(liou, hamiltonian_static=static,
+                      hamiltonian_oscillating=tuple(zip(moving, (f for _, f in osc))))
+    phi0 = p.T @ psi0
+    if not osc:
+        w, v = np.linalg.eigh(reduced.hamiltonian_static)
+        coeffs = v.conj().T @ phi0
+        return np.array([v @ (np.exp(-1j * w * t) * coeffs) for t in times]) @ p.T
 
     # an RK4 step evaluates H at t, t + h/2 (twice) and t + h, and the next
     # step starts at t + h: keeping the last H(t) builds each one once
-    hamiltonian = functools.lru_cache(maxsize=1)(liou.hamiltonian_at)
+    hamiltonian = functools.lru_cache(maxsize=1)(reduced.hamiltonian_at)
 
-    def rhs(t: float, psi: np.ndarray) -> np.ndarray:
-        return -1j * (hamiltonian(t) @ psi)
+    def rhs(t: float, phi: np.ndarray) -> np.ndarray:
+        return -1j * (hamiltonian(t) @ phi)
 
     period = 2.0 * math.pi / liou.max_frequency
     n_steps, h = _step_count(period, recommended_dt(liou, 0.005))
@@ -522,7 +613,7 @@ def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray) -> n
         splits.append((n_periods, remainder, int(remainder // h)))
 
     partial = {}
-    u, done = np.eye(liou.basis.dim, dtype=complex), 0
+    u, done = np.eye(len(phi0), dtype=complex), 0
     for k in sorted({k for _, _, k in splits} | {n_steps}):
         u = _rk4(rhs, u, done * h, h, k - done)
         partial[k], done = u, k
@@ -530,12 +621,12 @@ def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray) -> n
 
     states = []
     for t, (n_periods, remainder, k) in zip(times, splits):
-        psi = partial[k] @ (np.linalg.matrix_power(u_period, n_periods) @ psi0)
+        phi = partial[k] @ (np.linalg.matrix_power(u_period, n_periods) @ phi0)
         gap = remainder - k * h
         if gap > 1e-15 * max(t, 1.0):
-            psi = _rk4(rhs, psi, k * h, gap, 1)
-        states.append(psi)
-    return np.array(states)
+            phi = _rk4(rhs, phi, k * h, gap, 1)
+        states.append(phi)
+    return np.array(states) @ p.T
 
 
 # ---------------------------------------------------------------------------

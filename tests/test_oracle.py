@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,8 @@ from cavspin.oracle import (Basis, DensityMatrix, HilbertSpec, IntegrationError,
                             coherent_pair_transfer_time, extract_moments,
                             integrate_master, photon_estimate, recommended_dt,
                             validate_elimination)
-from cavspin.params import PhysicalParams, check_validity, match_raman, stark_shifts
+from cavspin.params import (PhysicalParams, check_validity, match_raman,
+                            params_from_mapping, read_config, stark_shifts)
 
 
 def n2_matched(omega1=4.0, dissipation=0.0):
@@ -69,6 +71,21 @@ def quarter_pair_report():
     horizon = coherent_pair_transfer_time(p) / 4.0
     rep = validate_elimination(p, HilbertSpec(2, 3, 2), strobed_grid(p, horizon))
     return p, rep
+
+
+@pytest.fixture
+def isometry_shapes(monkeypatch):
+    """Shapes of the isometries the kernels take, in call order."""
+    shapes = []
+    project = oracle._orbit_projection
+
+    def recording(*args, **kwargs):
+        iso, parts = project(*args, **kwargs)
+        shapes.append(iso.shape)
+        return iso, parts
+
+    monkeypatch.setattr(oracle, "_orbit_projection", recording)
+    return shapes
 
 
 class TestHilbertSpec:
@@ -354,15 +371,23 @@ class TestSparseLindblad:
     def test_matches_dense_rhs(self, kind, n_atoms, levels, cutoff):
         liou = lossy_model(kind, n_atoms, levels, cutoff)
         assert liou.has_dissipation
-        sparse_rhs, dense_rhs = _lindblad_rhs(liou), dense_lindblad_rhs(liou)
+        dense_rhs = dense_lindblad_rhs(liou)
         rng = np.random.default_rng(7)
         dim = liou.basis.dim
+        perms = liou.basis.atom_permutations()
         for t in (0.0, 0.37, 2.1, 11.3):
             x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             rho = x @ x.conj().T
             rho /= np.trace(rho)
-            ref = dense_rhs(t, rho)
-            assert np.abs(sparse_rhs(t, rho) - ref).max() <= 1e-10 * np.abs(ref).max()
+            # a random rho takes the identity isometry, its permutation
+            # average the exchange orbits (for more than one atom)
+            averaged = np.mean([rho[np.ix_(r, r)] for r in perms], axis=0)
+            for state, reduced in ((rho, False), (averaged, n_atoms > 1)):
+                sparse_rhs, q, _ = _lindblad_rhs(liou, state)
+                assert (q.shape[1] < dim * dim) == reduced
+                ref = dense_rhs(t, state)
+                out = q @ sparse_rhs(t, q.T @ state.ravel())
+                assert np.abs(out.reshape(dim, dim) - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_integration_matches_dense_stepping(self):
         liou = build_full_model(n2_matched(dissipation=0.3), HilbertSpec(2, 4, 1))
@@ -370,7 +395,8 @@ class TestSparseLindblad:
         t, dt = 0.7, recommended_dt(liou)
         res = integrate_master(liou, rho0, t)
         n_steps, h = _step_count(t, dt)
-        ref = _rk4(dense_lindblad_rhs(liou), rho0.entries, 0.0, h, n_steps, hermitian=True)
+        ref = _rk4(dense_lindblad_rhs(liou), rho0.entries, 0.0, h, n_steps,
+                   adjoint=lambda r: r.conj().T)
         assert (res.steps, res.dt) == (n_steps, h)
         assert np.abs(res.rho.entries - ref).max() <= 1e-10
 
@@ -465,15 +491,134 @@ class TestUnitaryStates:
         assert sum(steps) > 0
         assert len(builds) <= 2 * sum(steps) + len(steps)
 
-    def test_static_model_matches_expm(self):
+    def test_static_model_matches_expm(self, isometry_shapes):
         liou = build_intermediate_model(n2_matched(), HilbertSpec(2, 3, 1))
         assert not liou.hamiltonian_oscillating and not liou.has_dissipation
         psi0 = liou.basis.vacuum_all_a()
         times = np.array([0.0, 0.7, 3.1, 40.0])
         states = _unitary_states(liou, psi0, times)
+        assert isometry_shapes == [(8, 6)]         # propagated on the exchange orbits
         for t, psi in zip(times, states):
             ref = expm(-1j * liou.hamiltonian_static * t) @ psi0
             assert np.abs(psi - ref).max() <= 1e-10
+
+
+def plain_rk4(rhs, y, t0, h, n_steps):
+    """Textbook RK4 in the full space: the reference of the orbit-coordinate kernels."""
+    for k in range(n_steps):
+        t = t0 + k * h
+        k1 = rhs(t, y)
+        k2 = rhs(t + h / 2, y + h / 2 * k1)
+        k3 = rhs(t + h / 2, y + h / 2 * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+def product_state(basis, levels):
+    """|levels[0] levels[1] ..., 0> as a state vector."""
+    index = 0
+    for level in levels:
+        index = index * basis.n_levels + basis.levels.index(level)
+    psi = np.zeros(basis.dim, complex)
+    psi[index * (basis.cavity_cutoff + 1)] = 1.0
+    return psi
+
+
+class TestExchangeOrbits:
+    """Exchange-orbit coordinates against plain full-space RK4 at the same step."""
+
+    @staticmethod
+    def unitary_reference(liou, psi0, times):
+        """The step sequence of ``_unitary_states``, stepped plainly in the full space."""
+        period = 2.0 * math.pi / liou.max_frequency
+        n_steps, h = _step_count(period, recommended_dt(liou, 0.005))
+
+        def rhs(t, psi):
+            return -1j * (liou.hamiltonian_at(t) @ psi)
+
+        states = []
+        for t in times:
+            n_periods = int(t // period)
+            remainder = t - n_periods * period
+            k = int(remainder // h)
+            psi = psi0
+            for j in range(n_periods):
+                psi = plain_rk4(rhs, psi, j * period, h, n_steps)
+            psi = plain_rk4(rhs, psi, n_periods * period, h, k)
+            if remainder > k * h:
+                psi = plain_rk4(rhs, psi, n_periods * period + k * h, remainder - k * h, 1)
+            states.append(psi)
+        return states
+
+    @staticmethod
+    def master_reference(liou, rho0, t):
+        """``integrate_master``'s rho at t, and plain full-space RK4 at its step."""
+        res = integrate_master(liou, rho0, t)
+        assert (res.steps, res.dt) == _step_count(t, recommended_dt(liou))
+        ref = plain_rk4(dense_lindblad_rhs(liou), rho0.entries, 0.0, res.dt, res.steps)
+        return res.rho.entries, ref
+
+    def test_orbit_counts(self, isometry_shapes):
+        config = read_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                          "configs", "oracle_n2.cfg"))
+        p = params_from_mapping(config)
+        spec = HilbertSpec(2, int(config["atom_levels"]), int(config["cavity_cutoff"]))
+        for build in (build_full_model, build_intermediate_model):
+            liou = build(p, spec, compensate_stark=True)
+            _unitary_states(liou, liou.basis.vacuum_all_a(), np.array([0.0]))
+        assert isometry_shapes == [(27, 18), (12, 9)]
+        # the benchmark's dissipative op, and the four-level model at N = 3
+        for n_atoms, full, reduced in ((2, 1024, 544), (3, 16384, 3264)):
+            liou = build_full_model(lossy_params(n_atoms, 4), HilbertSpec(n_atoms, 4, 1))
+            rho0 = DensityMatrix.from_pure(liou.basis.vacuum_all_a()).entries
+            assert _lindblad_rhs(liou, rho0)[1].shape == (full, reduced)
+
+    @pytest.mark.parametrize("n_atoms,reduced", [(2, 12), (3, 20)])
+    def test_periodic_unitary_matches_full_stepping(self, n_atoms, reduced,
+                                                     isometry_shapes):
+        liou = build_full_model(replace(n2_matched(), n_atoms=n_atoms),
+                                HilbertSpec(n_atoms, 3, 1))
+        period = 2.0 * math.pi / liou.max_frequency
+        psi0 = liou.basis.vacuum_all_a()
+        times = np.array([0.0, 0.6, 1.0, 2.3]) * period
+        states = _unitary_states(liou, psi0, times)
+        assert isometry_shapes == [(liou.basis.dim, reduced)]
+        for psi, ref in zip(states, self.unitary_reference(liou, psi0, times)):
+            assert np.abs(psi - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("n_atoms,levels,reduced", [(2, 4, 544), (3, 3, 660)])
+    def test_dissipative_full_matches_full_stepping(self, n_atoms, levels, reduced,
+                                                     isometry_shapes):
+        liou = build_full_model(lossy_params(n_atoms, levels),
+                                HilbertSpec(n_atoms, levels, 1))
+        rho0 = DensityMatrix.from_pure(liou.basis.vacuum_all_a())
+        rho, ref = self.master_reference(liou, rho0, 25.5 * recommended_dt(liou))
+        assert isometry_shapes == [(liou.basis.dim ** 2, reduced)]
+        assert np.abs(rho - ref).max() <= 1e-10
+
+    def test_non_symmetric_start_takes_the_identity(self, isometry_shapes):
+        liou = build_full_model(n2_matched(), HilbertSpec(2, 3, 1))
+        psi0 = product_state(liou.basis, "ea")
+        times = np.array([0.0, 0.6, 1.3]) * 2.0 * math.pi / liou.max_frequency
+        states = _unitary_states(liou, psi0, times)
+        for psi, ref in zip(states, self.unitary_reference(liou, psi0, times)):
+            assert np.abs(psi - ref).max() <= 1e-10
+        lossy = build_full_model(lossy_params(2, 4), HilbertSpec(2, 4, 1))
+        rho0 = DensityMatrix.from_pure(product_state(lossy.basis, "ea"))
+        rho, ref = self.master_reference(lossy, rho0, 25.5 * recommended_dt(lossy))
+        assert np.abs(rho - ref).max() <= 1e-10
+        assert isometry_shapes == [(18, 18), (1024, 1024)]
+
+    def test_jump_on_one_atom_takes_the_identity(self, isometry_shapes):
+        full = build_full_model(lossy_params(2, 3), HilbertSpec(2, 3, 1))
+        basis = full.basis
+        jump = math.sqrt(0.5) * basis.atom_op(0, basis.transition("a", "e"))
+        liou = replace(full, jump_operators=(jump,))
+        rho0 = DensityMatrix.from_pure(basis.vacuum_all_a())
+        rho, ref = self.master_reference(liou, rho0, 25.5 * recommended_dt(liou))
+        assert np.abs(rho - ref).max() <= 1e-10
+        assert isometry_shapes == [(324, 324)]
 
 
 def attribute_state(obj):
@@ -497,6 +642,17 @@ class TestImmutability:
         before = attribute_state(basis)
         extract_moments(DensityMatrix.from_pure(basis.vacuum_all_a()), basis)
         assert attribute_state(basis) == before
+        with pytest.raises(ValueError):
+            basis.atom_permutations()[0, 0] = 1
+
+    def test_kernels_leave_the_basis(self):
+        lossy = build_full_model(lossy_params(2, 3), HilbertSpec(2, 3, 1))
+        before = attribute_state(lossy.basis)
+        integrate_master(lossy, DensityMatrix.from_pure(lossy.basis.vacuum_all_a()), 0.05)
+        for liou in (replace(lossy, jump_operators=()),
+                     replace(lossy, jump_operators=(), hamiltonian_oscillating=())):
+            _unitary_states(liou, liou.basis.vacuum_all_a(), np.array([0.0, 0.3]))
+        assert attribute_state(lossy.basis) == before
 
 
 class TestExtractMoments:
