@@ -12,15 +12,16 @@ moment equations:
 
 One fixed-step RK4 kernel, ``_rk4``, propagates both, in three ways:
 a dissipative model steps its density matrix through the Lindblad master
-equation (``integrate_master``), whose right-hand side is one sparse CSR
-superoperator built once per call; a dissipation-free periodic model steps
-the identity over one drive period in a single pass, keeping the partial
-propagators at the output remainders, and composes them with powers of the
-period propagator; a dissipation-free static model needs no stepping and is
-propagated exactly with ``eigh``.  ``validate_elimination`` compares the two
-models, level by level, against the linearized moment equations.  The moment
-equations use the moment layer's kernel ``_exp_action``; the one scipy
-import, ``scipy.sparse``, comes with a dissipative superoperator.
+equation in one ``integrate_master`` pass, whose clock starts at rho0 and
+runs through every output time on one sparse CSR superoperator; a
+dissipation-free periodic model steps the identity over one drive period in
+a single pass, keeping the partial propagators at the output remainders, and
+composes them with powers of the period propagator; a dissipation-free
+static model needs no stepping and is propagated exactly with ``eigh``.
+``validate_elimination`` compares the two models, level by level, against
+the linearized moment equations.  The moment equations use the moment
+layer's kernel ``_exp_action``; the one scipy import, ``scipy.sparse``,
+comes with a dissipative superoperator.
 
 Both models are built on the tensor-product ``Basis`` and propagated in
 exchange-orbit coordinates: with collective drives and cavity and one jump
@@ -395,11 +396,14 @@ def build_intermediate_model(params: PhysicalParams, spec: HilbertSpec,
 
 @dataclass(frozen=True)
 class MasterResult:
+    """rho at each output time (``states``) and the last (``rho``) of one pass."""
+
     rho: DensityMatrix
     trace_drift: float
     min_eigenvalue: float
     steps: int
     dt: float
+    states: tuple
 
 
 def recommended_dt(liou: Liouvillian, factor: float = 0.05) -> float:
@@ -517,22 +521,26 @@ def _lindblad_rhs(liou: Liouvillian, rho0: np.ndarray):
     return rhs, q, lambda y: y[dag].conj()
 
 
-def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t: float,
+def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t,
                      dt: float | None = None) -> MasterResult:
     """Fixed-step 4th-order integration of the master equation.
 
-    The Liouvillian acts as one sparse superoperator, built once per call
-    (:func:`_lindblad_rhs`), on the exchange-orbit coordinates y = Q^T vec(rho)
-    of the state.  Q is the identity, and the whole of vec(rho) is stepped,
-    unless the start state and the model are symmetric under atom exchange.
-    ``t`` must be finite and nonnegative and ``dt`` finite and positive.  The
-    step is set by the full model: dt * max(omega, ||H||) <= 0.05 is
-    enforced.  The state is re-Hermitized after every step.  The final
-    rho = Q y is checked by :meth:`DensityMatrix.validate`, whose trace drift
-    and minimum eigenvalue are reported.
+    ``t`` is one end time or a non-decreasing sequence of output times: the
+    model's clock starts at rho0 at t = 0 and runs through every output, so
+    oscillating couplings keep their phase; an output at t = 0 is rho0.  One
+    sparse superoperator (:func:`_lindblad_rhs`) acts on the exchange-orbit
+    coordinates y = Q^T vec(rho) (Q = I unless rho0 and the model are
+    exchange symmetric).  Each gap takes equal steps of at most ``dt``
+    (finite, positive, dt * max(omega, ||H||) <= 0.05), each ending with a
+    re-Hermitization.  Each stepped output is checked by
+    :meth:`DensityMatrix.validate` when reached; the result holds the worst
+    trace drift and minimum eigenvalue over them (rho0's if none was
+    stepped), the total ``steps`` and the last gap's step as ``dt``.
     """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"integration time t must be finite and nonnegative, got {t}")
+    times = np.array(t, dtype=float, ndmin=1)
+    if not (times.ndim == 1 and times.size and math.isfinite(times[-1])
+            and (np.diff(times, prepend=0.0) >= 0.0).all()):
+        raise ValueError(f"integration time t must be finite, nonnegative and non-decreasing, got {t}")
     if dt is None:
         dt = recommended_dt(liou)
     if not (math.isfinite(dt) and dt > 0.0):
@@ -540,17 +548,20 @@ def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t: float,
     scale = liou.rate_scale()
     if dt * scale > 0.05 * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} too coarse: dt * max(omega, ||H||) = {dt * scale:.3g} > 0.05")
-    rho = rho0.entries.astype(complex).copy()
-    if t == 0.0:
-        result = DensityMatrix(rho)
-        return MasterResult(result, *result.validate(), 0, dt)
-
-    n_steps, h = _step_count(t, dt)
-    rhs, q, adjoint = _lindblad_rhs(liou, rho)
-    y = _rk4(rhs, q.T @ rho.ravel(), 0.0, h, n_steps, adjoint)
-    result = DensityMatrix((q @ y).reshape(rho.shape))
-    drift, min_eig = result.validate()
-    return MasterResult(result, drift, min_eig, n_steps, h)
+    state = DensityMatrix(rho0.entries.astype(complex))  # astype copies rho0
+    rhs, q, adjoint = _lindblad_rhs(liou, state.entries)
+    y = q.T @ state.entries.ravel()
+    states, checks, start, h, steps = [], [], 0.0, dt, 0
+    for end in times.tolist():
+        if end > start:
+            n_steps, h = _step_count(end - start, dt)
+            y = _rk4(rhs, y, start, h, n_steps, adjoint)
+            state = DensityMatrix((q @ y).reshape(rho0.entries.shape))
+            start, steps = end, steps + n_steps
+            checks.append(state.validate())
+        states.append(state)
+    drifts, eigs = zip(*checks or [state.validate()])
+    return MasterResult(state, max(drifts), min(eigs), steps, h, tuple(states))
 
 
 def extract_moments(rho: DensityMatrix, basis: Basis) -> tuple[MomentState, float]:
@@ -730,34 +741,23 @@ def _frame_aligned(moments: np.ndarray, times: np.ndarray, omega_ab: float) -> n
 def _run_brute_force(liou: Liouvillian, times: np.ndarray,
                      dt: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     basis = liou.basis
-    excited = basis.collective("e", "e") if "e" in basis.levels else None
-    moments = np.empty((len(times), 6), dtype=complex)
-    photons = np.empty(len(times))
-    e_pop = np.zeros(len(times))
-
-    def record(i: int, rho: DensityMatrix) -> None:
-        state, ph = extract_moments(rho, basis)
-        moments[i] = state.as_array()
-        photons[i] = ph
-        if excited is not None:
-            e_pop[i] = float(np.trace(excited @ rho.entries).real)
-
-    if not liou.has_dissipation:
-        states = _unitary_states(liou, basis.vacuum_all_a(), times)
-        for i, (t, psi) in enumerate(zip(times, states)):
+    psi0 = basis.vacuum_all_a()
+    if liou.has_dissipation:
+        states = integrate_master(liou, DensityMatrix.from_pure(psi0), times, dt).states
+    else:
+        states = []
+        for t, psi in zip(times, _unitary_states(liou, psi0, times)):
             norm = np.linalg.norm(psi)
             if abs(norm - 1.0) > 1e-6:
                 raise IntegrationError(f"unitarity loss {abs(norm - 1.0):.2e} at t={t}")
-            record(i, DensityMatrix.from_pure(psi / norm))
-        return moments, photons, e_pop
-    rho = DensityMatrix.from_pure(basis.vacuum_all_a())
-    prev_t = 0.0
-    for i, t in enumerate(times):
-        if t > prev_t:
-            rho = integrate_master(liou, rho, float(t - prev_t), dt).rho
-            prev_t = float(t)
-        record(i, rho)
-    return moments, photons, e_pop
+            states.append(DensityMatrix.from_pure(psi / norm))
+    records = [extract_moments(rho, basis) for rho in states]
+    moments = np.array([state.as_array() for state, _ in records])
+    photons = np.array([ph for _, ph in records])
+    if "e" not in basis.levels:
+        return moments, photons, np.zeros(len(times))
+    excited = basis.collective("e", "e")
+    return moments, photons, np.array([np.trace(excited @ rho.entries).real for rho in states])
 
 
 def validate_elimination(params: PhysicalParams, spec: HilbertSpec, t_grid,

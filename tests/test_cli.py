@@ -215,9 +215,9 @@ class TestBudget:
 
 
 class TestOracle:
-    def test_bundled_two_atom_config(self, tmp_path):
-        code = main(["oracle", "--config", config_path("oracle_n2.cfg"),
-                     "--out", str(tmp_path)])
+    @pytest.mark.parametrize("name", ["oracle_n2.cfg", "oracle_n2_dissipative.cfg"])
+    def test_bundled_two_atom_config(self, tmp_path, name):
+        code = main(["oracle", "--config", config_path(name), "--out", str(tmp_path)])
         assert code == 0
         doc = json.loads((tmp_path / "validation.json").read_text())
         val = doc["validation"]

@@ -41,28 +41,40 @@ def strobed_grid(params, horizon, n_points=9):
     return [k * stride * period for k in range(n_points)]
 
 
+def dissipative_params():
+    """The lossy two-atom parameters of ``configs/oracle_n2_dissipative.cfg``."""
+    p = PhysicalParams(n_atoms=2, omega_1=1.2, omega_2=0.0, delta_1=30.0,
+                       omega_ab=60.0, delta=0.5, kappa=0.5, gamma_a=0.1,
+                       gamma_b=0.1, gamma_o=0.1)
+    return p.with_drives(p.omega_1, match_raman(p))
+
+
 @pytest.fixture(scope="module")
 def dissipative_report():
-    """Short dissipative three-way run, recording every master-equation call.
+    """Short dissipative three-way run, recording every master-equation call
+    and every superoperator build.
 
     The benchmark's oracle check wraps ``cavspin.oracle.integrate_master`` the
     same way and fails a dissipative run that records no trace drift.
     """
-    p = PhysicalParams(n_atoms=2, omega_1=1.2, omega_2=0.0, delta_1=30.0,
-                       omega_ab=60.0, delta=0.5, kappa=0.5, gamma_a=0.1,
-                       gamma_b=0.1, gamma_o=0.1)
-    p = p.with_drives(p.omega_1, match_raman(p))
-    calls = []
+    calls, builds = [], []
 
     def recording(*args, **kwargs):
         result = integrate_master(*args, **kwargs)
         calls.append(result)
         return result
 
+    def counting(*args, **kwargs):
+        builds.append(args[0])
+        return build_rhs(*args, **kwargs)
+
+    build_rhs = oracle._lindblad_rhs
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "integrate_master", recording)
-        rep = validate_elimination(p, HilbertSpec(2, 4, 1), np.linspace(0.0, 6.0, 3))
-    return rep, calls
+        mp.setattr(oracle, "_lindblad_rhs", counting)
+        rep = validate_elimination(dissipative_params(), HilbertSpec(2, 4, 1),
+                                   np.linspace(0.0, 6.0, 3))
+    return rep, calls, builds
 
 
 @pytest.fixture(scope="module")
@@ -306,7 +318,11 @@ class TestIntegrateMaster:
 
     @pytest.mark.parametrize("name,value", [
         ("dt", -1.0), ("dt", 0.0), ("dt", math.nan), ("dt", math.inf),
-        ("t", -1.0), ("t", math.nan), ("t", math.inf)])
+        ("t", -1.0), ("t", math.nan), ("t", math.inf),
+        pytest.param("t", [0.5, 0.2], id="t-decreasing"),
+        pytest.param("t", [0.0, math.nan], id="t-nan-sequence"),
+        pytest.param("t", [-0.1, 0.5], id="t-negative-sequence"),
+        pytest.param("t", [], id="t-empty")])
     def test_bad_time_or_step_refused(self, name, value, monkeypatch):
         liou = build_full_model(lossy_params(1, 4), HilbertSpec(1, 4, 1))
         rho0 = DensityMatrix.from_pure(liou.basis.vacuum_all_a())
@@ -315,6 +331,17 @@ class TestIntegrateMaster:
         monkeypatch.setattr(oracle, "_rk4", None)       # refused before any step
         with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
             integrate_master(liou, rho0, **args)
+
+    def test_zero_start_grid_matches_scalar_time(self):
+        liou = build_full_model(lossy_params(1, 4), HilbertSpec(1, 4, 1))
+        rho0 = DensityMatrix.from_pure(liou.basis.vacuum_all_a())
+        scalar = integrate_master(liou, rho0, 0.8)
+        grid = integrate_master(liou, rho0, [0.0, 0.8])
+        assert np.array_equal(grid.states[0].entries, rho0.entries)
+        assert np.array_equal(grid.rho.entries, scalar.rho.entries)
+        assert grid.rho is grid.states[-1]
+        assert (grid.trace_drift, grid.min_eigenvalue, grid.steps, grid.dt) \
+            == (scalar.trace_drift, scalar.min_eigenvalue, scalar.steps, scalar.dt)
 
     def test_coarse_step_rejected(self):
         p = n2_matched()
@@ -782,11 +809,15 @@ class TestValidateElimination:
         assert rep_s.max_dev("fi", "jpp") > rep_w.max_dev("fi", "jpp")
 
     def test_dissipative_three_way_short_horizon(self, dissipative_report):
-        rep, _ = dissipative_report
+        rep, _, _ = dissipative_report
         assert rep.in_validity_regime
         for mom in ("jz", "jpm", "nab"):
             assert rep.max_dev("fi", mom) < 0.05
             assert rep.max_dev("il", mom) < 0.05
+        # the pair coherences need the full model's clock to run through
+        # every output time
+        for mom in ("jpp", "jmm", "jmp"):
+            assert rep.max_dev("fi", mom) < 0.05
         # cavity transient interference keeps photons within the 4x envelope
         # of the eliminated-mode estimate and far below a single photon
         est = rep.metadata["photon_estimate_trace"]
@@ -794,11 +825,31 @@ class TestValidateElimination:
             assert rep.photons[level].max() <= 4.0 * est.max()
             assert rep.photons[level].max() < 1e-2
 
-    def test_one_master_call_per_dissipative_interval(self, dissipative_report):
-        _, calls = dissipative_report
-        # two models, two nonzero output intervals each
-        assert len(calls) == 4
-        assert all(res.trace_drift <= 1e-8 for res in calls)
+    def test_one_master_call_per_dissipative_model(self, dissipative_report):
+        rep, calls, builds = dissipative_report
+        p, spec = dissipative_params(), HilbertSpec(2, 4, 1)
+        models = [build_full_model(p, spec, compensate_stark=True),
+                  build_intermediate_model(p, spec, compensate_stark=True)]
+        assert len(calls) == len(builds) == 2
+        for res, liou in zip(calls, models):
+            dt = recommended_dt(liou)
+            assert res.steps == sum(math.ceil((b - a) / dt)
+                                    for a, b in zip(rep.times, rep.times[1:]))
+            assert len(res.states) == len(rep.times)
+            assert res.trace_drift <= 1e-8
+
+    def test_full_model_matches_single_span_runs(self):
+        # 0.25 is 2.39 periods of the omega_ab couplings: a clock restarted at
+        # every output time would put them out of phase
+        p, spec = dissipative_params(), HilbertSpec(2, 4, 1)
+        rep = validate_elimination(p, spec, [0.0, 0.25, 0.5])
+        full = build_full_model(p, spec, compensate_stark=True)
+        rho0 = DensityMatrix.from_pure(full.basis.vacuum_all_a())
+        spans = np.array([extract_moments(integrate_master(full, rho0, t).rho,
+                                          full.basis)[0].as_array() for t in rep.times])
+        ref = oracle._frame_aligned(spans, rep.times, p.omega_ab)
+        dev = np.abs(rep.moments["full"] - ref).max(axis=0)
+        assert (dev <= 1e-7 * np.abs(ref).max(axis=0)).all()
 
     def test_linear_level_is_propagate_at_each_time(self, quarter_pair_report):
         p, rep = quarter_pair_report
