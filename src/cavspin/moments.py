@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import PhysicalParams, _check_detunings, kappa_prime
+from .params import PhysicalParams, _check_detunings, _integral, kappa_prime
 
 #: component ordering of the moment vector
 MOMENT_ORDER = ("jz", "nab", "jpp", "jmm", "jpm", "jmp")
@@ -494,6 +494,9 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
     found; a trace that keeps decreasing (as in dissipation-free runs) stops
     at the final extended horizon.
     """
+    for name, count in (("n_steps", n_steps), ("max_extensions", max_extensions)):
+        if not _integral(count):
+            raise ValueError(f"{name} must be an integer, got {count}")
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
     if t_max is None:

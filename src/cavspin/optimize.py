@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moments import PropagationError, evolve_squeezing
-from .params import WARN_THRESHOLD, PhysicalParams, check_validity, kappa_prime
+from .params import WARN_THRESHOLD, PhysicalParams, _integral, check_validity, kappa_prime
 
 #: cavity adiabaticity ratio at which |Omega_1| is pinned
 DRIVE_PIN_RATIO = 1e-3
@@ -63,6 +63,9 @@ class OptimizationProblem:
     def __post_init__(self):
         # a bad system parameter would otherwise fail at every candidate
         # point, where the objective turns it into a penalty
+        for name in ("n_atoms", "restarts", "max_evals", "n_steps", "seed"):
+            if not _integral(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be >= 1")
         for name in ("kappa", "gamma_total"):

@@ -10,14 +10,15 @@ moment equations:
   excited state, with the six composite relaxation operators, made fully
   static by shifting the cavity frame by the two-photon detuning.
 
-One fixed-step RK4 kernel, ``_rk4``, propagates both, in three ways:
-a dissipative model steps its density matrix through the Lindblad master
-equation in one ``integrate_master`` pass, whose clock starts at rho0 and
-runs through every output time on one sparse CSR superoperator; a
-dissipation-free periodic model steps the identity over one drive period in
-a single pass, keeping the partial propagators at the output remainders, and
-composes them with powers of the period propagator; a dissipation-free
-static model needs no stepping and is propagated exactly with ``eigh``.
+One fixed-step RK4 kernel, ``_rk4``, is the one place that cuts time into
+steps: from a state at t = 0 it walks sorted output times on one running
+clock, each gap in equal steps of at most dt.  A dissipative model makes one
+pass of it over the output times (``integrate_master``), stepping its
+density matrix through the Lindblad master equation on one sparse CSR
+superoperator; a dissipation-free periodic model makes one pass with the
+identity over the output remainders r = t mod period and the period itself,
+and an output is U(r) U(period)^n; a dissipation-free static model needs no
+stepping and is propagated exactly with ``eigh``.
 ``validate_elimination`` compares the two models, level by level, against
 the linearized moment equations.  The moment equations use the moment
 layer's kernel ``_exp_action``; the one scipy import, ``scipy.sparse``,
@@ -48,7 +49,7 @@ import numpy as np
 
 from .moments import (MOMENT_ORDER, MomentState, PropagationError, _exp_action,
                       assemble_generator, initial_state)
-from .params import PhysicalParams, check_validity, kappa_prime, stark_shifts
+from .params import PhysicalParams, _integral, check_validity, kappa_prime, stark_shifts
 
 DIM_BUDGET = 1024
 
@@ -70,6 +71,9 @@ class HilbertSpec:
     cavity_cutoff: int = 2
 
     def __post_init__(self):
+        for name in ("n_atoms", "atom_levels", "cavity_cutoff"):
+            if not _integral(getattr(self, name)):
+                raise ModelError(f"{name} must be an integer, got {getattr(self, name)}")
         if not 1 <= self.n_atoms <= 3:
             raise ModelError("brute-force oracle supports 1 to 3 atoms")
         if self.atom_levels not in (3, 4):
@@ -265,8 +269,12 @@ def _check_model(params: PhysicalParams, spec: HilbertSpec) -> None:
     +/- omega_ab, and the elimination behind the intermediate model drops
     the terms that oscillate at omega_ab, so degenerate ground states
     (``omega_ab = 0``) are refused for both; decay into |o> needs the fourth
-    level.  Both builders and the ``oracle`` settings reader call this check.
+    level, and the models hold the parameters' atom number, which the moment
+    equations they are compared with take.  Both builders and the ``oracle``
+    settings reader call this check.
     """
+    if spec.n_atoms != params.n_atoms:
+        raise ModelError(f"HilbertSpec has {spec.n_atoms} atoms, the parameters {params.n_atoms}")
     if params.omega_ab == 0.0:
         raise ModelError("omega_ab = 0: degenerate ground states break the frame choice")
     if params.gamma_o > 0.0 and spec.atom_levels == 3:
@@ -419,26 +427,34 @@ def _step_count(span: float, dt: float) -> tuple[int, float]:
     return n_steps, span / n_steps
 
 
-def _rk4(rhs, y: np.ndarray, t0: float, h: float, n_steps: int,
-         adjoint=None) -> np.ndarray:
-    """Classical RK4 for dy/dt = rhs(t, y): ``n_steps`` steps of size ``h`` from t0.
+def _rk4(rhs, y: np.ndarray, times, dt: float, adjoint=None):
+    """Classical RK4 for dy/dt = rhs(t, y) from y at t = 0 through sorted ``times``.
 
+    Yields ``(y, n_steps, h)`` at each time: the gap since the previous time
+    is taken in ``n_steps`` equal steps of ``h`` <= ``dt`` on a running clock.
+    An empty gap yields ``n_steps`` 0 and the previous ``h`` (``dt`` at first).
     ``y`` is stepped in whatever coordinates ``rhs`` takes.  Where given,
     ``adjoint`` maps a state to its adjoint in those coordinates, and every
     step ends with y = (y + adjoint(y)) / 2, which re-Hermitizes a density
     matrix.
     """
-    time = t0
-    for _ in range(n_steps):
-        k1 = rhs(time, y)
-        k2 = rhs(time + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(time + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(time + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if adjoint:
-            y = 0.5 * (y + adjoint(y))
-        time += h
-    return y
+    start, h = 0.0, dt
+    for end in times:
+        n_steps = 0
+        if end > start:
+            n_steps, h = _step_count(end - start, dt)
+            time = start
+            for _ in range(n_steps):
+                k1 = rhs(time, y)
+                k2 = rhs(time + 0.5 * h, y + 0.5 * h * k1)
+                k3 = rhs(time + 0.5 * h, y + 0.5 * h * k2)
+                k4 = rhs(time + h, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if adjoint:
+                    y = 0.5 * (y + adjoint(y))
+                time += h
+            start = end
+        yield y, n_steps, h
 
 
 def _orbit_projection(labels: np.ndarray, start: np.ndarray, parts, sparse: bool = False):
@@ -530,12 +546,13 @@ def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t,
     oscillating couplings keep their phase; an output at t = 0 is rho0.  One
     sparse superoperator (:func:`_lindblad_rhs`) acts on the exchange-orbit
     coordinates y = Q^T vec(rho) (Q = I unless rho0 and the model are
-    exchange symmetric).  Each gap takes equal steps of at most ``dt``
-    (finite, positive, dt * max(omega, ||H||) <= 0.05), each ending with a
-    re-Hermitization.  Each stepped output is checked by
-    :meth:`DensityMatrix.validate` when reached; the result holds the worst
-    trace drift and minimum eigenvalue over them (rho0's if none was
-    stepped), the total ``steps`` and the last gap's step as ``dt``.
+    exchange symmetric).  One :func:`_rk4` pass over the outputs takes each
+    gap in equal steps of at most ``dt`` (finite, positive,
+    dt * max(omega, ||H||) <= 0.05), each ending with a re-Hermitization.
+    Each stepped output is checked by :meth:`DensityMatrix.validate` as the
+    pass yields it, before it steps on; the result holds the worst trace
+    drift and minimum eigenvalue over them (rho0's if none was stepped), the
+    total ``steps`` and the last gap's step as ``dt``.
     """
     times = np.array(t, dtype=float, ndmin=1)
     if not (times.ndim == 1 and times.size and math.isfinite(times[-1])
@@ -550,14 +567,11 @@ def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t,
         raise ValueError(f"dt={dt} too coarse: dt * max(omega, ||H||) = {dt * scale:.3g} > 0.05")
     state = DensityMatrix(rho0.entries.astype(complex))  # astype copies rho0
     rhs, q, adjoint = _lindblad_rhs(liou, state.entries)
-    y = q.T @ state.entries.ravel()
-    states, checks, start, h, steps = [], [], 0.0, dt, 0
-    for end in times.tolist():
-        if end > start:
-            n_steps, h = _step_count(end - start, dt)
-            y = _rk4(rhs, y, start, h, n_steps, adjoint)
+    states, checks, steps = [], [], 0
+    for y, n_steps, h in _rk4(rhs, q.T @ state.entries.ravel(), times.tolist(), dt, adjoint):
+        if n_steps:
             state = DensityMatrix((q @ y).reshape(rho0.entries.shape))
-            start, steps = end, steps + n_steps
+            steps += n_steps
             checks.append(state.validate())
         states.append(state)
     drifts, eigs = zip(*checks or [state.validate()])
@@ -586,14 +600,13 @@ def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray) -> n
     P^T H P, and mapped back with P.  P (:func:`_orbit_projection`) is the
     identity, and the whole space is propagated, unless psi0 and every part
     keep range(P).  A static model is propagated exactly through the
-    eigendecomposition of the projected Hamiltonian.  A periodic H(t) steps
-    the identity over one drive period once (RK4 on the Schroedinger
-    equation is linear per step, so this gives the propagator) and keeps
-    the partial propagator U(k h) at the last step boundary below each
-    output's remainder t mod period.  An output is that partial times the
-    composed whole periods, plus one short RK4 step up to the remainder.
-    The step h is set by the full model.  H(t) is built once per RK4 stage
-    time, two builds per step.
+    eigendecomposition of the projected Hamiltonian.  A periodic H(t) makes
+    one :func:`_rk4` pass with the identity (RK4 on the Schroedinger equation
+    is linear per step, so this gives the propagator) over the sorted
+    remainders r = t mod period and the period itself, so an output
+    t = n period + r is U(r) U(period)^n psi0.  The step bound is set by the
+    full model.  H(t) is built once per RK4 stage time: two builds per step,
+    plus one where a gap starts.
     """
     osc = liou.hamiltonian_oscillating
     p, (static, *moving) = _orbit_projection(
@@ -608,36 +621,22 @@ def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray) -> n
         coeffs = v.conj().T @ phi0
         return np.array([v @ (np.exp(-1j * w * t) * coeffs) for t in times]) @ p.T
 
-    # an RK4 step evaluates H at t, t + h/2 (twice) and t + h, and the next
-    # step starts at t + h: keeping the last H(t) builds each one once
+    # an RK4 step evaluates H at t, t + h/2 (twice) and t + h, and on _rk4's
+    # running clock the next step starts at t + h: keeping the last H(t)
+    # builds each one once
     hamiltonian = functools.lru_cache(maxsize=1)(reduced.hamiltonian_at)
 
     def rhs(t: float, phi: np.ndarray) -> np.ndarray:
         return -1j * (hamiltonian(t) @ phi)
 
     period = 2.0 * math.pi / liou.max_frequency
-    n_steps, h = _step_count(period, recommended_dt(liou, 0.005))
-    splits = []
-    for t in times:
-        n_periods = int(t // period)
-        remainder = t - n_periods * period
-        splits.append((n_periods, remainder, int(remainder // h)))
-
-    partial = {}
-    u, done = np.eye(len(phi0), dtype=complex), 0
-    for k in sorted({k for _, _, k in splits} | {n_steps}):
-        u = _rk4(rhs, u, done * h, h, k - done)
-        partial[k], done = u, k
-    u_period = partial[n_steps]
-
-    states = []
-    for t, (n_periods, remainder, k) in zip(times, splits):
-        phi = partial[k] @ (np.linalg.matrix_power(u_period, n_periods) @ phi0)
-        gap = remainder - k * h
-        if gap > 1e-15 * max(t, 1.0):
-            phi = _rk4(rhs, phi, k * h, gap, 1)
-        states.append(phi)
-    return np.array(states) @ p.T
+    n_periods = times // period
+    remainders = times - n_periods * period
+    stops = np.unique(np.append(remainders, period)).tolist()
+    stepped = _rk4(rhs, np.eye(len(phi0), dtype=complex), stops, recommended_dt(liou, 0.005))
+    u = {r: y for r, (y, _, _) in zip(stops, stepped)}
+    return np.array([u[r] @ (np.linalg.matrix_power(u[period], int(n)) @ phi0)
+                     for n, r in zip(n_periods, remainders.tolist())]) @ p.T
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ class PhysicalParams:
     gamma_o: float = 0.0
 
     def __post_init__(self):
-        if int(self.n_atoms) != self.n_atoms or self.n_atoms < 1:
+        if not _integral(self.n_atoms) or self.n_atoms < 1:
             raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms}")
         for name in ("g_a", "g_b", "omega_1", "omega_2", "delta_1", "omega_ab", "delta",
                      "kappa", "gamma_a", "gamma_b", "gamma_o"):
@@ -343,6 +343,11 @@ def read_config(path) -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         out[key] = value
     return out
+
+
+def _integral(x) -> bool:
+    """The rule for a count: finite and equal to its integer part (numpy integers pass)."""
+    return math.isfinite(x) and int(x) == x
 
 
 def _number(mapping: dict, key: str, kind=float):

@@ -470,6 +470,15 @@ class TestEvolveSqueezing:
         with pytest.raises(ValueError, match="t_max must be positive and finite"):
             evolve_squeezing(demo_params(), t_max=t_max)
 
+    @pytest.mark.parametrize("name,value", [("n_steps", 10.5), ("max_extensions", 1.5),
+                                            ("n_steps", math.nan)])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            evolve_squeezing(demo_params(), t_max=1.0, **{name: value})
+        trace = evolve_squeezing(demo_params(), t_max=1.0, n_steps=np.int64(10),
+                                 max_extensions=np.int64(0))
+        assert len(trace.times) == 10 and trace.times[-1] == 1.0
+
     def test_infinite_default_horizon_is_refused(self, monkeypatch):
         monkeypatch.setattr(moments_mod, "default_t_max", lambda params: math.inf)
         with pytest.raises(ValueError, match="t_max must be positive and finite"):

@@ -62,7 +62,9 @@ class TestProblem:
                                                ("gamma_total", -1.0),
                                                ("gamma_split", (2.0, -1.0, 0.0)),
                                                ("g_a", 0.0), ("g_b", 0.0),
-                                               ("seed", -1)])
+                                               ("seed", -1), ("n_atoms", 2.5),
+                                               ("restarts", 2.5), ("max_evals", 2.5),
+                                               ("n_steps", 10.5), ("seed", 1.5)])
     def test_invalid_search_settings_rejected(self, setting, value):
         with pytest.raises(ValueError, match=setting):
             quick_problem(**{setting: value})

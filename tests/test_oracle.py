@@ -116,6 +116,15 @@ class TestHilbertSpec:
         with pytest.raises(ModelError):
             HilbertSpec(1, 5, 1)
 
+    @pytest.mark.parametrize("name,value", [
+        ("n_atoms", 2.5), ("atom_levels", 3.5), ("cavity_cutoff", 1.5),
+        ("cavity_cutoff", math.inf), ("n_atoms", math.nan)])
+    def test_counts_must_be_integers(self, name, value):
+        counts = {"n_atoms": 2, "atom_levels": 3, "cavity_cutoff": 1}
+        with pytest.raises(ModelError, match=f"{name} must be an integer"):
+            HilbertSpec(**{**counts, name: value})
+        assert HilbertSpec(*map(np.int64, counts.values())).dim == 18
+
 
 class TestFullModel:
     def test_frame_refusals(self):
@@ -125,6 +134,11 @@ class TestFullModel:
         p = PhysicalParams(n_atoms=1, delta_1=5.0, omega_ab=2.0, gamma_o=0.3)
         with pytest.raises(ModelError):
             build_full_model(p, HilbertSpec(1, 3, 1))
+        # the models must hold the atom number the moment equations take
+        p = PhysicalParams(n_atoms=2, delta_1=5.0, omega_ab=2.0)
+        for build in (build_full_model, build_intermediate_model):
+            with pytest.raises(ModelError, match="HilbertSpec has 3 atoms"):
+                build(p, HilbertSpec(3, 3, 1))
 
     def test_zero_detuning_refused_only_with_stark_compensation(self):
         p = PhysicalParams(n_atoms=1, omega_1=1.0, delta_1=0.0, omega_ab=2.0)
@@ -422,8 +436,10 @@ class TestSparseLindblad:
         t, dt = 0.7, recommended_dt(liou)
         res = integrate_master(liou, rho0, t)
         n_steps, h = _step_count(t, dt)
-        ref = _rk4(dense_lindblad_rhs(liou), rho0.entries, 0.0, h, n_steps,
-                   adjoint=lambda r: r.conj().T)
+        rhs, ref = dense_lindblad_rhs(liou), rho0.entries
+        for k in range(n_steps):            # each step re-Hermitized, as integrated
+            ref = plain_rk4(rhs, ref, k * h, h, 1)
+            ref = 0.5 * (ref + ref.conj().T)
         assert (res.steps, res.dt) == (n_steps, h)
         assert np.abs(res.rho.entries - ref).max() <= 1e-10
 
@@ -431,9 +447,9 @@ class TestSparseLindblad:
 class TestUnitaryStates:
     @staticmethod
     def schroedinger(liou, psi, t0, t1, dt):
-        """Plain fixed-step RK4 of the Schroedinger equation over [t0, t1]."""
+        """Textbook RK4 of the Schroedinger equation over [t0, t1], steps of at most dt."""
         n_steps, h = _step_count(t1 - t0, dt)
-        return _rk4(lambda t, y: -1j * (liou.hamiltonian_at(t) @ y), psi, t0, h, n_steps)
+        return plain_rk4(lambda t, y: -1j * (liou.hamiltonian_at(t) @ y), psi, t0, h, n_steps)
 
     def test_periodic_model_matches_plain_stepping(self):
         liou = build_full_model(n2_matched(), HilbertSpec(2, 3, 1))
@@ -456,67 +472,61 @@ class TestUnitaryStates:
                            omega_ab=6.5, delta=0.7)
         liou = build_full_model(p, HilbertSpec(1, 3, 1))
         period = 2.0 * math.pi / liou.max_frequency
-        dt = recommended_dt(liou, 0.005)
-        n_steps, h = _step_count(period, dt)
-        # 6 periods leave a remainder that rounds up past the last step boundary
+        _, h = _step_count(period, recommended_dt(liou, 0.005))
+        # 6 periods leave a remainder that rounds up past the period itself
         assert int(6.0 * period // period) == 5
-        assert (6.0 * period - 5.0 * period) // h >= n_steps
+        assert 6.0 * period - 5.0 * period > period
         times = np.array([
             1.0 * period, 2.0 * period,                   # exact multiples
             2.0 * period + 0.3 * h,                       # inside the first step
-            period + 5.2 * h, period + 5.7 * h,           # one shared step boundary
+            period + 5.2 * h, period + 5.7 * h,           # two outputs in one step
             np.nextafter(3.0 * period, 0.0), 6.0 * period,  # round to whole periods
         ])
         psi0 = liou.basis.vacuum_all_a()
         states = _unitary_states(liou, psi0, times)
-        whole = [psi0]
-        for k in range(int(times.max() // period)):
-            whole.append(self.schroedinger(liou, whole[-1], k * period, (k + 1) * period, dt))
-        for t, psi in zip(times, states):
-            n_periods = int(t // period)
-            ref = whole[n_periods]
-            if t > n_periods * period:
-                ref = self.schroedinger(liou, ref, n_periods * period, t, dt)
+        for psi, ref in zip(states, period_stepping(liou, psi0, times)):
             assert np.abs(psi - ref).max() <= 1e-10
+
+    @staticmethod
+    def counting_rk4(steps):
+        """``_rk4`` that appends the step count of every gap to ``steps``."""
+        def counting(rhs, y, times, dt, adjoint=None):
+            for y, n_steps, h in _rk4(rhs, y, times, dt, adjoint):
+                steps.append(n_steps)
+                yield y, n_steps, h
+        return counting
 
     def test_period_is_stepped_once(self, monkeypatch):
         liou = build_full_model(n2_matched(), HilbertSpec(2, 3, 1))
         period = 2.0 * math.pi / liou.max_frequency
         n_steps, _ = _step_count(period, recommended_dt(liou, 0.005))
         steps = []
-
-        def counting(rhs, y, t0, h, n, hermitian=False):
-            steps.append(n)
-            return _rk4(rhs, y, t0, h, n, hermitian)
-
-        monkeypatch.setattr(oracle, "_rk4", counting)
+        monkeypatch.setattr(oracle, "_rk4", self.counting_rk4(steps))
         times = np.array([0.0, 0.4, 2.5, 7.25, 12.0]) * period
         _unitary_states(liou, liou.basis.vacuum_all_a(), times)
-        assert sum(steps) <= n_steps + len(times)
+        remainders = set((times - times // period * period).tolist())
+        assert len(steps) == len(remainders | {period})     # one pass over the stops
+        assert sum(steps) <= n_steps + len(remainders)
 
     def test_hamiltonian_built_once_per_stage_time(self, monkeypatch):
-        # an RK4 step meets H at t, t + h/2 (twice) and t + h, and the next
-        # step starts at t + h: two builds per step, plus one per _rk4 call
+        # an RK4 step meets H at t, t + h/2 (twice) and t + h, and on a running
+        # clock the next step starts at t + h: two builds per step, plus one
+        # per stepped gap
         liou = build_full_model(n2_matched(), HilbertSpec(2, 3, 1))
         period = 2.0 * math.pi / liou.max_frequency
         steps, builds = [], []
-
-        def counting_rk4(rhs, y, t0, h, n, hermitian=False):
-            steps.append(n)
-            return _rk4(rhs, y, t0, h, n, hermitian)
-
         build = Liouvillian.hamiltonian_at
 
         def counting_build(self, t):
             builds.append(t)
             return build(self, t)
 
-        monkeypatch.setattr(oracle, "_rk4", counting_rk4)
+        monkeypatch.setattr(oracle, "_rk4", self.counting_rk4(steps))
         monkeypatch.setattr(Liouvillian, "hamiltonian_at", counting_build)
         times = np.array([0.0, 0.4, 2.5, 7.25, 12.0]) * period
         _unitary_states(liou, liou.basis.vacuum_all_a(), times)
         assert sum(steps) > 0
-        assert len(builds) <= 2 * sum(steps) + len(steps)
+        assert len(builds) <= 2 * sum(steps) + sum(n > 0 for n in steps)
 
     def test_static_model_matches_expm(self, isometry_shapes):
         liou = build_intermediate_model(n2_matched(), HilbertSpec(2, 3, 1))
@@ -542,6 +552,40 @@ def plain_rk4(rhs, y, t0, h, n_steps):
     return y
 
 
+def period_stepping(liou, psi0, times):
+    """The step sequence of ``_unitary_states``, stepped plainly in the full space.
+
+    One drive period is cut at every output's remainder t mod period; each
+    gap takes equal steps of at most the unitary step.  psi0 is stepped
+    through whole periods, the clock running on, and each output from its
+    last whole period to its remainder, with no propagator composed.
+    """
+    period = 2.0 * math.pi / liou.max_frequency
+    dt = recommended_dt(liou, 0.005)
+    n_periods = times // period
+    remainders = times - n_periods * period
+    stops = sorted(set(remainders.tolist()) | {period})
+
+    def rhs(t, psi):
+        return -1j * (liou.hamiltonian_at(t) @ psi)
+
+    def stepped(psi, offset, last):
+        start = 0.0
+        for end in (s for s in stops if s <= last):
+            if end > start:
+                n_steps, h = _step_count(end - start, dt)
+                psi = plain_rk4(rhs, psi, offset + start, h, n_steps)
+                start = end
+        return psi
+
+    whole, states = [psi0], []
+    for n, r in zip(n_periods.astype(int), remainders):
+        while len(whole) <= n:
+            whole.append(stepped(whole[-1], (len(whole) - 1) * period, period))
+        states.append(stepped(whole[n], n * period, r))
+    return states
+
+
 def product_state(basis, levels):
     """|levels[0] levels[1] ..., 0> as a state vector."""
     index = 0
@@ -554,29 +598,6 @@ def product_state(basis, levels):
 
 class TestExchangeOrbits:
     """Exchange-orbit coordinates against plain full-space RK4 at the same step."""
-
-    @staticmethod
-    def unitary_reference(liou, psi0, times):
-        """The step sequence of ``_unitary_states``, stepped plainly in the full space."""
-        period = 2.0 * math.pi / liou.max_frequency
-        n_steps, h = _step_count(period, recommended_dt(liou, 0.005))
-
-        def rhs(t, psi):
-            return -1j * (liou.hamiltonian_at(t) @ psi)
-
-        states = []
-        for t in times:
-            n_periods = int(t // period)
-            remainder = t - n_periods * period
-            k = int(remainder // h)
-            psi = psi0
-            for j in range(n_periods):
-                psi = plain_rk4(rhs, psi, j * period, h, n_steps)
-            psi = plain_rk4(rhs, psi, n_periods * period, h, k)
-            if remainder > k * h:
-                psi = plain_rk4(rhs, psi, n_periods * period + k * h, remainder - k * h, 1)
-            states.append(psi)
-        return states
 
     @staticmethod
     def master_reference(liou, rho0, t):
@@ -611,7 +632,7 @@ class TestExchangeOrbits:
         times = np.array([0.0, 0.6, 1.0, 2.3]) * period
         states = _unitary_states(liou, psi0, times)
         assert isometry_shapes == [(liou.basis.dim, reduced)]
-        for psi, ref in zip(states, self.unitary_reference(liou, psi0, times)):
+        for psi, ref in zip(states, period_stepping(liou, psi0, times)):
             assert np.abs(psi - ref).max() <= 1e-10
 
     @pytest.mark.parametrize("n_atoms,levels,reduced", [(2, 4, 544), (3, 3, 660)])
@@ -629,7 +650,7 @@ class TestExchangeOrbits:
         psi0 = product_state(liou.basis, "ea")
         times = np.array([0.0, 0.6, 1.3]) * 2.0 * math.pi / liou.max_frequency
         states = _unitary_states(liou, psi0, times)
-        for psi, ref in zip(states, self.unitary_reference(liou, psi0, times)):
+        for psi, ref in zip(states, period_stepping(liou, psi0, times)):
             assert np.abs(psi - ref).max() <= 1e-10
         lossy = build_full_model(lossy_params(2, 4), HilbertSpec(2, 4, 1))
         rho0 = DensityMatrix.from_pure(product_state(lossy.basis, "ea"))

@@ -243,6 +243,12 @@ class TestInvariants:
         with pytest.raises(ValueError):
             PhysicalParams(n_atoms=0)
 
+    @pytest.mark.parametrize("n_atoms", [2.5, math.inf, math.nan])
+    def test_n_atoms_integer(self, n_atoms):
+        with pytest.raises(ValueError, match="n_atoms must be a positive integer"):
+            PhysicalParams(n_atoms=n_atoms)
+        assert PhysicalParams(n_atoms=np.int64(2)).n_atoms == 2
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             PhysicalParams(n_atoms=1, kappa=-1.0)
