@@ -32,7 +32,7 @@ import numpy as np
 
 from .moments import (MomentState, SqueezingTrace, _refined_min, _squeezing_trace,
                       _xi2)
-from .params import PhysicalParams, _check_detunings
+from .params import PhysicalParams, _check_detunings, _count
 
 logger = logging.getLogger(__name__)
 
@@ -91,9 +91,8 @@ class DickeState:
 
 
 def stretched_state(n_atoms: int) -> DickeState:
-    """All atoms in |a>: the m = +N/2 ladder edge."""
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be >= 1")
+    """All atoms in |a>: the m = +N/2 ladder edge; ``n_atoms`` is a count (``_count``)."""
+    n_atoms = _count(n_atoms, "n_atoms")
     amps = np.zeros(n_atoms + 1, dtype=complex)
     amps[-1] = 1.0
     return DickeState(n_atoms=n_atoms, amplitudes=amps)
@@ -132,12 +131,11 @@ class DickePropagator:
     each sector its amplitude vector populates, with the MRRR driver
     ``stemr`` of ``eigh_tridiagonal``, whose workspace is O(n) where divide
     and conquer's is a second n x n matrix; the stretched state populates
-    only one sector.
+    only one sector.  ``n_atoms`` is a count (``_count``) up to ``MAX_ATOMS``.
     """
 
     def __init__(self, coeffs: EffectiveCoeffs, n_atoms: int):
-        if n_atoms < 1:
-            raise ValueError("n_atoms must be >= 1")
+        n_atoms = _count(n_atoms, "n_atoms")
         if n_atoms > MAX_ATOMS:
             raise ValueError(f"n_atoms = {n_atoms} exceeds the exact-evolution budget "
                              f"({MAX_ATOMS})")
@@ -183,9 +181,9 @@ def dicke_evolve(coeffs: EffectiveCoeffs, n_atoms: int, t: float) -> DickeState:
     or negative t raises ``ValueError``, and so do atom numbers above the
     exact-propagation budget.
     """
-    amps = DickePropagator(coeffs, n_atoms).evolve_amplitudes(
-        stretched_state(n_atoms).amplitudes, [t])[0]
-    return DickeState(n_atoms, amps)
+    prop = DickePropagator(coeffs, n_atoms)
+    amps = prop.evolve_amplitudes(stretched_state(prop.n_atoms).amplitudes, [t])[0]
+    return DickeState(prop.n_atoms, amps)
 
 
 def _moment_array(amps: np.ndarray, n_atoms: int) -> np.ndarray:
@@ -275,10 +273,11 @@ def oat_min_squeezing(n_atoms: int) -> tuple[float, float]:
     time at which xi^2 is undefined (|<J_z>| < 1e-12 N), and refines the
     grid minimum with the sampled zoom that ``evolve_squeezing`` uses
     (``cavspin.moments._refined_min``) between its two neighbours, each read
-    one array call of the closed-form twisting moments.
-    Returns ``(xi2_min, t_min)``.
+    one array call of the closed-form twisting moments.  ``n_atoms`` is a
+    count (``_count``) in [2, ``MAX_ATOMS``].  Returns ``(xi2_min, t_min)``.
     """
-    if not 2 <= n_atoms <= MAX_ATOMS:
+    n_atoms = _count(n_atoms, "n_atoms", least=2)
+    if n_atoms > MAX_ATOMS:
         raise ValueError(f"n_atoms must lie in [2, {MAX_ATOMS}]")
     guess = n_atoms ** (-2.0 / 3.0)
     grid = np.geomspace(guess / 30.0, min(30.0 * guess, 0.499 * math.pi), 220)
@@ -301,11 +300,13 @@ def ideal_trace(coeffs: EffectiveCoeffs, n_atoms: int, times) -> SqueezingTrace:
     cuts it: the trace ends before the first time after the earliest one at
     which xi^2 is undefined (|<J_z>| < 1e-12 N) and is flagged ``truncated``
     with a reason that names <J_z>, so its xi2 column stays finite.  An
-    undefined earliest time, or a NaN, infinite or negative time, raises
-    ``ValueError``.
+    empty ``times``, an undefined earliest time, or a NaN, infinite or
+    negative time, raises ``ValueError``.
     """
     times = np.asarray(sorted(float(t) for t in times))
-    amps = DickePropagator(coeffs, n_atoms).evolve_amplitudes(
-        stretched_state(n_atoms).amplitudes, times)
+    if len(times) == 0:
+        raise ValueError("times must hold at least one time, got none")
+    prop = DickePropagator(coeffs, n_atoms)
+    amps = prop.evolve_amplitudes(stretched_state(prop.n_atoms).amplitudes, times)
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    return _squeezing_trace(times, _moment_array(amps, n_atoms), n_atoms)
+    return _squeezing_trace(times, _moment_array(amps, prop.n_atoms), prop.n_atoms)

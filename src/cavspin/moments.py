@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import PhysicalParams, _check_detunings, _integral, kappa_prime
+from .params import PhysicalParams, _check_detunings, _count, kappa_prime
 
 #: component ordering of the moment vector
 MOMENT_ORDER = ("jz", "nab", "jpp", "jmm", "jpm", "jmp")
@@ -111,10 +111,8 @@ class MomentGenerator:
 
 
 def initial_state(n_atoms: int) -> MomentState:
-    """Moments of the product state with every atom in |a> (stretched state)."""
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be >= 1")
-    n = float(n_atoms)
+    """Moments of the all-|a> product state; ``n_atoms`` is a count (``_count``)."""
+    n = float(_count(n_atoms, "n_atoms"))
     return MomentState(jz=n / 2.0, nab=n, jpp=0.0, jmm=0.0, jpm=n, jmp=0.0)
 
 
@@ -492,13 +490,11 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
     times) whenever the discrete minimum falls on the trailing edge of the
     grid, so interior minima beyond the default heuristic horizon are still
     found; a trace that keeps decreasing (as in dissipation-free runs) stops
-    at the final extended horizon.
+    at the final extended horizon.  ``n_steps`` and ``max_extensions`` are
+    counts (``_count``) of at least 2 and 0.
     """
-    for name, count in (("n_steps", n_steps), ("max_extensions", max_extensions)):
-        if not _integral(count):
-            raise ValueError(f"{name} must be an integer, got {count}")
-    if n_steps < 2:
-        raise ValueError("n_steps must be >= 2")
+    n_steps = _count(n_steps, "n_steps", least=2)
+    max_extensions = _count(max_extensions, "max_extensions", least=0)
     if t_max is None:
         t_max = default_t_max(params)
     if not (t_max > 0 and math.isfinite(t_max)):
@@ -513,8 +509,7 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
     trace = _squeezing_trace(times, moments, params.n_atoms, unphysical)
     times, moments = trace.times, trace.moments
 
-    if (max_extensions > 0 and not trace.truncated
-            and int(np.argmin(trace.xi2)) >= len(times) - 2):
+    if max_extensions > 0 and not trace.truncated and trace.t_min >= times[-2]:
         # the grid minimum is on the trailing edge; re-entered through the
         # module-level name, so a wrapper installed on it sees every extension
         return evolve_squeezing(params, t_max=2.0 * t_max, n_steps=n_steps,

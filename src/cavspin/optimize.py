@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moments import PropagationError, evolve_squeezing
-from .params import WARN_THRESHOLD, PhysicalParams, _integral, check_validity, kappa_prime
+from .params import WARN_THRESHOLD, PhysicalParams, _count, check_validity, kappa_prime
 
 #: cavity adiabaticity ratio at which |Omega_1| is pinned
 DRIVE_PIN_RATIO = 1e-3
@@ -42,7 +42,10 @@ DRIVE_PIN_RATIO = 1e-3
 
 @dataclass(frozen=True)
 class OptimizationProblem:
-    """Fixed system parameters, search box and optimizer settings."""
+    """Fixed system parameters, search box and optimizer settings.
+
+    Its five counts (``_count``) are stored as ``int``.
+    """
 
     n_atoms: int
     g_a: complex = 1.0
@@ -63,18 +66,14 @@ class OptimizationProblem:
     def __post_init__(self):
         # a bad system parameter would otherwise fail at every candidate
         # point, where the objective turns it into a penalty
-        for name in ("n_atoms", "restarts", "max_evals", "n_steps", "seed"):
-            if not _integral(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
-        if self.n_atoms < 1:
-            raise ValueError("n_atoms must be >= 1")
+        for name, least in (("n_atoms", 1), ("restarts", 1), ("max_evals", 1),
+                            ("n_steps", 2), ("seed", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
         for name in ("kappa", "gamma_total"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.g_a * self.g_b == 0:
             raise ValueError("g_a and g_b must be nonzero")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         for name in ("r_bounds", "delta1_bounds"):
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi):
@@ -83,9 +82,6 @@ class OptimizationProblem:
             raise ValueError("delta_bounds must be ordered")
         if min(self.gamma_split) < 0 or sum(self.gamma_split) <= 0:
             raise ValueError("gamma_split weights must be nonnegative with positive sum")
-        for name, least in (("restarts", 1), ("max_evals", 1), ("n_steps", 2)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
 
     def gammas(self) -> tuple[float, float, float]:
         total = sum(self.gamma_split)
@@ -521,12 +517,10 @@ def delta_zero_check(problem: OptimizationProblem) -> DeltaZeroReport:
 
     kp = kappa_prime(p0)
     probes = []
-    seed_offset = 1
-    for factor in (-4.0, -1.0, -0.25, 0.25, 1.0, 4.0):
+    for seed_offset, factor in enumerate((-4.0, -1.0, -0.25, 0.25, 1.0, 4.0), start=1):
         delta_probe = factor * kp
         prob_p = replace(problem, fixed_delta=delta_probe, restarts=2,
                          seed=problem.seed + seed_offset)
-        seed_offset += 1
         try:
             probes.append((delta_probe, optimize(prob_p).xi2_min))
         except RuntimeError:

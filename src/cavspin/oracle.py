@@ -49,7 +49,7 @@ import numpy as np
 
 from .moments import (MOMENT_ORDER, MomentState, PropagationError, _exp_action,
                       assemble_generator, initial_state)
-from .params import PhysicalParams, _integral, check_validity, kappa_prime, stark_shifts
+from .params import PhysicalParams, _count, check_validity, kappa_prime, stark_shifts
 
 DIM_BUDGET = 1024
 
@@ -64,22 +64,25 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class HilbertSpec:
-    """Size of the brute-force Hilbert space: small-N atoms plus a truncated mode."""
+    """Size of the brute-force Hilbert space: small-N atoms plus a truncated mode.
+
+    Its three counts (``_count``) are stored as ``int``; every refusal is a ``ModelError``.
+    """
 
     n_atoms: int
     atom_levels: int = 3
     cavity_cutoff: int = 2
 
     def __post_init__(self):
-        for name in ("n_atoms", "atom_levels", "cavity_cutoff"):
-            if not _integral(getattr(self, name)):
-                raise ModelError(f"{name} must be an integer, got {getattr(self, name)}")
-        if not 1 <= self.n_atoms <= 3:
+        try:
+            for name in ("n_atoms", "atom_levels", "cavity_cutoff"):
+                object.__setattr__(self, name, _count(getattr(self, name), name))
+        except ValueError as exc:
+            raise ModelError(str(exc)) from exc
+        if self.n_atoms > 3:
             raise ModelError("brute-force oracle supports 1 to 3 atoms")
         if self.atom_levels not in (3, 4):
             raise ModelError("atom_levels must be 3 (a,b,e) or 4 (a,b,e,o)")
-        if self.cavity_cutoff < 1:
-            raise ModelError("cavity_cutoff must be >= 1")
         if self.dim > DIM_BUDGET:
             raise ModelError(f"Hilbert dimension {self.dim} exceeds budget {DIM_BUDGET}")
 

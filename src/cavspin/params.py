@@ -54,7 +54,7 @@ class PhysicalParams:
 
     Attributes
     ----------
-    n_atoms : number of atoms N.
+    n_atoms : number of atoms N, a count (``_count``) stored as an ``int``.
     g_a, g_b : complex cavity couplings on the a-e and b-e transitions.
     omega_1, omega_2 : complex resonant Rabi frequencies of the two lasers.
     delta_1 : laser detuning from the excited state.
@@ -78,8 +78,7 @@ class PhysicalParams:
     gamma_o: float = 0.0
 
     def __post_init__(self):
-        if not _integral(self.n_atoms) or self.n_atoms < 1:
-            raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms}")
+        object.__setattr__(self, "n_atoms", _count(self.n_atoms, "n_atoms"))
         for name in ("g_a", "g_b", "omega_1", "omega_2", "delta_1", "omega_ab", "delta",
                      "kappa", "gamma_a", "gamma_b", "gamma_o"):
             if not cmath.isfinite(getattr(self, name)):
@@ -345,9 +344,16 @@ def read_config(path) -> dict[str, str]:
     return out
 
 
-def _integral(x) -> bool:
-    """The rule for a count: finite and equal to its integer part (numpy integers pass)."""
-    return math.isfinite(x) and int(x) == x
+def _count(value, name: str, least: int = 1) -> int:
+    """The one count rule: ``value`` as an ``int`` if finite, integral and at least
+    ``least`` (numpy integers and integral floats pass), else ``ValueError``
+    naming the field ``name``.
+    """
+    if not (math.isfinite(value) and int(value) == value):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def _number(mapping: dict, key: str, kind=float):
@@ -410,7 +416,7 @@ def params_to_mapping(params: PhysicalParams) -> dict[str, str]:
     for name, keys in _FIELD_KEYS.items():
         value = getattr(params, name)
         parts = (value.real, value.imag) if len(keys) == 2 else (value,)
-        out.update(zip(keys, (str(int(x)) if name == "n_atoms" else "%.17g" % x for x in parts)))
+        out.update(zip(keys, (str(x) if name == "n_atoms" else "%.17g" % x for x in parts)))
     return out
 
 

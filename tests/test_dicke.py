@@ -191,6 +191,16 @@ class TestDickeEvolve:
         with pytest.raises(ValueError, match="n_atoms must be >= 1"):
             dicke_evolve(coeffs, n, 1.0)
 
+    def test_integral_float_count_works_like_the_int(self):
+        coeffs = EffectiveCoeffs(0.1, 0.1, 0.1, 0.1)
+        state, twin = dicke_evolve(coeffs, 10.0, 0.7), dicke_evolve(coeffs, 10, 0.7)
+        assert type(state.n_atoms) is int and state.n_atoms == 10
+        assert np.array_equal(state.amplitudes, twin.amplitudes)
+
+    def test_empty_times_refused(self):
+        with pytest.raises(ValueError, match="times must hold at least one time"):
+            ideal_trace(EffectiveCoeffs(0.1, 0.1, 0.1, 0.1), 4, [])
+
     def test_state_normalization_checked(self):
         with pytest.raises(ValueError):
             DickeState(3, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))

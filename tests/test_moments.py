@@ -175,10 +175,17 @@ class TestGenerator:
         assert np.allclose(m[2], expected_jpp, rtol=1e-12, atol=1e-18)
 
     def test_conjugation_row_structure(self):
-        m = assemble_generator(COMPLEX_PARAMS).m
         swap = (0, 1, 3, 2, 4, 5)
-        for col in range(6):
-            assert m[3, col] == np.conj(m[2, swap[col]])
+        for params in (COMPLEX_PARAMS, demo_params(), demo_params(dissipation=False)):
+            m = assemble_generator(params).m
+            for col in range(6):
+                assert m[3, col] == np.conj(m[2, swap[col]])
+            # the rows of the real moments (jz, nab, jpm, jmp) are real on the
+            # real columns and conjugate on the jpp/jmm pair
+            for row in (0, 1, 4, 5):
+                for col in (0, 1, 4, 5):
+                    assert m[row, col].imag == 0.0
+                assert m[row, 2] == np.conj(m[row, 3])
 
     def test_drive_scaling_is_exactly_quadratic(self):
         p = demo_params()
@@ -475,6 +482,8 @@ class TestEvolveSqueezing:
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             evolve_squeezing(demo_params(), t_max=1.0, **{name: value})
+        with pytest.raises(ValueError, match="max_extensions must be >= 0"):
+            evolve_squeezing(demo_params(), t_max=1.0, max_extensions=-1)
         trace = evolve_squeezing(demo_params(), t_max=1.0, n_steps=np.int64(10),
                                  max_extensions=np.int64(0))
         assert len(trace.times) == 10 and trace.times[-1] == 1.0

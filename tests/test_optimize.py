@@ -77,6 +77,13 @@ class TestProblem:
         prob = quick_problem(restarts=1, max_evals=1, n_steps=2)
         assert (prob.restarts, prob.max_evals, prob.n_steps) == (1, 1, 2)
 
+    def test_integral_float_counts_work_like_ints(self):
+        ints, floats = (problem_for_cooperativity(
+            quick_problem(restarts=restarts, seed=seed, max_evals=10, n_steps=40), 100.0, 1.0)
+            for restarts, seed in ((2, 1), (2.0, 1.0)))
+        assert (type(floats.restarts), type(floats.seed)) == (int, int)
+        assert optimize(floats) == optimize(ints)
+
     def test_start_points_fill_the_search_box(self):
         prob = quick_problem(restarts=16)
         lo, hi = optimize_mod._search_box(prob)

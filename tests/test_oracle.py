@@ -124,6 +124,11 @@ class TestHilbertSpec:
         with pytest.raises(ModelError, match=f"{name} must be an integer"):
             HilbertSpec(**{**counts, name: value})
         assert HilbertSpec(*map(np.int64, counts.values())).dim == 18
+        # integral float counts are stored as ints, so the basis can be built
+        spec = HilbertSpec(2.0, 3, 1)
+        assert spec == HilbertSpec(2, 3, 1) and type(spec.dim) is int and spec.dim == 18
+        p = PhysicalParams(n_atoms=2, delta_1=100.0, omega_ab=120.0, delta=1.0)
+        assert validate_elimination(p, spec, [0.0, 1.0]).max_dev("fi", "jz") == 0.0
 
 
 class TestFullModel:

@@ -245,9 +245,12 @@ class TestInvariants:
 
     @pytest.mark.parametrize("n_atoms", [2.5, math.inf, math.nan])
     def test_n_atoms_integer(self, n_atoms):
-        with pytest.raises(ValueError, match="n_atoms must be a positive integer"):
+        with pytest.raises(ValueError, match="n_atoms must be an integer"):
             PhysicalParams(n_atoms=n_atoms)
         assert PhysicalParams(n_atoms=np.int64(2)).n_atoms == 2
+        # an integral float count is stored as the int
+        assert type(PhysicalParams(n_atoms=10.0).n_atoms) is int
+        assert PhysicalParams(n_atoms=10.0) == PhysicalParams(n_atoms=10)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
