@@ -24,7 +24,7 @@ from .moments import (_csv_table, _g17, assemble_generator, default_t_max,
 from .optimize import (OptimizationProblem, SweepResult, optimize,
                        problem_for_cooperativity, scaling_sweep)
 from .oracle import HilbertSpec, _check_model, validate_elimination
-from .params import (CONFIG_KEYS, ConfigError, _float, _float_list, _int,
+from .params import (CONFIG_KEYS, ConfigError, _count, _float, _float_list, _int,
                      check_validity, decoherence_budget, params_from_mapping,
                      read_config)
 
@@ -101,6 +101,14 @@ def _json_payload(config: dict, payload: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _config_count(config: dict, key: str, default: int | None = None, least: int = 1) -> int:
+    """The count under ``key`` by the count rule (``_count``), refused as a ``ConfigError``."""
+    try:
+        return _count(_int(config, key, default), key, least)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _csv_text(config: dict, rows) -> str:
     lines = [f"# cavspin {__version__}"]
     lines += [f"# {k} = {v}" for k, v in sorted(config.items())]
@@ -114,15 +122,11 @@ def _csv_text(config: dict, rows) -> str:
 
 def _read_evolve(config: dict, args: argparse.Namespace) -> tuple:
     params = params_from_mapping(config)
-    n_steps = _int(config, "n_steps", 400)
-    if n_steps < 2:
-        raise ConfigError("n_steps must be >= 2 (empty grid)")
+    n_steps = _config_count(config, "n_steps", 400, least=2)
     t_max = _float(config, "t_max")
     if t_max is not None and t_max <= 0:
         raise ConfigError(f"t_max must be positive: {t_max!r}")
-    max_ext = _int(config, "max_extensions", 0)
-    if max_ext < 0:
-        raise ConfigError(f"max_extensions must be >= 0: {max_ext!r}")
+    max_ext = _config_count(config, "max_extensions", 0, least=0)
     ref_rate_hz = args.ref_rate_hz
     if ref_rate_hz is None:
         ref_rate_hz = _float(config, "ref_rate_hz")
@@ -194,9 +198,9 @@ def _read_oracle(config: dict, args: argparse.Namespace) -> tuple:
                        atom_levels=_int(config, "atom_levels"),
                        cavity_cutoff=_int(config, "cavity_cutoff"))
     t_final = _float(config, "t_final")
-    n_times = _int(config, "n_times")
-    if n_times < 2 or t_final <= 0:
-        raise ConfigError("need t_final > 0 and n_times >= 2")
+    if t_final <= 0:
+        raise ConfigError(f"t_final must be positive: {t_final!r}")
+    n_times = _config_count(config, "n_times", least=2)
     comp = _int(config, "compensate_stark", 1)
     if comp not in (0, 1):
         raise ConfigError(f"compensate_stark must be 0 or 1: {comp!r}")

@@ -77,12 +77,16 @@ def effective_coeffs(params: PhysicalParams) -> EffectiveCoeffs:
 
 @dataclass(frozen=True)
 class DickeState:
-    """Amplitudes over |J=N/2, m> with m = -N/2 ... N/2 (index 0 is m = -N/2)."""
+    """Amplitudes over |J=N/2, m> with m = -N/2 ... N/2 (index 0 is m = -N/2).
+
+    ``n_atoms`` is a count (``_count``), stored as an ``int``.
+    """
 
     n_atoms: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_atoms", _count(self.n_atoms, "n_atoms"))
         if self.amplitudes.shape != (self.n_atoms + 1,):
             raise ValueError("amplitude vector must have length N + 1")
         norm = np.linalg.norm(self.amplitudes)
@@ -222,11 +226,12 @@ def oat_moments(n_atoms: int, chi_t) -> np.ndarray:
     """Exact moments under H = chi Jx^2 from the stretched state.
 
     Uses the closed product-state solution (each atom contributes independent
-    cosine factors), valid for any N.  ``chi_t`` may be an array; the result
-    has shape (len(chi_t), 6) in the standard moment ordering.
+    cosine factors), valid for any N, a count (``_count``).  ``chi_t`` may be
+    an array; the result has shape (len(chi_t), 6) in the standard moment
+    ordering.
     """
+    n = _count(n_atoms, "n_atoms")
     mu = np.atleast_1d(np.asarray(chi_t, dtype=float))
-    n = n_atoms
     pair = n * (n - 1.0)
     if n < 2:
         jz, a_term, b_term = 0.5 * n * np.ones_like(mu), np.zeros_like(mu), np.zeros_like(mu)

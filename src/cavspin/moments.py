@@ -411,12 +411,19 @@ def _moment_kernel(m: np.ndarray, v0: np.ndarray, times: np.ndarray):
     return grid
 
 
-def _taylor_table(m: np.ndarray, v: np.ndarray, x: float) -> np.ndarray:
-    """T_k = M^k v / k! (v a vector or columns) for k < K, least with x^K/K! <= 1e-18."""
+def _taylor_terms(x: float) -> int:
+    """The number K of Taylor terms of a block with ||M||_1 h = x: least K >= 1 with
+    x^K/K! <= 1e-18."""
     n_terms, term = 1, x            # term = x^K / K! for K = n_terms
     while term > 1e-18:
         n_terms += 1
         term *= x / n_terms
+    return n_terms
+
+
+def _taylor_table(m: np.ndarray, v: np.ndarray, x: float) -> np.ndarray:
+    """T_k = M^k v / k! (v a vector or columns) for k < ``_taylor_terms(x)``."""
+    n_terms = _taylor_terms(x)
     table = np.empty((n_terms,) + v.shape, dtype=complex)
     table[0] = v
     for k in range(1, n_terms):

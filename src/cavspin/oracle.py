@@ -10,26 +10,28 @@ moment equations:
   excited state, with the six composite relaxation operators, made fully
   static by shifting the cavity frame by the two-photon detuning.
 
-One fixed-step RK4 kernel, ``_rk4``, is the one place that cuts time into
-steps: from a state at t = 0 it walks sorted output times on one running
-clock, each gap in equal steps of at most dt.  A dissipative model makes one
-pass of it over the output times (``integrate_master``), stepping its
-density matrix through the Lindblad master equation on one sparse CSR
-superoperator; a dissipation-free periodic model makes one pass with the
-identity over the output remainders r = t mod period and the period itself,
-and an output is U(r) U(period)^n; a dissipation-free static model needs no
-stepping and is propagated exactly with ``eigh``.
+One Taylor kernel, ``_taylor_pass``, is the one place that cuts time into
+blocks: for y' = sum_k e^{i w_k t} L_k y it takes y from t = 0 through
+sorted output times on one clock, in equal blocks, each a Taylor series
+about its start with the phases expanded exactly there.  A dissipative
+model makes one pass of it over the output times (``integrate_master``),
+taking its density matrix through the Lindblad master equation on one
+sparse CSR superoperator; a dissipation-free model makes one pass with the
+identity over the output remainders r = t mod T and T itself, and an
+output is U(r) U(T)^n, with T the drive period of a periodic model and one
+kernel block of a static one.
 ``validate_elimination`` compares the two models, level by level, against
 the linearized moment equations.  The moment equations use the moment
-layer's kernel ``_exp_action``; the one scipy import, ``scipy.sparse``,
-comes with a dissipative superoperator.
+layer's kernel ``_exp_action``, whose term-count rule the oracle kernel
+shares; the one scipy import, ``scipy.sparse``, comes with a dissipative
+superoperator.
 
 Both models are built on the tensor-product ``Basis`` and propagated in
 exchange-orbit coordinates: with collective drives and cavity and one jump
 set per atom, a start state symmetric under atom exchange stays symmetric.
 The isometry onto the orbits of basis states (or of index pairs, for
 vec(rho)) is the identity where the start state or the model breaks the
-symmetry, and the step size always comes from the full model.
+symmetry, and the block width comes from the parts that are propagated.
 
 Frame bookkeeping: the full model rotates |b> at twice the ground-state
 splitting while the intermediate model (and hence the moment equations)
@@ -43,12 +45,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import (MOMENT_ORDER, MomentState, PropagationError, _exp_action,
-                      assemble_generator, initial_state)
+from .moments import (_TAYLOR_BOUND, MOMENT_ORDER, MomentState, PropagationError,
+                      _exp_action, _taylor_terms, assemble_generator, initial_state)
 from .params import PhysicalParams, _count, check_validity, kappa_prime, stark_shifts
 
 DIM_BUDGET = 1024
@@ -417,47 +419,58 @@ class MasterResult:
     states: tuple
 
 
-def recommended_dt(liou: Liouvillian, factor: float = 0.05) -> float:
-    scale = liou.rate_scale()
-    if scale == 0.0:
-        return factor
-    return factor / scale
+def _taylor_rate(stacked, freqs: np.ndarray) -> float:
+    """sum_k ||L_k||_1 + max |w_k| of the L_k side by side in ``stacked``."""
+    sums = np.asarray(abs(stacked).sum(axis=0)).reshape(len(freqs), -1)
+    return float(sums.max(axis=1).sum() + np.abs(freqs).max())
 
 
-def _step_count(span: float, dt: float) -> tuple[int, float]:
-    """Equal steps of at most ``dt`` over ``span``: ``(n_steps, h)``, n_steps >= 1."""
-    n_steps = max(1, math.ceil(span / dt))
-    return n_steps, span / n_steps
+def _taylor_pass(stacked, freqs: np.ndarray, y: np.ndarray, times: np.ndarray,
+                 dt: float | None = None, adjoint=None) -> tuple[list, int, float]:
+    """y at each sorted output time for y' = sum_k e^{i w_k t} L_k y, from y at t = 0.
 
-
-def _rk4(rhs, y: np.ndarray, times, dt: float, adjoint=None):
-    """Classical RK4 for dy/dt = rhs(t, y) from y at t = 0 through sorted ``times``.
-
-    Yields ``(y, n_steps, h)`` at each time: the gap since the previous time
-    is taken in ``n_steps`` equal steps of ``h`` <= ``dt`` on a running clock.
-    An empty gap yields ``n_steps`` 0 and the previous ``h`` (``dt`` at first).
-    ``y`` is stepped in whatever coordinates ``rhs`` takes.  Where given,
-    ``adjoint`` maps a state to its adjoint in those coordinates, and every
-    step ends with y = (y + adjoint(y)) / 2, which re-Hermitizes a density
-    matrix.
+    ``stacked`` holds the L_k side by side, [L_0 L_1 ...] (a dense array or a
+    CSR matrix), and ``freqs`` their w_k, w_0 = 0.  [0, times[-1]] is cut
+    into the fewest equal blocks of width h with x = ``_taylor_rate`` h
+    <= ``_TAYLOR_BOUND``, and h <= ``dt`` where given (Al-Mohy & Higham, SIAM
+    J. Sci. Comput. 33, 488, 2011).  On the block from t_0, y is the series
+    sum_n c_n s^n in s = t - t_0 with ``_taylor_terms(x)`` terms, each phase
+    expanded exactly about t_0: (n + 1) c_{n+1} is one product of
+    [L_0 L_1 ...] with the stacked z_k = e^{i w_k t_0} sum_{m <= n}
+    (i w_k)^m / m! c_{n-m}.  An output in (t_0, t_0 + h] is read off the
+    block's polynomial, one at t = 0 is y.  Where given, ``adjoint`` maps y to
+    its adjoint in y's coordinates, and every block ends with
+    y = (y + adjoint(y)) / 2, which re-Hermitizes a density matrix.
+    Returns ``(outputs, n_blocks, h)``.
     """
-    start, h = 0.0, dt
-    for end in times:
-        n_steps = 0
-        if end > start:
-            n_steps, h = _step_count(end - start, dt)
-            time = start
-            for _ in range(n_steps):
-                k1 = rhs(time, y)
-                k2 = rhs(time + 0.5 * h, y + 0.5 * h * k1)
-                k3 = rhs(time + 0.5 * h, y + 0.5 * h * k2)
-                k4 = rhs(time + h, y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if adjoint:
-                    y = 0.5 * (y + adjoint(y))
-                time += h
-            start = end
-        yield y, n_steps, h
+    span, rate = float(times[-1]), _taylor_rate(stacked, freqs)
+    n_blocks = 0
+    if span > 0.0:
+        n_blocks = max(math.ceil(span * rate / _TAYLOR_BOUND),
+                       math.ceil(span / dt) if dt else 0, 1)
+    h = span / n_blocks if n_blocks else 0.0
+    n_terms = _taylor_terms(rate * h)
+    powers = np.arange(n_terms)
+    # (i w_k)^m / m!: the Taylor coefficients of e^{i w_k s}
+    series = np.cumprod(np.column_stack(
+        [np.ones(len(freqs)), np.outer(1j * freqs, 1.0 / powers[1:])]), axis=1)
+    # the block that reaches each output, -1 at t = 0
+    owner = np.minimum(np.ceil(times / h), n_blocks) - 1 if n_blocks else -np.ones(len(times))
+    outputs = [y] * len(times)
+    table = np.empty((n_terms,) + y.shape, dtype=complex)
+    flat = table.reshape(n_terms, -1)
+    for j in range(n_blocks):
+        table[0] = y
+        phased = np.exp(1j * freqs * (j * h))[:, None] * series
+        for n in range(1, n_terms):
+            z = phased[:, n - 1::-1] @ flat[:n]
+            table[n] = stacked @ z.reshape((-1,) + y.shape[1:]) / n
+        for i in np.flatnonzero(owner == j):
+            outputs[i] = ((times[i] - j * h) ** powers @ flat).reshape(y.shape)
+        y = (h ** powers @ flat).reshape(y.shape)
+        if adjoint:
+            y = 0.5 * (y + adjoint(y))
+    return outputs, n_blocks, h
 
 
 def _orbit_projection(labels: np.ndarray, start: np.ndarray, parts, sparse: bool = False):
@@ -495,8 +508,8 @@ def _orbit_projection(labels: np.ndarray, start: np.ndarray, parts, sparse: bool
     return iso, projected[1:]
 
 
-def _lindblad_rhs(liou: Liouvillian, rho0: np.ndarray):
-    """Sparse Lindblad right-hand side in exchange-orbit coordinates.
+def _lindblad_generator(liou: Liouvillian, rho0: np.ndarray):
+    """Sparse Lindblad generator in exchange-orbit coordinates.
 
     On row-major vec(rho), X rho Y is (X kron Y^T) vec(rho).  With
     G = 1/2 sum_D D^dag D, the static part is
@@ -506,10 +519,11 @@ def _lindblad_rhs(liou: Liouvillian, rho0: np.ndarray):
     Index pairs (i, j) form orbits under permutations of the atoms in both
     indices.  Their isometry Q (:func:`_orbit_projection`) is the identity
     unless ``rho0`` and every part keep range(Q).  The projected parts
-    Q^T L Q are stacked into one CSR matrix, so ``rhs(t, y)`` on
-    y = Q^T vec(rho) is one sparse product contracted with the phases
-    (1, e^{i w_1 t}, ...).  Returns ``(rhs, Q, adjoint)``; ``adjoint`` maps
-    y to the coordinates of rho^dag, the conjugate at the transposed orbit.
+    Q^T L Q are set side by side in one CSR matrix [L_0 L_1 ...], the
+    generator of :func:`_taylor_pass` on y = Q^T vec(rho) with the
+    frequencies (0, w_1, ...).  Returns ``(stacked, freqs, Q, adjoint)``;
+    ``adjoint`` maps y to the coordinates of rho^dag, the conjugate at the
+    transposed orbit.
     """
     from scipy import sparse
     dim = liou.basis.dim
@@ -529,56 +543,50 @@ def _lindblad_rhs(liou: Liouvillian, rho0: np.ndarray):
     pairs = functools.reduce(np.minimum, (np.add.outer(row * dim, row).ravel()
                                           for row in liou.basis.atom_permutations()))
     q, parts = _orbit_projection(pairs, rho0.ravel(), parts, sparse=True)
-    stacked = sparse.vstack(parts, format="csr")
     freqs = np.array([0.0] + [f for _, f in liou.hamiltonian_oscillating])
     dag = np.empty(q.shape[1], dtype=np.intp)
     dag[q.indices] = q.indices.reshape(dim, dim).T.ravel()
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.exp(1j * freqs * t) @ (stacked @ y).reshape(len(freqs), -1)
-
-    return rhs, q, lambda y: y[dag].conj()
+    return sparse.hstack(parts, format="csr"), freqs, q, lambda y: y[dag].conj()
 
 
 def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t,
                      dt: float | None = None) -> MasterResult:
-    """Fixed-step 4th-order integration of the master equation.
+    """Integration of the master equation by the Taylor kernel.
 
     ``t`` is one end time or a non-decreasing sequence of output times: the
     model's clock starts at rho0 at t = 0 and runs through every output, so
     oscillating couplings keep their phase; an output at t = 0 is rho0.  One
-    sparse superoperator (:func:`_lindblad_rhs`) acts on the exchange-orbit
-    coordinates y = Q^T vec(rho) (Q = I unless rho0 and the model are
-    exchange symmetric).  One :func:`_rk4` pass over the outputs takes each
-    gap in equal steps of at most ``dt`` (finite, positive,
-    dt * max(omega, ||H||) <= 0.05), each ending with a re-Hermitization.
-    Each stepped output is checked by :meth:`DensityMatrix.validate` as the
-    pass yields it, before it steps on; the result holds the worst trace
-    drift and minimum eigenvalue over them (rho0's if none was stepped), the
-    total ``steps`` and the last gap's step as ``dt``.
+    sparse superoperator (:func:`_lindblad_generator`) acts on the
+    exchange-orbit coordinates y = Q^T vec(rho) (Q = I unless rho0 and the
+    model are exchange symmetric).  One :func:`_taylor_pass` takes it
+    through the outputs in equal blocks, each ending with a
+    re-Hermitization; a given ``dt`` (finite, positive,
+    dt * max(omega, ||H||) <= 0.05) bounds the block width.  Each output
+    after t = 0 is checked by :meth:`DensityMatrix.validate`; the result
+    holds the worst trace drift and minimum eigenvalue over them (rho0's if
+    there is none), the block count as ``steps`` and the block width as
+    ``dt``.
     """
     times = np.array(t, dtype=float, ndmin=1)
     if not (times.ndim == 1 and times.size and math.isfinite(times[-1])
             and (np.diff(times, prepend=0.0) >= 0.0).all()):
         raise ValueError(f"integration time t must be finite, nonnegative and non-decreasing, got {t}")
-    if dt is None:
-        dt = recommended_dt(liou)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"step dt must be finite and positive, got {dt}")
-    scale = liou.rate_scale()
-    if dt * scale > 0.05 * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt} too coarse: dt * max(omega, ||H||) = {dt * scale:.3g} > 0.05")
+    if dt is not None:
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"step dt must be finite and positive, got {dt}")
+        scale = liou.rate_scale()
+        if dt * scale > 0.05 * (1.0 + 1e-12):
+            raise ValueError(f"dt={dt} too coarse: "
+                             f"dt * max(omega, ||H||) = {dt * scale:.3g} > 0.05")
     state = DensityMatrix(rho0.entries.astype(complex))  # astype copies rho0
-    rhs, q, adjoint = _lindblad_rhs(liou, state.entries)
-    states, checks, steps = [], [], 0
-    for y, n_steps, h in _rk4(rhs, q.T @ state.entries.ravel(), times.tolist(), dt, adjoint):
-        if n_steps:
-            state = DensityMatrix((q @ y).reshape(rho0.entries.shape))
-            steps += n_steps
-            checks.append(state.validate())
-        states.append(state)
+    stacked, freqs, q, adjoint = _lindblad_generator(liou, state.entries)
+    ys, blocks, h = _taylor_pass(stacked, freqs, q.T @ state.entries.ravel(), times, dt, adjoint)
+    later = (times > 0.0).tolist()
+    states = [DensityMatrix((q @ y).reshape(state.entries.shape)) if moved else state
+              for y, moved in zip(ys, later)]
+    checks = [s.validate() for s, moved in zip(states, later) if moved]
     drifts, eigs = zip(*checks or [state.validate()])
-    return MasterResult(state, max(drifts), min(eigs), steps, h, tuple(states))
+    return MasterResult(states[-1], max(drifts), min(eigs), blocks, h, tuple(states))
 
 
 def extract_moments(rho: DensityMatrix, basis: Basis) -> tuple[MomentState, float]:
@@ -602,42 +610,25 @@ def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray) -> n
     orbits of the basis states, with every Hamiltonian part projected to
     P^T H P, and mapped back with P.  P (:func:`_orbit_projection`) is the
     identity, and the whole space is propagated, unless psi0 and every part
-    keep range(P).  A static model is propagated exactly through the
-    eigendecomposition of the projected Hamiltonian.  A periodic H(t) makes
-    one :func:`_rk4` pass with the identity (RK4 on the Schroedinger equation
-    is linear per step, so this gives the propagator) over the sorted
-    remainders r = t mod period and the period itself, so an output
-    t = n period + r is U(r) U(period)^n psi0.  The step bound is set by the
-    full model.  H(t) is built once per RK4 stage time: two builds per step,
-    plus one where a gap starts.
+    keep range(P).  One :func:`_taylor_pass` takes the identity through the
+    sorted remainders r = t mod T and T itself, so an output t = n T + r is
+    U(r) U(T)^n psi0.  T is the drive period 2 pi / max |w| of a periodic
+    model and one kernel block of a static one.
     """
     osc = liou.hamiltonian_oscillating
-    p, (static, *moving) = _orbit_projection(
-        liou.basis.atom_permutations().min(axis=0), psi0,
-        [liou.hamiltonian_static] + [mat for mat, _ in osc])
-    # the model's parts in orbit coordinates; its basis stays the full one
-    reduced = replace(liou, hamiltonian_static=static,
-                      hamiltonian_oscillating=tuple(zip(moving, (f for _, f in osc))))
-    phi0 = p.T @ psi0
-    if not osc:
-        w, v = np.linalg.eigh(reduced.hamiltonian_static)
-        coeffs = v.conj().T @ phi0
-        return np.array([v @ (np.exp(-1j * w * t) * coeffs) for t in times]) @ p.T
-
-    # an RK4 step evaluates H at t, t + h/2 (twice) and t + h, and on _rk4's
-    # running clock the next step starts at t + h: keeping the last H(t)
-    # builds each one once
-    hamiltonian = functools.lru_cache(maxsize=1)(reduced.hamiltonian_at)
-
-    def rhs(t: float, phi: np.ndarray) -> np.ndarray:
-        return -1j * (hamiltonian(t) @ phi)
-
-    period = 2.0 * math.pi / liou.max_frequency
+    p, parts = _orbit_projection(liou.basis.atom_permutations().min(axis=0), psi0,
+                                 [liou.hamiltonian_static] + [mat for mat, _ in osc])
+    stacked = -1j * np.hstack(parts)
+    freqs = np.array([0.0] + [f for _, f in osc])
+    if osc:
+        period = 2.0 * math.pi / liou.max_frequency
+    else:       # one block, as fl(fl(8 / r) r) <= 8
+        period = _TAYLOR_BOUND / max(_taylor_rate(stacked, freqs), 1.0)
     n_periods = times // period
     remainders = times - n_periods * period
-    stops = np.unique(np.append(remainders, period)).tolist()
-    stepped = _rk4(rhs, np.eye(len(phi0), dtype=complex), stops, recommended_dt(liou, 0.005))
-    u = {r: y for r, (y, _, _) in zip(stops, stepped)}
+    stops = np.unique(np.append(remainders, period))
+    u = dict(zip(stops.tolist(), _taylor_pass(stacked, freqs, np.eye(p.shape[1]), stops)[0]))
+    phi0 = p.T @ psi0
     return np.array([u[r] @ (np.linalg.matrix_power(u[period], int(n)) @ phi0)
                      for n, r in zip(n_periods, remainders.tolist())]) @ p.T
 

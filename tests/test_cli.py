@@ -113,9 +113,10 @@ class TestEvolve:
         assert not (tmp_path / "summary.json").exists()
         assert main(["validate", "--config", cfg]) == 2
 
-    def test_empty_grid_is_config_error(self, tmp_path):
+    def test_empty_grid_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(n_steps=1))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "n_steps must be >= 2, got 1" in capsys.readouterr().err
         assert main(["validate", "--config", cfg]) == 2
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -215,6 +216,26 @@ class TestBudget:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("name", ["oracle_n2.cfg", "oracle_n2_dissipative.cfg"])
+    def test_byte_identical_reruns(self, tmp_path, name):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out in (out_a, out_b):
+            assert main(["oracle", "--config", config_path(name), "--out", str(out)]) == 0
+        assert (out_a / "validation.json").read_bytes() == \
+            (out_b / "validation.json").read_bytes()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("n_times", "1", "n_times must be >= 2, got 1"),
+        ("t_final", "0", "t_final must be positive: 0.0")])
+    def test_bad_output_grid_is_config_error(self, tmp_path, capsys, key, value, message):
+        mapping = read_config(config_path("oracle_n2.cfg"))
+        mapping[key] = value
+        cfg = write_config(tmp_path, "bad.cfg", mapping)
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["validate", "--config", cfg]) == 2
+        assert not (tmp_path / "validation.json").exists()
+
     @pytest.mark.parametrize("name", ["oracle_n2.cfg", "oracle_n2_dissipative.cfg"])
     def test_bundled_two_atom_config(self, tmp_path, name):
         code = main(["oracle", "--config", config_path(name), "--out", str(tmp_path)])

@@ -201,6 +201,16 @@ class TestDickeEvolve:
         with pytest.raises(ValueError, match="times must hold at least one time"):
             ideal_trace(EffectiveCoeffs(0.1, 0.1, 0.1, 0.1), 4, [])
 
+    def test_state_counts_its_atoms(self):
+        amps = np.array([0.0, 0.0, 1.0], dtype=complex)
+        state = DickeState(2.0, amps)
+        assert type(state.n_atoms) is int and state.n_atoms == 2
+        assert dicke_moments(state) == dicke_moments(DickeState(2, amps))
+        with pytest.raises(ValueError, match="n_atoms must be >= 1"):
+            DickeState(0, [1])
+        with pytest.raises(ValueError, match="n_atoms must be an integer"):
+            DickeState(1.5, amps)
+
     def test_state_normalization_checked(self):
         with pytest.raises(ValueError):
             DickeState(3, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
@@ -280,6 +290,14 @@ class TestTwisting:
             via_ladder = dicke_moments(dicke_evolve(co, n, t)).as_array()
             closed = oat_moments(n, 4 * c * t)[0]
             assert np.abs(via_ladder - closed).max() < 1e-11 * max(1.0, n * n / 4)
+
+    @pytest.mark.parametrize("n,match", [(2.5, "an integer"), (-3, ">= 1"), (0, ">= 1")])
+    def test_closed_form_checks_its_count(self, n, match):
+        with pytest.raises(ValueError, match=f"n_atoms must be {match}"):
+            oat_moments(n, [0.1])
+
+    def test_closed_form_takes_an_integral_float_count(self):
+        assert np.array_equal(oat_moments(7.0, [0.1, 0.2]), oat_moments(7, [0.1, 0.2]))
 
     def test_two_atoms_exact_half(self):
         xi2, t_min = oat_min_squeezing(2)
