@@ -252,20 +252,6 @@ class Liouvillian:
                 h += np.exp(1j * freq * t) * mat
         return h
 
-    def norm_bound(self) -> float:
-        """Cheap upper bound on the spectral norm of H(t)."""
-        bound = float(np.linalg.norm(self.hamiltonian_static, np.inf))
-        for mat, _ in self.hamiltonian_oscillating:
-            bound += float(np.linalg.norm(mat, np.inf))
-        return bound
-
-    def rate_scale(self) -> float:
-        """Fastest scale the integrator must resolve."""
-        scale = max(self.max_frequency, self.norm_bound())
-        for d in self.jump_operators:
-            scale = max(scale, float(np.linalg.norm(d.conj().T @ d, np.inf)))
-        return scale
-
 
 def _check_model(params: PhysicalParams, spec: HilbertSpec) -> None:
     """Refuse parameters that neither brute-force model can represent.
@@ -432,10 +418,11 @@ def _taylor_pass(stacked, freqs: np.ndarray, y: np.ndarray, times: np.ndarray,
     ``stacked`` holds the L_k side by side, [L_0 L_1 ...] (a dense array or a
     CSR matrix), and ``freqs`` their w_k, w_0 = 0.  [0, times[-1]] is cut
     into the fewest equal blocks of width h with x = ``_taylor_rate`` h
-    <= ``_TAYLOR_BOUND``, and h <= ``dt`` where given (Al-Mohy & Higham, SIAM
-    J. Sci. Comput. 33, 488, 2011).  On the block from t_0, y is the series
-    sum_n c_n s^n in s = t - t_0 with ``_taylor_terms(x)`` terms, each phase
-    expanded exactly about t_0: (n + 1) c_{n+1} is one product of
+    <= ``_TAYLOR_BOUND`` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488,
+    2011), and h <= ``dt`` where given; a ``dt`` that is not finite and
+    positive is refused before the first block.  On the block from t_0, y is
+    the series sum_n c_n s^n in s = t - t_0 with ``_taylor_terms(x)`` terms,
+    each phase expanded exactly about t_0: (n + 1) c_{n+1} is one product of
     [L_0 L_1 ...] with the stacked z_k = e^{i w_k t_0} sum_{m <= n}
     (i w_k)^m / m! c_{n-m}.  An output in (t_0, t_0 + h] is read off the
     block's polynomial, one at t = 0 is y.  Where given, ``adjoint`` maps y to
@@ -443,6 +430,8 @@ def _taylor_pass(stacked, freqs: np.ndarray, y: np.ndarray, times: np.ndarray,
     y = (y + adjoint(y)) / 2, which re-Hermitizes a density matrix.
     Returns ``(outputs, n_blocks, h)``.
     """
+    if dt is not None and not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"step dt must be finite and positive, got {dt}")
     span, rate = float(times[-1]), _taylor_rate(stacked, freqs)
     n_blocks = 0
     if span > 0.0:
@@ -560,24 +549,16 @@ def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t,
     exchange-orbit coordinates y = Q^T vec(rho) (Q = I unless rho0 and the
     model are exchange symmetric).  One :func:`_taylor_pass` takes it
     through the outputs in equal blocks, each ending with a
-    re-Hermitization; a given ``dt`` (finite, positive,
-    dt * max(omega, ||H||) <= 0.05) bounds the block width.  Each output
-    after t = 0 is checked by :meth:`DensityMatrix.validate`; the result
-    holds the worst trace drift and minimum eigenvalue over them (rho0's if
-    there is none), the block count as ``steps`` and the block width as
-    ``dt``.
+    re-Hermitization; a given ``dt`` (finite and positive) caps the block
+    width.  Each output after t = 0 is checked by
+    :meth:`DensityMatrix.validate`; the result holds the worst trace drift
+    and minimum eigenvalue over them (rho0's if there is none), the block
+    count as ``steps`` and the block width as ``dt``.
     """
     times = np.array(t, dtype=float, ndmin=1)
     if not (times.ndim == 1 and times.size and math.isfinite(times[-1])
             and (np.diff(times, prepend=0.0) >= 0.0).all()):
         raise ValueError(f"integration time t must be finite, nonnegative and non-decreasing, got {t}")
-    if dt is not None:
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise ValueError(f"step dt must be finite and positive, got {dt}")
-        scale = liou.rate_scale()
-        if dt * scale > 0.05 * (1.0 + 1e-12):
-            raise ValueError(f"dt={dt} too coarse: "
-                             f"dt * max(omega, ||H||) = {dt * scale:.3g} > 0.05")
     state = DensityMatrix(rho0.entries.astype(complex))  # astype copies rho0
     stacked, freqs, q, adjoint = _lindblad_generator(liou, state.entries)
     ys, blocks, h = _taylor_pass(stacked, freqs, q.T @ state.entries.ravel(), times, dt, adjoint)
@@ -603,7 +584,8 @@ def extract_moments(rho: DensityMatrix, basis: Basis) -> tuple[MomentState, floa
     return state, float(ev(ops["photons"]).real)
 
 
-def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray,
+                    dt: float | None = None) -> np.ndarray:
     """States of a dissipation-free model at every output time, as (T, dim).
 
     The states are propagated in the coordinates P^T psi of the exchange
@@ -613,7 +595,8 @@ def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray) -> n
     keep range(P).  One :func:`_taylor_pass` takes the identity through the
     sorted remainders r = t mod T and T itself, so an output t = n T + r is
     U(r) U(T)^n psi0.  T is the drive period 2 pi / max |w| of a periodic
-    model and one kernel block of a static one.
+    model and one kernel block of a static one; a given ``dt`` (finite and
+    positive) caps the pass's block width, as in :func:`integrate_master`.
     """
     osc = liou.hamiltonian_oscillating
     p, parts = _orbit_projection(liou.basis.atom_permutations().min(axis=0), psi0,
@@ -627,7 +610,8 @@ def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray) -> n
     n_periods = times // period
     remainders = times - n_periods * period
     stops = np.unique(np.append(remainders, period))
-    u = dict(zip(stops.tolist(), _taylor_pass(stacked, freqs, np.eye(p.shape[1]), stops)[0]))
+    u = dict(zip(stops.tolist(),
+                 _taylor_pass(stacked, freqs, np.eye(p.shape[1]), stops, dt)[0]))
     phi0 = p.T @ psi0
     return np.array([u[r] @ (np.linalg.matrix_power(u[period], int(n)) @ phi0)
                      for n, r in zip(n_periods, remainders.tolist())]) @ p.T
@@ -739,7 +723,7 @@ def _run_brute_force(liou: Liouvillian, times: np.ndarray,
         states = integrate_master(liou, DensityMatrix.from_pure(psi0), times, dt).states
     else:
         states = []
-        for t, psi in zip(times, _unitary_states(liou, psi0, times)):
+        for t, psi in zip(times, _unitary_states(liou, psi0, times, dt)):
             norm = np.linalg.norm(psi)
             if abs(norm - 1.0) > 1e-6:
                 raise IntegrationError(f"unitarity loss {abs(norm - 1.0):.2e} at t={t}")

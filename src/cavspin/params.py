@@ -315,13 +315,14 @@ def match_raman(params: PhysicalParams) -> complex:
 def read_config(path) -> dict[str, str]:
     """Parse a ``key = value`` configuration file into an ordered mapping.
 
-    Blank lines and lines starting with ``#`` are ignored.  Malformed lines
-    and duplicate keys raise :class:`ConfigError` with the line number, and
-    a file that is not UTF-8 text raises it with the path.
+    Blank lines and lines starting with ``#`` are ignored, and so is a
+    leading UTF-8 byte-order mark.  Malformed lines and duplicate keys raise
+    :class:`ConfigError` with the line number, and a file that is not UTF-8
+    text raises it with the path.
     """
     source = str(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{source}: not UTF-8 text ({exc.reason} at byte "

@@ -284,14 +284,28 @@ class TestOracle:
     @pytest.mark.parametrize("key", ["dt_full", "dt_intermediate"])
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_non_positive_step_is_config_error(self, tmp_path, capsys, key, value):
-        mapping = read_config(config_path("oracle_n2.cfg"))
-        mapping.update({"kappa": "0.1", "gamma_a": "0.1", "gamma_b": "0.1",
-                        "gamma_o": "0.1", key: value})
-        cfg = write_config(tmp_path, "bad.cfg", mapping)
-        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert key in capsys.readouterr().err
-        assert main(["validate", "--config", cfg]) == 2
-        assert not (tmp_path / "validation.json").exists()
+        # both bundled oracles: a unitary and a dissipative model pair
+        for name in ("oracle_n2.cfg", "oracle_n2_dissipative.cfg"):
+            mapping = read_config(config_path(name))
+            mapping[key] = value
+            cfg = write_config(tmp_path, "bad.cfg", mapping)
+            assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 2
+            assert key in capsys.readouterr().err
+            assert main(["validate", "--config", cfg]) == 2
+            assert not (tmp_path / "validation.json").exists()
+
+    def test_wide_step_leaves_the_validation(self, tmp_path):
+        # a dt as wide as the run, t_final, caps neither model's own blocks:
+        # only the config echo changes
+        mapping = read_config(config_path("oracle_n2_dissipative.cfg"))
+        mapping.update({"dt_full": mapping["t_final"], "dt_intermediate": mapping["t_final"]})
+        docs = []
+        for name, cfg in (("plain", config_path("oracle_n2_dissipative.cfg")),
+                          ("capped", write_config(tmp_path, "capped.cfg", mapping))):
+            assert main(["oracle", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            docs.append(json.loads((tmp_path / name / "validation.json").read_text()))
+        assert docs[0]["validation"] == docs[1]["validation"]
+        assert docs[0]["config"] != docs[1]["config"]
 
     def test_hilbert_space_error_exits_numerical_under_validate_too(self, tmp_path):
         mapping = read_config(config_path("oracle_n2.cfg"))

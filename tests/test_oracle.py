@@ -40,6 +40,21 @@ def strobed_grid(params, horizon, n_points=9):
     return [k * stride * period for k in range(n_points)]
 
 
+def bundled_oracle(name):
+    """Parameters, Hilbert space and output times of a bundled oracle config."""
+    config = read_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", name))
+    p = params_from_mapping(config)
+    spec = HilbertSpec(p.n_atoms, int(config["atom_levels"]), int(config["cavity_cutoff"]))
+    return p, spec, np.linspace(0.0, float(config["t_final"]), int(config["n_times"]))
+
+
+def hamiltonian_rate(liou):
+    """``_taylor_rate`` of the model's Hamiltonian parts, the scale a reference step resolves."""
+    osc = liou.hamiltonian_oscillating
+    return _taylor_rate(np.hstack([liou.hamiltonian_static] + [mat for mat, _ in osc]),
+                        np.array([0.0] + [f for _, f in osc]))
+
+
 def dissipative_params():
     """The lossy two-atom parameters of ``configs/oracle_n2_dissipative.cfg``."""
     p = PhysicalParams(n_atoms=2, omega_1=1.2, omega_2=0.0, delta_1=30.0,
@@ -358,9 +373,9 @@ class TestIntegrateMaster:
     def test_bad_time_or_step_refused(self, name, value, monkeypatch):
         liou = build_full_model(lossy_params(1, 4), HilbertSpec(1, 4, 1))
         rho0 = DensityMatrix.from_pure(liou.basis.vacuum_all_a())
-        args = {"t": 0.8, "dt": 0.05 / liou.rate_scale()}
+        args = {"t": 0.8, "dt": 0.01}
         args[name] = value
-        monkeypatch.setattr(oracle, "_taylor_pass", None)   # refused before any block
+        monkeypatch.setattr(oracle, "_taylor_terms", None)   # refused before any block
         with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
             integrate_master(liou, rho0, **args)
 
@@ -374,13 +389,6 @@ class TestIntegrateMaster:
         assert grid.rho is grid.states[-1]
         assert (grid.trace_drift, grid.min_eigenvalue, grid.steps, grid.dt) \
             == (scalar.trace_drift, scalar.min_eigenvalue, scalar.steps, scalar.dt)
-
-    def test_coarse_step_rejected(self):
-        p = n2_matched()
-        liou = build_full_model(p, HilbertSpec(2, 3, 1))
-        rho0 = DensityMatrix.from_pure(liou.basis.vacuum_all_a())
-        with pytest.raises(ValueError):
-            integrate_master(liou, rho0, 1.0, dt=10.0 / p.omega_ab)
 
     def test_density_matrix_validation(self):
         bad = DensityMatrix(np.array([[0.5, 0.2], [0.3, 0.5]], dtype=complex))
@@ -509,6 +517,79 @@ class TestUnitaryStates:
             ref = expm(-1j * liou.hamiltonian_static * t) @ psi0
             assert np.abs(psi - ref).max() <= 1e-10
 
+    def test_block_width_convergence(self, monkeypatch, kernel_passes):
+        # oracle_n2.cfg's outputs are U(r) U(T)^n psi0 with n up to about 9360,
+        # so the powers carry the rounding of U(T): blocks of x = ||L|| h <= 8
+        # agree with blocks of x <= 0.5 to 1e-10 of each moment's scale on the
+        # full model and to 1e-12 on the static intermediate one
+        p, spec, times = bundled_oracle("oracle_n2.cfg")
+        models = [build(p, spec, compensate_stark=True)
+                  for build in (build_full_model, build_intermediate_model)]
+        coarse = [oracle._run_brute_force(liou, times, None)[0] for liou in models]
+        monkeypatch.setattr(oracle, "_TAYLOR_BOUND", 0.5)
+        fine = [oracle._run_brute_force(liou, times, None)[0] for liou in models]
+        widths = [h for _, _, h in kernel_passes]
+        assert all(wide > 10.0 * narrow for wide, narrow in zip(widths[:2], widths[2:]))
+        for a, b, bound in zip(coarse, fine, (1e-10, 1e-12)):
+            scale = np.abs(b).max(axis=0)
+            assert (np.abs(a - b).max(axis=0) <= bound * scale).all()
+
+
+#: the full and intermediate models of both bundled oracle configs
+BUNDLED_MODELS = [pytest.param(name, build, id=f"{name[:-4]}-{build.__name__.split('_')[1]}")
+                  for name in ("oracle_n2.cfg", "oracle_n2_dissipative.cfg")
+                  for build in (build_full_model, build_intermediate_model)]
+
+
+def bundled_model(name, build):
+    p, spec, times = bundled_oracle(name)
+    return build(p, spec, compensate_stark=True), times
+
+
+def oracle_states(liou, times, dt=None):
+    """The states of a model's oracle run, and its ``MasterResult`` numbers if dissipative."""
+    psi0 = liou.basis.vacuum_all_a()
+    if not liou.has_dissipation:
+        return list(_unitary_states(liou, psi0, times, dt)), ()
+    res = integrate_master(liou, DensityMatrix.from_pure(psi0), times, dt)
+    return ([s.entries for s in res.states],
+            (res.trace_drift, res.min_eigenvalue, res.steps, res.dt))
+
+
+class TestStepCap:
+    """A given dt caps the kernel's block width, on dissipative and unitary models alike."""
+
+    @pytest.mark.parametrize("name,build", BUNDLED_MODELS)
+    def test_wide_step_changes_nothing(self, name, build, kernel_passes):
+        liou, times = bundled_model(name, build)
+        states, numbers = oracle_states(liou, times)
+        [(stops, n_blocks, h)] = kernel_passes
+        for dt in (h, stops[-1]):
+            capped, capped_numbers = oracle_states(liou, times, dt)
+            assert kernel_passes[-1][1:] == (n_blocks, h)
+            assert capped_numbers == numbers
+            assert all(np.array_equal(a, b) for a, b in zip(capped, states))
+
+    @pytest.mark.parametrize("name,build", BUNDLED_MODELS)
+    def test_narrow_step_adds_blocks(self, name, build, kernel_passes):
+        liou, times = bundled_model(name, build)
+        free = oracle._run_brute_force(liou, times, None)[0]
+        [(stops, _, h)] = kernel_passes
+        dt = h / 2.5
+        capped = oracle._run_brute_force(liou, times, dt)[0]
+        assert kernel_passes[-1][1] == math.ceil(stops[-1] / dt)
+        assert (np.abs(capped - free).max(axis=0) <= 1e-10 * np.abs(free).max(axis=0)).all()
+
+    @pytest.mark.parametrize("name,build", BUNDLED_MODELS)
+    def test_bad_step_refused(self, name, build):
+        liou, times = bundled_model(name, build)
+        for dt in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must be finite and positive"):
+                oracle._run_brute_force(liou, times, dt)
+        key = "dt_full" if build is build_full_model else "dt_intermediate"
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            validate_elimination(*bundled_oracle(name), **{key: -1.0})
+
 
 def plain_rk4(rhs, y, t0, h, n_steps):
     """Textbook RK4 in the full space: the reference of the orbit-coordinate kernels."""
@@ -559,7 +640,7 @@ def assert_unitary_limit(liou, psi0, times):
         return -1j * (liou.hamiltonian_at(t) @ psi)
 
     assert_rk4_limit(_unitary_states(liou, psi0, times),
-                     rk4_stepping(schroedinger, psi0, times, 0.2 / liou.rate_scale()))
+                     rk4_stepping(schroedinger, psi0, times, 0.25 / hamiltonian_rate(liou)))
 
 
 def assert_master_limit(liou, rho0, times):
@@ -567,7 +648,7 @@ def assert_master_limit(liou, rho0, times):
     res = integrate_master(liou, rho0, times)
     assert_rk4_limit(np.array([s.entries for s in res.states]),
                      rk4_stepping(dense_lindblad_rhs(liou), rho0.entries, times,
-                                  0.2 / liou.rate_scale()))
+                                  0.25 / hamiltonian_rate(liou)))
     return res
 
 
@@ -586,14 +667,11 @@ class TestExchangeOrbits:
 
     @staticmethod
     def assert_short_master_limit(liou, rho0):
-        """rho at t = 1.275 / rate_scale is the limit of plain full-space RK4."""
-        assert_master_limit(liou, rho0, np.array([1.275 / liou.rate_scale()]))
+        """rho at t = 1.5 / ``hamiltonian_rate`` is the limit of plain full-space RK4."""
+        assert_master_limit(liou, rho0, np.array([1.5 / hamiltonian_rate(liou)]))
 
     def test_orbit_counts(self, isometry_shapes):
-        config = read_config(os.path.join(os.path.dirname(__file__), os.pardir,
-                                          "configs", "oracle_n2.cfg"))
-        p = params_from_mapping(config)
-        spec = HilbertSpec(2, int(config["atom_levels"]), int(config["cavity_cutoff"]))
+        p, spec, _ = bundled_oracle("oracle_n2.cfg")
         for build in (build_full_model, build_intermediate_model):
             liou = build(p, spec, compensate_stark=True)
             _unitary_states(liou, liou.basis.vacuum_all_a(), np.array([0.0]))

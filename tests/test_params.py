@@ -1,10 +1,13 @@
+import codecs
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavspin.cli import main
 from cavspin.params import (CONFIG_KEYS, ConfigError, PhysicalParams, balance_stark,
                             check_validity, decoherence_budget, demo_params,
                             derive, kappa_prime, match_raman, params_from_mapping,
@@ -236,6 +239,20 @@ class TestConfig:
         path.write_text("# header\n\nx = 1\n")
         cfg = read_config(path)
         assert cfg == {"x": "1"}
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # a BOM glued to the first line turned fig2.cfg's comment into a key
+        plain = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "fig2.cfg")
+        marked = tmp_path / "fig2_bom.cfg"
+        with open(plain, "rb") as fh:
+            marked.write_bytes(codecs.BOM_UTF8 + fh.read())
+        assert read_config(marked) == read_config(plain)
+        outputs = []
+        for name, cfg in (("plain", plain), ("marked", str(marked))):
+            assert main(["evolve", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            outputs.append([(tmp_path / name / f).read_bytes()
+                            for f in ("trace.csv", "summary.json")])
+        assert outputs[0] == outputs[1]
 
 
 class TestInvariants:
