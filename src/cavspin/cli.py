@@ -25,7 +25,7 @@ from .optimize import (OptimizationProblem, SweepResult, optimize,
                        problem_for_cooperativity, scaling_sweep)
 from .oracle import HilbertSpec, _check_model, validate_elimination
 from .params import (CONFIG_KEYS, ConfigError, _count, _float, _float_list, _int,
-                     check_validity, decoherence_budget, params_from_mapping,
+                     _positive, check_validity, decoherence_budget, params_from_mapping,
                      read_config)
 
 EXIT_OK = 0
@@ -101,10 +101,11 @@ def _json_payload(config: dict, payload: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _config_count(config: dict, key: str, default: int | None = None, least: int = 1) -> int:
-    """The count under ``key`` by the count rule (``_count``), refused as a ``ConfigError``."""
+def _config_rule(rule, value, name: str, *args):
+    """``rule(value, name, *args)`` by a rule of ``params``, whose refusal is a
+    ``ConfigError`` with the rule's text; ``None``, an absent key, passes."""
     try:
-        return _count(_int(config, key, default), key, least)
+        return None if value is None else rule(value, name, *args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -122,16 +123,11 @@ def _csv_text(config: dict, rows) -> str:
 
 def _read_evolve(config: dict, args: argparse.Namespace) -> tuple:
     params = params_from_mapping(config)
-    n_steps = _config_count(config, "n_steps", 400, least=2)
-    t_max = _float(config, "t_max")
-    if t_max is not None and t_max <= 0:
-        raise ConfigError(f"t_max must be positive: {t_max!r}")
-    max_ext = _config_count(config, "max_extensions", 0, least=0)
-    ref_rate_hz = args.ref_rate_hz
-    if ref_rate_hz is None:
-        ref_rate_hz = _float(config, "ref_rate_hz")
-    if ref_rate_hz is not None and not 0 < ref_rate_hz < math.inf:
-        raise ConfigError(f"ref_rate_hz must be positive and finite: {ref_rate_hz!r}")
+    n_steps = _config_rule(_count, _int(config, "n_steps", 400), "n_steps", 2)
+    t_max = _config_rule(_positive, _float(config, "t_max"), "t_max")
+    max_ext = _config_rule(_count, _int(config, "max_extensions", 0), "max_extensions", 0)
+    rate = _float(config, "ref_rate_hz") if args.ref_rate_hz is None else args.ref_rate_hz
+    ref_rate_hz = _config_rule(_positive, rate, "ref_rate_hz")
     # the model's own refusals, in the order evolve_squeezing meets them
     if t_max is None:
         default_t_max(params)
@@ -197,17 +193,13 @@ def _read_oracle(config: dict, args: argparse.Namespace) -> tuple:
     spec = HilbertSpec(n_atoms=params.n_atoms,
                        atom_levels=_int(config, "atom_levels"),
                        cavity_cutoff=_int(config, "cavity_cutoff"))
-    t_final = _float(config, "t_final")
-    if t_final <= 0:
-        raise ConfigError(f"t_final must be positive: {t_final!r}")
-    n_times = _config_count(config, "n_times", least=2)
+    t_final = _config_rule(_positive, _float(config, "t_final"), "t_final")
+    n_times = _config_rule(_count, _int(config, "n_times"), "n_times", 2)
     comp = _int(config, "compensate_stark", 1)
     if comp not in (0, 1):
         raise ConfigError(f"compensate_stark must be 0 or 1: {comp!r}")
-    steps = {key: _float(config, key) for key in ("dt_full", "dt_intermediate")}
-    for key, dt in steps.items():
-        if dt is not None and dt <= 0:
-            raise ConfigError(f"{key} must be positive: {dt!r}")
+    steps = {key: _config_rule(_positive, _float(config, key), key)
+             for key in ("dt_full", "dt_intermediate")}
     # the refusals of the models validate_elimination builds
     _check_model(params, spec)
     assemble_generator(params)
@@ -298,16 +290,12 @@ def _sweep_rows(result: SweepResult):
 
 def _read_sweep(config: dict, args: argparse.Namespace) -> tuple:
     template = _problem_from_config(config, args.seed)
-    coops = _float_list(config, "cooperativities")
-    if not coops or min(coops) <= 0:
-        raise ConfigError("cooperativities must be a non-empty list of positive numbers: "
-                          f"{config['cooperativities']!r}")
-    if max(coops) < 1.0:
+    coops = [_config_rule(_positive, c, "cooperativities")
+             for c in _float_list(config, "cooperativities")]
+    if max(coops, default=0.0) < 1.0:
         raise ConfigError("cooperativities must include a value >= 1, as the scaling "
                           f"fit uses only those: {config['cooperativities']!r}")
-    ratio = _float(config, "kappa_over_gamma")
-    if ratio <= 0:
-        raise ConfigError("kappa_over_gamma must be positive")
+    ratio = _config_rule(_positive, _float(config, "kappa_over_gamma"), "kappa_over_gamma")
     return template, coops, ratio
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .moments import (MomentState, SqueezingTrace, _refined_min, _squeezing_trace,
                       _xi2)
-from .params import PhysicalParams, _check_detunings, _count
+from .params import PhysicalParams, _check_detunings, _count, _times
 
 logger = logging.getLogger(__name__)
 
@@ -148,15 +148,8 @@ class DickePropagator:
         self._diag, self._off2 = _hamiltonian_bands(coeffs, n_atoms)
 
     def evolve_amplitudes(self, amps: np.ndarray, times) -> np.ndarray:
-        """Amplitudes at each requested time, shape (len(times), N+1).
-
-        Every time must be finite and nonnegative.
-        """
-        times = np.asarray(times, dtype=float)
-        ok = np.isfinite(times) & (times >= 0)
-        if not ok.all():
-            raise ValueError(f"evolution times must be finite and nonnegative, "
-                             f"got {times[~ok][0]}")
+        """Amplitudes at each of ``times`` (``_times``, any order), shape (T, N+1)."""
+        times = _times(times, "times")
         amps = np.asarray(amps, dtype=complex)
         if amps.shape != (self.n_atoms + 1,):
             raise ValueError("amplitude vector must have length N + 1")
@@ -181,13 +174,13 @@ def dicke_evolve(coeffs: EffectiveCoeffs, n_atoms: int, t: float) -> DickeState:
     """The all-|a> stretched state evolved to time t by the exact unitary.
 
     It always starts from the stretched state; evolve any other amplitude
-    vector with :meth:`DickePropagator.evolve_amplitudes`.  A NaN, infinite
-    or negative t raises ``ValueError``, and so do atom numbers above the
-    exact-propagation budget.
+    vector with :meth:`DickePropagator.evolve_amplitudes`.  ``t`` is one
+    time (``_times``); atom numbers above the exact-propagation budget raise
+    ``ValueError``.
     """
     prop = DickePropagator(coeffs, n_atoms)
-    amps = prop.evolve_amplitudes(stretched_state(prop.n_atoms).amplitudes, [t])[0]
-    return DickeState(prop.n_atoms, amps)
+    start = stretched_state(prop.n_atoms).amplitudes
+    return DickeState(prop.n_atoms, prop.evolve_amplitudes(start, _times(t, "t", single=True))[0])
 
 
 def _moment_array(amps: np.ndarray, n_atoms: int) -> np.ndarray:
@@ -304,13 +297,10 @@ def ideal_trace(coeffs: EffectiveCoeffs, n_atoms: int, times) -> SqueezingTrace:
     The moment traces' truncation rule (``cavspin.moments._squeezing_trace``)
     cuts it: the trace ends before the first time after the earliest one at
     which xi^2 is undefined (|<J_z>| < 1e-12 N) and is flagged ``truncated``
-    with a reason that names <J_z>, so its xi2 column stays finite.  An
-    empty ``times``, an undefined earliest time, or a NaN, infinite or
-    negative time, raises ``ValueError``.
+    with a reason that names <J_z>, so its xi2 column stays finite.  ``times``
+    (``_times``) is sorted; an undefined earliest time raises ``ValueError``.
     """
-    times = np.asarray(sorted(float(t) for t in times))
-    if len(times) == 0:
-        raise ValueError("times must hold at least one time, got none")
+    times = np.sort(_times(times, "times"), kind="stable")
     prop = DickePropagator(coeffs, n_atoms)
     amps = prop.evolve_amplitudes(stretched_state(prop.n_atoms).amplitudes, times)
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)

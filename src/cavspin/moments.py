@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import PhysicalParams, _check_detunings, _count, kappa_prime
+from .params import PhysicalParams, _check_detunings, _count, _positive, _times, kappa_prime
 
 #: component ordering of the moment vector
 MOMENT_ORDER = ("jz", "nab", "jpp", "jmm", "jpm", "jmp")
@@ -210,9 +210,8 @@ def assemble_generator(params: PhysicalParams) -> MomentGenerator:
 
 
 def propagate(gen: MomentGenerator, v0: MomentState, t: float) -> MomentState:
-    """exp(M t) v0 by the Taylor kernel ``_exp_action``, for a finite t >= 0."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"propagation time must be finite and nonnegative, got {t}")
+    """exp(M t) v0 by the Taylor kernel ``_exp_action``, for one time t (``_times``)."""
+    t = float(_times(t, "t", single=True)[0])
     out = _exp_action(gen.m, v0.as_array(), t)(t)
     if not np.all(np.isfinite(out.view(float))):
         raise PropagationError(f"non-finite moments after propagation to t={t}")
@@ -497,15 +496,12 @@ def evolve_squeezing(params: PhysicalParams, t_max: float | None = None,
     times) whenever the discrete minimum falls on the trailing edge of the
     grid, so interior minima beyond the default heuristic horizon are still
     found; a trace that keeps decreasing (as in dissipation-free runs) stops
-    at the final extended horizon.  ``n_steps`` and ``max_extensions`` are
-    counts (``_count``) of at least 2 and 0.
+    at the final extended horizon.  ``t_max``, given or default, is
+    ``_positive``; ``n_steps`` >= 2 and ``max_extensions`` >= 0 are ``_count``.
     """
     n_steps = _count(n_steps, "n_steps", least=2)
     max_extensions = _count(max_extensions, "max_extensions", least=0)
-    if t_max is None:
-        t_max = default_t_max(params)
-    if not (t_max > 0 and math.isfinite(t_max)):
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    t_max = _positive(default_t_max(params) if t_max is None else t_max, "t_max")
     gen = assemble_generator(params)
     times = np.arange(n_steps) * (t_max / (n_steps - 1))
     moments = _moment_kernel(gen.m, initial_state(params.n_atoms).as_array(), times)

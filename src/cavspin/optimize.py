@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moments import PropagationError, evolve_squeezing
-from .params import WARN_THRESHOLD, PhysicalParams, _count, check_validity, kappa_prime
+from .params import WARN_THRESHOLD, PhysicalParams, _count, _positive, check_validity, kappa_prime
 
 #: cavity adiabaticity ratio at which |Omega_1| is pinned
 DRIVE_PIN_RATIO = 1e-3
@@ -429,11 +429,9 @@ class SweepResult:
 
 def problem_for_cooperativity(template: OptimizationProblem, cooperativity: float,
                               kappa_over_gamma: float = 1.0) -> OptimizationProblem:
-    """Set (kappa, Gamma) so that N |g_a g_b| / (kappa Gamma) hits the target."""
-    if cooperativity <= 0:
-        raise ValueError("cooperativity must be positive")
-    if not (0 < kappa_over_gamma < math.inf):
-        raise ValueError("kappa_over_gamma must be positive and finite")
+    """Set (kappa, Gamma) so that N |g_a g_b| / (kappa Gamma) hits the target (``_positive``)."""
+    cooperativity = _positive(cooperativity, "cooperativity")
+    kappa_over_gamma = _positive(kappa_over_gamma, "kappa_over_gamma")
     product = template.n_atoms * abs(template.g_a * template.g_b) / cooperativity
     kappa = math.sqrt(product * kappa_over_gamma)
     gamma = math.sqrt(product / kappa_over_gamma)

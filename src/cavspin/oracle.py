@@ -51,7 +51,8 @@ import numpy as np
 
 from .moments import (_TAYLOR_BOUND, MOMENT_ORDER, MomentState, PropagationError,
                       _exp_action, _taylor_terms, assemble_generator, initial_state)
-from .params import PhysicalParams, _count, check_validity, kappa_prime, stark_shifts
+from .params import (PhysicalParams, _count, _positive, _times, check_validity, kappa_prime,
+                     stark_shifts)
 
 DIM_BUDGET = 1024
 
@@ -419,8 +420,8 @@ def _taylor_pass(stacked, freqs: np.ndarray, y: np.ndarray, times: np.ndarray,
     CSR matrix), and ``freqs`` their w_k, w_0 = 0.  [0, times[-1]] is cut
     into the fewest equal blocks of width h with x = ``_taylor_rate`` h
     <= ``_TAYLOR_BOUND`` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488,
-    2011), and h <= ``dt`` where given; a ``dt`` that is not finite and
-    positive is refused before the first block.  On the block from t_0, y is
+    2011), and h <= ``dt`` where given, a positive number (``_positive``)
+    checked before the first block.  On the block from t_0, y is
     the series sum_n c_n s^n in s = t - t_0 with ``_taylor_terms(x)`` terms,
     each phase expanded exactly about t_0: (n + 1) c_{n+1} is one product of
     [L_0 L_1 ...] with the stacked z_k = e^{i w_k t_0} sum_{m <= n}
@@ -430,8 +431,7 @@ def _taylor_pass(stacked, freqs: np.ndarray, y: np.ndarray, times: np.ndarray,
     y = (y + adjoint(y)) / 2, which re-Hermitizes a density matrix.
     Returns ``(outputs, n_blocks, h)``.
     """
-    if dt is not None and not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"step dt must be finite and positive, got {dt}")
+    dt = None if dt is None else _positive(dt, "dt")
     span, rate = float(times[-1]), _taylor_rate(stacked, freqs)
     n_blocks = 0
     if span > 0.0:
@@ -542,23 +542,21 @@ def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t,
                      dt: float | None = None) -> MasterResult:
     """Integration of the master equation by the Taylor kernel.
 
-    ``t`` is one end time or a non-decreasing sequence of output times: the
-    model's clock starts at rho0 at t = 0 and runs through every output, so
-    oscillating couplings keep their phase; an output at t = 0 is rho0.  One
-    sparse superoperator (:func:`_lindblad_generator`) acts on the
-    exchange-orbit coordinates y = Q^T vec(rho) (Q = I unless rho0 and the
-    model are exchange symmetric).  One :func:`_taylor_pass` takes it
-    through the outputs in equal blocks, each ending with a
-    re-Hermitization; a given ``dt`` (finite and positive) caps the block
-    width.  Each output after t = 0 is checked by
-    :meth:`DensityMatrix.validate`; the result holds the worst trace drift
-    and minimum eigenvalue over them (rho0's if there is none), the block
-    count as ``steps`` and the block width as ``dt``.
+    ``t`` is one end time or a non-decreasing sequence of output times
+    (``_times``): the model's clock starts at rho0 at t = 0 and runs through
+    every output, so oscillating couplings keep their phase; an output at
+    t = 0 is rho0.  One sparse superoperator (:func:`_lindblad_generator`)
+    acts on the exchange-orbit coordinates y = Q^T vec(rho) (Q = I unless
+    rho0 and the model are exchange symmetric).  One :func:`_taylor_pass`
+    takes it through the outputs in equal blocks, each ending with a
+    re-Hermitization; a given ``dt`` caps the block width.  Each output after
+    t = 0 is checked by :meth:`DensityMatrix.validate`; the result holds the
+    worst trace drift and minimum eigenvalue over them (rho0's if there is
+    none), the block count as ``steps`` and the block width as ``dt``.
     """
-    times = np.array(t, dtype=float, ndmin=1)
-    if not (times.ndim == 1 and times.size and math.isfinite(times[-1])
-            and (np.diff(times, prepend=0.0) >= 0.0).all()):
-        raise ValueError(f"integration time t must be finite, nonnegative and non-decreasing, got {t}")
+    times = _times(t, "t")
+    if (np.diff(times) < 0.0).any():
+        raise ValueError(f"t must be non-decreasing, got {t!r}")
     state = DensityMatrix(rho0.entries.astype(complex))  # astype copies rho0
     stacked, freqs, q, adjoint = _lindblad_generator(liou, state.entries)
     ys, blocks, h = _taylor_pass(stacked, freqs, q.T @ state.entries.ravel(), times, dt, adjoint)
@@ -595,8 +593,8 @@ def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray,
     keep range(P).  One :func:`_taylor_pass` takes the identity through the
     sorted remainders r = t mod T and T itself, so an output t = n T + r is
     U(r) U(T)^n psi0.  T is the drive period 2 pi / max |w| of a periodic
-    model and one kernel block of a static one; a given ``dt`` (finite and
-    positive) caps the pass's block width, as in :func:`integrate_master`.
+    model and one kernel block of a static one; a given ``dt`` caps the
+    pass's block width, as in :func:`integrate_master`.
     """
     osc = liou.hamiltonian_oscillating
     p, parts = _orbit_projection(liou.basis.atom_permutations().min(axis=0), psi0,
@@ -749,12 +747,9 @@ def validate_elimination(params: PhysicalParams, spec: HilbertSpec, t_grid,
     by the per-moment scale max(sup |x|, sup |y|) over the grid, so a
     vanishing pair of trajectories deviates by exactly zero.  The report flags
     validity-regime exit and any growth of the total ground-state population
-    predicted by the linear equations.
+    predicted by the linear equations.  ``t_grid`` (``_times``) is sorted.
     """
-    times = np.asarray(sorted(float(t) for t in t_grid))
-    bad = [t for t in times.tolist() if not (math.isfinite(t) and t >= 0.0)]
-    if bad or len(times) == 0:
-        raise ValueError(f"t_grid must hold finite nonnegative times, got {bad or 'none'}")
+    times = np.sort(_times(t_grid, "t_grid"), kind="stable")
 
     validity = check_validity(params)
     # the moment generator refuses vanishing detunings before the builders

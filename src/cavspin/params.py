@@ -8,7 +8,8 @@ the ``evolve`` command only (``ref_rate_hz``); it never enters the dynamics.
 The config file names each field by the key or keys of one table,
 ``_FIELD_KEYS``; ``CONFIG_KEYS``, ``params_from_mapping`` and
 ``params_to_mapping`` all go through it.  The config number readers that
-every command shares sit next to ``read_config``.
+every command shares sit next to ``read_config``, beside the input rules of
+every layer and the CLI: ``_count``, ``_times`` and ``_positive``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 PASS_THRESHOLD = 1e-2
 WARN_THRESHOLD = 1e-1
@@ -355,6 +358,34 @@ def _count(value, name: str, least: int = 1) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def _times(t, name: str, single: bool = False) -> np.ndarray:
+    """The one time rule: ``t``, one time or a non-empty 1-D sequence (one time
+    only where ``single``), as a 1-D float64 array in the given order if every
+    time is finite and >= 0, else ``ValueError`` naming ``name`` and the bad values."""
+    try:
+        times = np.array(t, dtype=float, ndmin=1)
+    except (TypeError, ValueError):
+        times = np.empty((0, 0))    # no number: refused as not 1-D
+    if times.ndim != 1 or not 0 < times.size <= (1 if single else times.size):
+        shape = "one time" if single else "one time or a non-empty 1-D sequence of times"
+        raise ValueError(f"{name} must be {shape}, got {t!r}")
+    bad = times[~(np.isfinite(times) & (times >= 0.0))]
+    if bad.size:
+        raise ValueError(f"{name} must hold finite nonnegative times, got {bad.tolist()}")
+    return times
+
+
+def _positive(x, name: str) -> float:
+    """The one positive-number rule: ``float(x)`` if finite and > 0, else ``ValueError``
+    naming ``name``."""
+    try:
+        if 0.0 < float(x) < math.inf:
+            return float(x)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be finite and positive, got {x!r}")
 
 
 def _number(mapping: dict, key: str, kind=float):

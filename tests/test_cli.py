@@ -13,7 +13,7 @@ from cavspin import __version__
 from cavspin.cli import COMMAND_KEYS, _problem_from_config, _sweep_rows, build_parser, main
 from cavspin.dicke import EffectiveCoeffs, ideal_trace
 from cavspin.moments import MomentGenerator, evolve_squeezing, trace_csv_rows
-from cavspin.optimize import SweepPoint, SweepResult
+from cavspin.optimize import SweepPoint, SweepResult, problem_for_cooperativity
 from cavspin.params import demo_params, params_to_mapping, read_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -106,12 +106,21 @@ class TestEvolve:
     @pytest.mark.parametrize("key,value", [("t_max", "0"), ("t_max", "-1"),
                                            ("max_extensions", "-3")])
     def test_bad_horizon_key_is_config_error(self, tmp_path, capsys, key, value):
+        message = {"t_max": f"t_max must be finite and positive, got {float(value)!r}",
+                   "max_extensions": f"max_extensions must be >= 0, got {value}"}[key]
         cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(**{key: value}))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert key in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "trace.csv").exists()
         assert not (tmp_path / "summary.json").exists()
         assert main(["validate", "--config", cfg]) == 2
+
+    def test_horizon_refusal_is_the_model_text(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(t_max=-1))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        with pytest.raises(ValueError) as refusal:
+            evolve_squeezing(demo_params(), t_max=-1.0)
+        assert capsys.readouterr().err == f"config error: {refusal.value}\n"
 
     def test_empty_grid_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(n_steps=1))
@@ -139,14 +148,16 @@ class TestEvolve:
     def test_bad_ref_rate_flag_is_config_error(self, tmp_path, capsys, value):
         assert main(["evolve", "--config", config_path("fig2.cfg"),
                      "--out", str(tmp_path), "--ref-rate-hz", value]) == 2
-        assert "ref_rate_hz" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"config error: ref_rate_hz must be finite and positive, got {float(value)!r}\n")
         assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize("value", ["-5", "0"])
     def test_bad_ref_rate_key_is_config_error(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(ref_rate_hz=value))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "ref_rate_hz" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"config error: ref_rate_hz must be finite and positive, got {float(value)!r}\n")
         assert not (tmp_path / "summary.json").exists()
         assert main(["validate", "--config", cfg]) == 2
 
@@ -224,15 +235,15 @@ class TestOracle:
         assert (out_a / "validation.json").read_bytes() == \
             (out_b / "validation.json").read_bytes()
 
-    @pytest.mark.parametrize("key,value,message", [
-        ("n_times", "1", "n_times must be >= 2, got 1"),
-        ("t_final", "0", "t_final must be positive: 0.0")])
-    def test_bad_output_grid_is_config_error(self, tmp_path, capsys, key, value, message):
+    @pytest.mark.parametrize("key,value", [("n_times", "1"), ("t_final", "0")])
+    def test_bad_output_grid_is_config_error(self, tmp_path, capsys, key, value):
+        message = {"n_times": "n_times must be >= 2, got 1",
+                   "t_final": "t_final must be finite and positive, got 0.0"}[key]
         mapping = read_config(config_path("oracle_n2.cfg"))
         mapping[key] = value
         cfg = write_config(tmp_path, "bad.cfg", mapping)
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert main(["validate", "--config", cfg]) == 2
         assert not (tmp_path / "validation.json").exists()
 
@@ -290,8 +301,9 @@ class TestOracle:
             mapping[key] = value
             cfg = write_config(tmp_path, "bad.cfg", mapping)
             assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 2
-            assert key in capsys.readouterr().err
             assert main(["validate", "--config", cfg]) == 2
+            assert capsys.readouterr().err == 2 * (
+                f"config error: {key} must be finite and positive, got {float(value)!r}\n")
             assert not (tmp_path / "validation.json").exists()
 
     def test_wide_step_leaves_the_validation(self, tmp_path):
@@ -437,13 +449,27 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("ratio", ["0", "-1", "nan", "inf"])
     def test_bad_loss_ratio_is_config_error(self, tmp_path, capsys, ratio):
+        # a non-finite number is refused by the config reader, the rest by the rule
+        message = (f"key 'kappa_over_gamma': not a finite number: {ratio!r}"
+                   if ratio in ("nan", "inf") else
+                   f"kappa_over_gamma must be finite and positive, got {float(ratio)!r}")
         mapping = {"command": "sweep", "n_atoms": "1000000", "omega_ab": "100000",
                    "cooperativities": "100", "kappa_over_gamma": ratio}
         cfg = write_config(tmp_path, "sweep.cfg", mapping)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "kappa_over_gamma" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "fit.json").exists()
         assert main(["validate", "--config", cfg]) == 2
+
+    def test_loss_ratio_refusal_is_the_model_text(self, tmp_path, capsys):
+        mapping = {"command": "sweep", "n_atoms": "1000000", "omega_ab": "100000",
+                   "cooperativities": "100", "kappa_over_gamma": "0"}
+        cfg = write_config(tmp_path, "sweep.cfg", mapping)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        template = _problem_from_config(mapping, None)
+        with pytest.raises(ValueError) as refusal:
+            problem_for_cooperativity(template, 1.0, kappa_over_gamma=0.0)
+        assert capsys.readouterr().err == f"config error: {refusal.value}\n"
 
     @pytest.mark.parametrize("key,value", [("cooperativities", "10,inf"),
                                            ("cooperativities", "nan"),
@@ -459,11 +485,16 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("coops", ["-5,100", "0,100", ","])
     def test_non_positive_cooperativity_is_config_error(self, tmp_path, capsys, coops):
+        # each listed value goes through the rule; an empty list has no value >= 1
+        message = {"-5,100": "cooperativities must be finite and positive, got -5.0",
+                   "0,100": "cooperativities must be finite and positive, got 0.0",
+                   ",": "cooperativities must include a value >= 1, as the scaling fit "
+                        "uses only those: ','"}[coops]
         mapping = {"command": "sweep", "n_atoms": "1000000", "omega_ab": "100000",
                    "cooperativities": coops, "kappa_over_gamma": "1"}
         cfg = write_config(tmp_path, "sweep.cfg", mapping)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "cooperativities" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert main(["validate", "--config", cfg]) == 2
         assert not (tmp_path / "fit.json").exists()
         assert not (tmp_path / "sweep.csv").exists()

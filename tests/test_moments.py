@@ -266,7 +266,8 @@ class TestPropagate:
     def test_nonfinite_time_rejected(self, t):
         # bad input, not a numerical failure: ValueError, not PropagationError
         gen = assemble_generator(demo_params())
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        refusal = rf"^t must hold finite nonnegative times, got \[{t}\]$"
+        with pytest.raises(ValueError, match=refusal):
             propagate(gen, initial_state(10 ** 6), t)
 
     def test_cost_is_bounded_at_a_huge_horizon(self):
@@ -474,7 +475,7 @@ class TestEvolveSqueezing:
 
     @pytest.mark.parametrize("t_max", [math.inf, math.nan, 0.0, -1.0])
     def test_t_max_must_be_positive_and_finite(self, t_max):
-        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+        with pytest.raises(ValueError, match="t_max must be finite and positive"):
             evolve_squeezing(demo_params(), t_max=t_max)
 
     @pytest.mark.parametrize("name,value", [("n_steps", 10.5), ("max_extensions", 1.5),
@@ -490,7 +491,7 @@ class TestEvolveSqueezing:
 
     def test_infinite_default_horizon_is_refused(self, monkeypatch):
         monkeypatch.setattr(moments_mod, "default_t_max", lambda params: math.inf)
-        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+        with pytest.raises(ValueError, match="t_max must be finite and positive"):
             evolve_squeezing(demo_params())
 
     def test_short_horizon_returns_unsqueezed(self):

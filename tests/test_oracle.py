@@ -376,7 +376,7 @@ class TestIntegrateMaster:
         args = {"t": 0.8, "dt": 0.01}
         args[name] = value
         monkeypatch.setattr(oracle, "_taylor_terms", None)   # refused before any block
-        with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+        with pytest.raises(ValueError, match=rf"^{name} must "):
             integrate_master(liou, rho0, **args)
 
     def test_zero_start_grid_matches_scalar_time(self):

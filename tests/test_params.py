@@ -1,6 +1,8 @@
 import codecs
+import functools
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavspin.cli import main
+from cavspin.dicke import DickePropagator, EffectiveCoeffs, dicke_evolve, ideal_trace
+from cavspin.moments import assemble_generator, evolve_squeezing, initial_state, propagate
+from cavspin.optimize import OptimizationProblem, problem_for_cooperativity
+from cavspin.oracle import (DensityMatrix, HilbertSpec, build_full_model, integrate_master,
+                            validate_elimination)
 from cavspin.params import (CONFIG_KEYS, ConfigError, PhysicalParams, balance_stark,
                             check_validity, decoherence_budget, demo_params,
                             derive, kappa_prime, match_raman, params_from_mapping,
@@ -288,3 +295,96 @@ class TestInvariants:
         mapping[key] = value
         with pytest.raises(ConfigError, match="must be finite"):
             params_from_mapping(mapping)
+
+
+#: valid numbers come only from [1e-3, 10]: a huge time would send the
+#: master-equation kernel through some 1e14 blocks
+VALID = st.floats(min_value=1e-3, max_value=10.0)
+#: everything the rules refuse as one number, and None, which is no number
+BAD = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, None]) | st.floats(max_value=-1e-3)
+ENTRIES = VALID | BAD | st.just(0.0)
+#: scalars, empty and flat lists, and nested lists of entries, with a branch
+#: of valid ones so that the calls that must succeed are drawn often
+RULE_INPUTS = (VALID | st.lists(VALID | st.just(0.0), min_size=1, max_size=4)
+               | ENTRIES | st.lists(ENTRIES, max_size=4)
+               | st.lists(st.lists(ENTRIES, max_size=2), min_size=1, max_size=2))
+
+
+def is_time(x):
+    return isinstance(x, float) and 0.0 <= x < math.inf
+
+
+def valid_times(t, single=False, ordered=False):
+    """Whether the time rule takes ``t``: one time or a non-empty flat list of them."""
+    flat = t if isinstance(t, list) else [t]
+    return (0 < len(flat) <= (1 if single else len(flat)) and all(map(is_time, flat))
+            and (not ordered or flat == sorted(flat)))
+
+
+@functools.cache
+def models():
+    """The small models every entry point runs on: one atom, Dicke N = 4."""
+    lossy = PhysicalParams(n_atoms=1, omega_1=4.0, omega_2=5.0, delta_1=12.0, omega_ab=9.0,
+                           delta=0.7, kappa=0.4, gamma_a=0.5, gamma_b=0.3)
+    spec = HilbertSpec(1, 3, 1)
+    liou = build_full_model(lossy, spec)
+    # twisting 4 c t stays below pi / 2 up to t = 10, so <J_z> stays away from 0
+    coeffs = EffectiveCoeffs(0.01, 0.01, 0.01, 0.01)
+    return SimpleNamespace(
+        lossy=lossy, spec=spec, liou=liou, coeffs=coeffs,
+        rho0=DensityMatrix.from_pure(liou.basis.vacuum_all_a()),
+        gen=assemble_generator(demo_params()), v0=initial_state(10 ** 6),
+        prop=DickePropagator(coeffs, 4), stretched=np.eye(5)[0],
+        template=OptimizationProblem(n_atoms=10 ** 6, omega_ab=1e5))
+
+
+#: entry point -> (argument name, call, whether the argument is one time, whether
+#: a sequence must be non-decreasing)
+TIME_CALLS = {
+    "propagate": ("t", lambda m, t: propagate(m.gen, m.v0, t), True, False),
+    "integrate_master": ("t", lambda m, t: integrate_master(m.liou, m.rho0, t), False, True),
+    "validate_elimination": ("t_grid", lambda m, t: validate_elimination(m.lossy, m.spec, t),
+                             False, False),
+    "evolve_amplitudes": ("times", lambda m, t: m.prop.evolve_amplitudes(m.stretched, t),
+                          False, False),
+    "dicke_evolve": ("t", lambda m, t: dicke_evolve(m.coeffs, 4, t), True, False),
+    "ideal_trace": ("times", lambda m, t: ideal_trace(m.coeffs, 4, t), False, False),
+}
+
+
+def assert_rule(call, name, valid):
+    """A valid input succeeds; any other raises a ValueError that opens with ``name``."""
+    try:
+        call()
+    except ValueError as exc:
+        assert not valid, exc
+        assert str(exc).startswith(f"{name} must "), exc
+    else:
+        assert valid, f"{name}: an input the rule refuses was accepted"
+
+
+class TestInputRules:
+    """The time rule and the positive-number rule at every entry point that takes
+    a time, a horizon or a ratio: never a TypeError, a KeyError or a numpy
+    broadcast error."""
+
+    @pytest.mark.parametrize("entry", sorted(TIME_CALLS))
+    @settings(max_examples=25, deadline=None)
+    @given(t=RULE_INPUTS)
+    def test_time_rule(self, entry, t):
+        name, call, single, ordered = TIME_CALLS[entry]
+        assert_rule(lambda: call(models(), t), name, valid_times(t, single, ordered))
+
+    @settings(max_examples=40, deadline=None)
+    @given(t_max=RULE_INPUTS, cooperativity=RULE_INPUTS, ratio=RULE_INPUTS)
+    def test_positive_rule(self, t_max, cooperativity, ratio):
+        def positive(x):
+            return isinstance(x, float) and 0.0 < x < math.inf
+
+        template = models().template
+        assert_rule(lambda: evolve_squeezing(demo_params(), t_max=t_max, n_steps=16),
+                    "t_max", positive(t_max))
+        assert_rule(lambda: problem_for_cooperativity(template, cooperativity),
+                    "cooperativity", positive(cooperativity))
+        assert_rule(lambda: problem_for_cooperativity(template, 1.0, ratio),
+                    "kappa_over_gamma", positive(ratio))
