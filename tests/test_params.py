@@ -382,8 +382,9 @@ class TestInputRules:
             return isinstance(x, float) and 0.0 < x < math.inf
 
         template = models().template
+        # t_max=None is the documented default horizon, not a refused value
         assert_rule(lambda: evolve_squeezing(demo_params(), t_max=t_max, n_steps=16),
-                    "t_max", positive(t_max))
+                    "t_max", t_max is None or positive(t_max))
         assert_rule(lambda: problem_for_cooperativity(template, cooperativity),
                     "cooperativity", positive(cooperativity))
         assert_rule(lambda: problem_for_cooperativity(template, 1.0, ratio),
