@@ -24,7 +24,7 @@ from .moments import (_csv_table, _g17, assemble_generator, default_t_max,
 from .optimize import (OptimizationProblem, SweepResult, optimize,
                        problem_for_cooperativity, scaling_sweep)
 from .oracle import HilbertSpec, _check_model, validate_elimination
-from .params import (CONFIG_KEYS, ConfigError, _count, _float, _float_list, _int,
+from .params import (CONFIG_KEYS, ConfigError, _count, _float, _float_list, _int, _number,
                      _positive, check_validity, decoherence_budget, params_from_mapping,
                      read_config)
 
@@ -110,6 +110,14 @@ def _config_rule(rule, value, name: str, *args):
         raise ConfigError(str(exc)) from exc
 
 
+def _positive_key(config: dict, key: str, value: float | None = None) -> float | None:
+    """``value`` (a flag's), else the number under ``key``, by ``_positive``: nan and
+    inf get the rule's text, as in the library.  ``None`` where neither is given."""
+    if value is None and key in config:
+        value = _number(config, key)
+    return _config_rule(_positive, value, key)
+
+
 def _csv_text(config: dict, rows) -> str:
     lines = [f"# cavspin {__version__}"]
     lines += [f"# {k} = {v}" for k, v in sorted(config.items())]
@@ -124,10 +132,9 @@ def _csv_text(config: dict, rows) -> str:
 def _read_evolve(config: dict, args: argparse.Namespace) -> tuple:
     params = params_from_mapping(config)
     n_steps = _config_rule(_count, _int(config, "n_steps", 400), "n_steps", 2)
-    t_max = _config_rule(_positive, _float(config, "t_max"), "t_max")
+    t_max = _positive_key(config, "t_max")
     max_ext = _config_rule(_count, _int(config, "max_extensions", 0), "max_extensions", 0)
-    rate = _float(config, "ref_rate_hz") if args.ref_rate_hz is None else args.ref_rate_hz
-    ref_rate_hz = _config_rule(_positive, rate, "ref_rate_hz")
+    ref_rate_hz = _positive_key(config, "ref_rate_hz", args.ref_rate_hz)
     # the model's own refusals, in the order evolve_squeezing meets them
     if t_max is None:
         default_t_max(params)
@@ -193,13 +200,12 @@ def _read_oracle(config: dict, args: argparse.Namespace) -> tuple:
     spec = HilbertSpec(n_atoms=params.n_atoms,
                        atom_levels=_int(config, "atom_levels"),
                        cavity_cutoff=_int(config, "cavity_cutoff"))
-    t_final = _config_rule(_positive, _float(config, "t_final"), "t_final")
+    t_final = _positive_key(config, "t_final")
     n_times = _config_rule(_count, _int(config, "n_times"), "n_times", 2)
     comp = _int(config, "compensate_stark", 1)
     if comp not in (0, 1):
         raise ConfigError(f"compensate_stark must be 0 or 1: {comp!r}")
-    steps = {key: _config_rule(_positive, _float(config, key), key)
-             for key in ("dt_full", "dt_intermediate")}
+    steps = {key: _positive_key(config, key) for key in ("dt_full", "dt_intermediate")}
     # the refusals of the models validate_elimination builds
     _check_model(params, spec)
     assemble_generator(params)
@@ -295,7 +301,7 @@ def _read_sweep(config: dict, args: argparse.Namespace) -> tuple:
     if max(coops, default=0.0) < 1.0:
         raise ConfigError("cooperativities must include a value >= 1, as the scaling "
                           f"fit uses only those: {config['cooperativities']!r}")
-    ratio = _config_rule(_positive, _float(config, "kappa_over_gamma"), "kappa_over_gamma")
+    ratio = _positive_key(config, "kappa_over_gamma")
     return template, coops, ratio
 
 

@@ -44,7 +44,8 @@ DRIVE_PIN_RATIO = 1e-3
 class OptimizationProblem:
     """Fixed system parameters, search box and optimizer settings.
 
-    Its five counts (``_count``) are stored as ``int``.
+    Its five counts (``_count``) are stored as ``int``; the three search
+    bounds are finite.
     """
 
     n_atoms: int
@@ -74,6 +75,9 @@ class OptimizationProblem:
                 raise ValueError(f"{name} must be nonnegative")
         if self.g_a * self.g_b == 0:
             raise ValueError("g_a and g_b must be nonzero")
+        for name in ("r_bounds", "delta_bounds", "delta1_bounds"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("r_bounds", "delta1_bounds"):
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi):

@@ -108,8 +108,6 @@ class Basis:
         self.n_levels = len(levels)
         self.dim = self.n_levels ** n_atoms * (cavity_cutoff + 1)
         self._index = {lvl: i for i, lvl in enumerate(levels)}
-        self._cavity_eye = np.eye(cavity_cutoff + 1, dtype=complex)
-        self._atom_eye = np.eye(self.n_levels, dtype=complex)
         jp = self.collective("a", "b")
         jm = jp.conj().T
         na = self.collective("a", "a")
@@ -139,11 +137,18 @@ class Basis:
         return op
 
     def atom_op(self, k: int, op: np.ndarray) -> np.ndarray:
-        """Embed a single-atom operator for atom k (cavity identity appended)."""
-        full = np.array([[1.0 + 0j]])
-        for j in range(self.n_atoms):
-            full = np.kron(full, op if j == k else self._atom_eye)
-        return np.kron(full, self._cavity_eye)
+        """Embed a single-atom operator for atom k (identity on the rest and the cavity).
+
+        One index scatter into a dim x dim zero array: atom k's level is the
+        basis-index digit of weight s = dim / levels^(k+1), so op[p, q] lands
+        at (i + p s, i + q s) for every index i whose digit k is 0.
+        """
+        s = self.dim // self.n_levels ** (k + 1)
+        zero_digit = (np.arange(0, self.dim, self.n_levels * s)[:, None] + np.arange(s)).ravel()
+        idx = zero_digit[:, None] + s * np.arange(self.n_levels)
+        full = np.zeros((self.dim, self.dim), dtype=complex)
+        full[idx[:, :, None], idx[:, None, :]] = op
+        return full
 
     def collective(self, upper: str, lower: str) -> np.ndarray:
         op = self.transition(upper, lower)
@@ -425,9 +430,12 @@ def _taylor_pass(stacked, freqs: np.ndarray, y: np.ndarray, times: np.ndarray,
     the series sum_n c_n s^n in s = t - t_0 with ``_taylor_terms(x)`` terms,
     each phase expanded exactly about t_0: (n + 1) c_{n+1} is one product of
     [L_0 L_1 ...] with the stacked z_k = e^{i w_k t_0} sum_{m <= n}
-    (i w_k)^m / m! c_{n-m}.  An output in (t_0, t_0 + h] is read off the
-    block's polynomial, one at t = 0 is y.  Where given, ``adjoint`` maps y to
-    its adjoint in y's coordinates, and every block ends with
+    (i w_k)^m / m! c_{n-m}.  The static row's phase series is [1, 0, 0, ...],
+    so z_0 = c_n is taken as it is: only the oscillating rows are convolved,
+    and a static-only model makes no convolution product.  An output in
+    (t_0, t_0 + h] is read off the block's polynomial, one at t = 0 is y.
+    Where given, ``adjoint`` maps y to its adjoint in y's coordinates, and
+    every block ends with
     y = (y + adjoint(y)) / 2, which re-Hermitizes a density matrix.
     Returns ``(outputs, n_blocks, h)``.
     """
@@ -448,11 +456,14 @@ def _taylor_pass(stacked, freqs: np.ndarray, y: np.ndarray, times: np.ndarray,
     outputs = [y] * len(times)
     table = np.empty((n_terms,) + y.shape, dtype=complex)
     flat = table.reshape(n_terms, -1)
+    z = np.empty((len(freqs), flat.shape[1]), dtype=complex)
     for j in range(n_blocks):
         table[0] = y
-        phased = np.exp(1j * freqs * (j * h))[:, None] * series
+        phased = np.exp(1j * freqs[1:] * (j * h))[:, None] * series[1:]
         for n in range(1, n_terms):
-            z = phased[:, n - 1::-1] @ flat[:n]
+            z[0] = flat[n - 1]
+            if len(phased):
+                np.matmul(phased[:, n - 1::-1], flat[:n], out=z[1:])
             table[n] = stacked @ z.reshape((-1,) + y.shape[1:]) / n
         for i in np.flatnonzero(owner == j):
             outputs[i] = ((times[i] - j * h) ** powers @ flat).reshape(y.shape)
@@ -497,13 +508,40 @@ def _orbit_projection(labels: np.ndarray, start: np.ndarray, parts, sparse: bool
     return iso, projected[1:]
 
 
+def _kron_sum(dim: int, terms):
+    """The sum of sign * (A kron B) over ``terms`` (sign, A, B), A and B dense dim x dim,
+    as one CSR matrix.
+
+    One COO pass in numpy: a term's nonzero products a b (negated for sign
+    -1) sit at row r_A dim + r_B and column c_A dim + c_B.  Entries at one
+    place are summed from zero in term order, by ``np.unique`` and a
+    sequential ``np.add.at``, and sums that cancel to exactly zero are dropped.
+    """
+    from scipy.sparse import csr_matrix
+    size = dim * dim
+    keys, values = [], []
+    for sign, a, b in terms:
+        (ra, ca), (rb, cb) = np.nonzero(a), np.nonzero(b)
+        keys.append((ra[:, None] * dim + rb).ravel() * size + (ca[:, None] * dim + cb).ravel())
+        products = (a[ra, ca][:, None] * b[rb, cb]).ravel()
+        values.append(-products if sign < 0 else products)
+    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
+    data = np.zeros(len(keys), dtype=complex)
+    np.add.at(data, where, np.concatenate(values))
+    kept = data != 0
+    rows, cols = np.divmod(keys[kept], size)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
+    return csr_matrix((data[kept], cols, indptr), shape=(size, size))
+
+
 def _lindblad_generator(liou: Liouvillian, rho0: np.ndarray):
     """Sparse Lindblad generator in exchange-orbit coordinates.
 
     On row-major vec(rho), X rho Y is (X kron Y^T) vec(rho).  With
     G = 1/2 sum_D D^dag D, the static part is
     L0 = (-i H - G) x I + I x (i H - G)^T + sum_D D x D*, and each
-    oscillating term V e^{i w t} adds -i (V x I - I x V^T).
+    oscillating term V e^{i w t} adds -i (V x I - I x V^T).  Each part is
+    one :func:`_kron_sum` of its terms in the order written here.
 
     Index pairs (i, j) form orbits under permutations of the atoms in both
     indices.  Their isometry Q (:func:`_orbit_projection`) is the identity
@@ -516,19 +554,16 @@ def _lindblad_generator(liou: Liouvillian, rho0: np.ndarray):
     """
     from scipy import sparse
     dim = liou.basis.dim
-    eye = sparse.identity(dim, dtype=complex, format="csr")
+    eye = np.eye(dim, dtype=complex)
     h = liou.hamiltonian_static
     g = 0.5 * sum((d.conj().T @ d for d in liou.jump_operators),
                   np.zeros((dim, dim), dtype=complex))
-    static = sparse.kron(sparse.csr_matrix(-1j * h - g), eye) \
-        + sparse.kron(eye, sparse.csr_matrix((1j * h - g).T))
-    for d in liou.jump_operators:
-        d = sparse.csr_matrix(d, dtype=complex)
-        static = static + sparse.kron(d, d.conj())
-    parts = [static]
+    jumps = [d.astype(complex, copy=False) for d in liou.jump_operators]
+    parts = [_kron_sum(dim, [(1, -1j * h - g, eye), (1, eye, (1j * h - g).T)]
+                       + [(1, d, d.conj()) for d in jumps])]
     for mat, _ in liou.hamiltonian_oscillating:
-        v = sparse.csr_matrix(mat, dtype=complex)
-        parts.append(-1j * (sparse.kron(v, eye) - sparse.kron(eye, v.T)))
+        v = mat.astype(complex, copy=False)
+        parts.append(-1j * _kron_sum(dim, [(1, v, eye), (-1, eye, v.T)]))
     pairs = functools.reduce(np.minimum, (np.add.outer(row * dim, row).ravel()
                                           for row in liou.basis.atom_permutations()))
     q, parts = _orbit_projection(pairs, rho0.ravel(), parts, sparse=True)
@@ -747,9 +782,14 @@ def validate_elimination(params: PhysicalParams, spec: HilbertSpec, t_grid,
     by the per-moment scale max(sup |x|, sup |y|) over the grid, so a
     vanishing pair of trajectories deviates by exactly zero.  The report flags
     validity-regime exit and any growth of the total ground-state population
-    predicted by the linear equations.  ``t_grid`` (``_times``) is sorted.
+    predicted by the linear equations.  ``t_grid`` (``_times``) is sorted;
+    ``dt_full`` and ``dt_intermediate``, where given, are positive numbers
+    (``_positive``) checked before any model is built.
     """
     times = np.sort(_times(t_grid, "t_grid"), kind="stable")
+    dt_full = None if dt_full is None else _positive(dt_full, "dt_full")
+    dt_intermediate = (None if dt_intermediate is None
+                       else _positive(dt_intermediate, "dt_intermediate"))
 
     validity = check_validity(params)
     # the moment generator refuses vanishing detunings before the builders

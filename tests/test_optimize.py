@@ -55,6 +55,14 @@ class TestProblem:
         with pytest.raises(ValueError):
             quick_problem(r_bounds=(-1.0, 2.0))
 
+    @pytest.mark.parametrize("name", ["r_bounds", "delta_bounds", "delta1_bounds"])
+    @pytest.mark.parametrize("bounds", [(0.2, math.inf), (-math.inf, 4000.0)])
+    def test_infinite_bounds_rejected(self, name, bounds):
+        # refused by name up front, not later as "no start reached the validity region"
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got \({bounds[0]}, "
+                                             rf"{bounds[1]}\)$"):
+            quick_problem(**{name: bounds})
+
     @pytest.mark.parametrize("setting,value", [("restarts", 0), ("restarts", -1),
                                                ("max_evals", 0), ("n_steps", 1),
                                                ("n_steps", 0), ("n_atoms", 0),

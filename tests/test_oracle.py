@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import os
 from dataclasses import replace
@@ -463,6 +465,86 @@ class TestSparseLindblad:
         assert assert_master_limit(liou, rho0, np.array([0.05, 0.1])).steps > 1
 
 
+def kron_chain_atom_op(basis, k, op):
+    """``op`` on atom k by a kron chain over the atoms and the cavity (reference)."""
+    full = np.array([[1.0 + 0j]])
+    for j in range(basis.n_atoms):
+        full = np.kron(full, op if j == k else np.eye(basis.n_levels, dtype=complex))
+    return np.kron(full, np.eye(basis.cavity_cutoff + 1, dtype=complex))
+
+
+def scipy_kron_generator(liou, rho0):
+    """``_lindblad_generator`` with its parts built by ``scipy.sparse.kron`` and a
+    chain of sparse sums (reference)."""
+    from scipy import sparse
+    dim = liou.basis.dim
+    eye = sparse.identity(dim, dtype=complex, format="csr")
+    h = liou.hamiltonian_static
+    g = 0.5 * sum((d.conj().T @ d for d in liou.jump_operators),
+                  np.zeros((dim, dim), dtype=complex))
+    static = sparse.kron(sparse.csr_matrix(-1j * h - g), eye) \
+        + sparse.kron(eye, sparse.csr_matrix((1j * h - g).T))
+    for d in liou.jump_operators:
+        d = sparse.csr_matrix(d, dtype=complex)
+        static = static + sparse.kron(d, d.conj())
+    parts = [static]
+    for mat, _ in liou.hamiltonian_oscillating:
+        v = sparse.csr_matrix(mat, dtype=complex)
+        parts.append(-1j * (sparse.kron(v, eye) - sparse.kron(eye, v.T)))
+    pairs = functools.reduce(np.minimum, (np.add.outer(row * dim, row).ravel()
+                                          for row in liou.basis.atom_permutations()))
+    q, parts = oracle._orbit_projection(pairs, rho0.ravel(), parts, sparse=True)
+    return sparse.hstack(parts, format="csr"), q
+
+
+def assert_same_bits(a, b):
+    """Equal shapes and equal bytes, for arrays and (index-sorted) CSR matrices."""
+    if not isinstance(a, np.ndarray):
+        assert a.has_sorted_indices
+        a, b = a.sorted_indices(), b.sorted_indices()
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+        a, b = a.data, b.data
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestAssembly:
+    """The one-pass COO generator and the index-built atom operators, bit for bit
+    against the scipy.sparse.kron generator and the kron-chain embedding."""
+
+    @pytest.mark.parametrize("kind,n_atoms,levels,cutoff", [
+        ("full", 1, 3, 1), ("full", 1, 4, 2), ("full", 2, 3, 2), ("full", 2, 4, 1),
+        ("intermediate", 2, 4, 1), ("frame-shifted", 2, 4, 1), ("full", 3, 3, 1),
+        ("intermediate", 3, 4, 1), ("unitary", 2, 3, 1)])
+    def test_generator_matches_sparse_kron(self, kind, n_atoms, levels, cutoff):
+        if kind == "unitary":       # no jump operators: two static terms
+            liou = build_full_model(n2_matched(), HilbertSpec(n_atoms, levels, cutoff))
+        else:
+            liou = lossy_model(kind, n_atoms, levels, cutoff)
+        perms = liou.basis.atom_permutations()
+        rho = DensityMatrix.from_pure(liou.basis.vacuum_all_a()).entries
+        x = np.random.default_rng(3).normal(size=rho.shape)
+        # the exchange orbits, and the identity isometry of a non-symmetric start
+        for rho0 in (rho, rho + 1e-3 * (x + x.T)):
+            stacked, freqs, q, _ = _lindblad_generator(liou, rho0)
+            ref_stacked, ref_q = scipy_kron_generator(liou, rho0)
+            assert (q.shape[0] == q.shape[1]) == (rho0 is not rho or len(perms) == 1)
+            assert_same_bits(q, ref_q)
+            assert_same_bits(stacked, ref_stacked)
+            assert len(freqs) == 1 + len(liou.hamiltonian_oscillating)
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3])
+    @pytest.mark.parametrize("levels", [("a", "b", "e"), ("a", "b", "e", "o")])
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_atom_ops_match_kron_chain(self, n_atoms, levels, cutoff):
+        basis = Basis(n_atoms, levels, cutoff)
+        for upper, lower in itertools.product(levels, repeat=2):
+            op = basis.transition(upper, lower)
+            chain = [kron_chain_atom_op(basis, k, op) for k in range(n_atoms)]
+            for k in range(n_atoms):
+                assert_same_bits(basis.atom_op(k, op), chain[k])
+            assert_same_bits(basis.collective(upper, lower), sum(chain))
+
+
 class TestUnitaryStates:
     def test_periodic_model_matches_plain_stepping(self):
         liou = build_full_model(n2_matched(), HilbertSpec(2, 3, 1))
@@ -587,7 +669,7 @@ class TestStepCap:
             with pytest.raises(ValueError, match="dt must be finite and positive"):
                 oracle._run_brute_force(liou, times, dt)
         key = "dt_full" if build is build_full_model else "dt_intermediate"
-        with pytest.raises(ValueError, match="dt must be finite and positive"):
+        with pytest.raises(ValueError, match=f"^{key} must be finite and positive, got -1.0$"):
             validate_elimination(*bundled_oracle(name), **{key: -1.0})
 
 
