@@ -24,9 +24,8 @@ from .moments import (_csv_table, _g17, assemble_generator, default_t_max,
 from .optimize import (OptimizationProblem, SweepResult, optimize,
                        problem_for_cooperativity, scaling_sweep)
 from .oracle import HilbertSpec, _check_model, validate_elimination
-from .params import (CONFIG_KEYS, ConfigError, _count, _float, _float_list, _int, _number,
-                     _positive, check_validity, decoherence_budget, params_from_mapping,
-                     read_config)
+from .params import (CONFIG_KEYS, ConfigError, _count, _finite, _float_list, _number, _positive,
+                     check_validity, decoherence_budget, params_from_mapping, read_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,12 +109,10 @@ def _config_rule(rule, value, name: str, *args):
         raise ConfigError(str(exc)) from exc
 
 
-def _positive_key(config: dict, key: str, value: float | None = None) -> float | None:
-    """``value`` (a flag's), else the number under ``key``, by ``_positive``: nan and
-    inf get the rule's text, as in the library.  ``None`` where neither is given."""
-    if value is None and key in config:
-        value = _number(config, key)
-    return _config_rule(_positive, value, key)
+def _key_rule(rule, config: dict, key: str, default=None):
+    """The number under ``key`` (else ``default``) by ``rule``, under the key's name:
+    nan and inf get the rule's text, as in the library."""
+    return _config_rule(rule, _number(config, key, float, default), key)
 
 
 def _csv_text(config: dict, rows) -> str:
@@ -131,10 +128,12 @@ def _csv_text(config: dict, rows) -> str:
 
 def _read_evolve(config: dict, args: argparse.Namespace) -> tuple:
     params = params_from_mapping(config)
-    n_steps = _config_rule(_count, _int(config, "n_steps", 400), "n_steps", 2)
-    t_max = _positive_key(config, "t_max")
-    max_ext = _config_rule(_count, _int(config, "max_extensions", 0), "max_extensions", 0)
-    ref_rate_hz = _positive_key(config, "ref_rate_hz", args.ref_rate_hz)
+    n_steps = _config_rule(_count, _number(config, "n_steps", int, 400), "n_steps", 2)
+    t_max = _key_rule(_positive, config, "t_max")
+    max_ext = _config_rule(_count, _number(config, "max_extensions", int, 0),
+                           "max_extensions", 0)
+    ref_rate_hz = (_key_rule(_positive, config, "ref_rate_hz") if args.ref_rate_hz is None
+                   else _config_rule(_positive, args.ref_rate_hz, "ref_rate_hz"))
     # the model's own refusals, in the order evolve_squeezing meets them
     if t_max is None:
         default_t_max(params)
@@ -198,14 +197,14 @@ def _run_budget(config: dict, params, out_dir: str) -> int:
 def _read_oracle(config: dict, args: argparse.Namespace) -> tuple:
     params = params_from_mapping(config)
     spec = HilbertSpec(n_atoms=params.n_atoms,
-                       atom_levels=_int(config, "atom_levels"),
-                       cavity_cutoff=_int(config, "cavity_cutoff"))
-    t_final = _positive_key(config, "t_final")
-    n_times = _config_rule(_count, _int(config, "n_times"), "n_times", 2)
-    comp = _int(config, "compensate_stark", 1)
+                       atom_levels=_number(config, "atom_levels", int),
+                       cavity_cutoff=_number(config, "cavity_cutoff", int))
+    t_final = _key_rule(_positive, config, "t_final")
+    n_times = _config_rule(_count, _number(config, "n_times", int), "n_times", 2)
+    comp = _number(config, "compensate_stark", int, 1)
     if comp not in (0, 1):
         raise ConfigError(f"compensate_stark must be 0 or 1: {comp!r}")
-    steps = {key: _positive_key(config, key) for key in ("dt_full", "dt_intermediate")}
+    steps = {key: _key_rule(_positive, config, key) for key in ("dt_full", "dt_intermediate")}
     # the refusals of the models validate_elimination builds
     _check_model(params, spec)
     assemble_generator(params)
@@ -232,30 +231,21 @@ _BOUND_KEYS = (("r_min", "r_max", "r_bounds"),
 
 def _problem_from_config(config: dict, seed_override: int | None) -> OptimizationProblem:
     defaults = {f.name: f.default for f in fields(OptimizationProblem)}
-    kwargs = dict(
-        n_atoms=_int(config, "n_atoms"),
-        omega_ab=_float(config, "omega_ab"),
-        g_a=_float(config, "g_a", defaults["g_a"]),
-        g_b=_float(config, "g_b", defaults["g_b"]),
-    )
+    kwargs = {key: _key_rule(_finite, config, key)
+              for key in ("omega_ab", "g_a", "g_b", "kappa", "gamma_total", "fixed_delta")
+              if key in config}
+    kwargs.update({key: _number(config, key, int)
+                   for key in ("n_atoms", "restarts", "max_evals", "n_steps") if key in config})
     if "gamma_split" in config:
-        split = _float_list(config, "gamma_split")
-        if len(split) != 3:
-            raise ConfigError("gamma_split needs exactly three weights")
-        kwargs["gamma_split"] = tuple(split)
+        kwargs["gamma_split"] = tuple(_config_rule(_finite, w, "gamma_split")
+                                      for w in _float_list(config, "gamma_split"))
     for lo_key, hi_key, name in _BOUND_KEYS:
         if lo_key in config or hi_key in config:
             lo, hi = defaults[name]
-            kwargs[name] = (_float(config, lo_key, lo), _float(config, hi_key, hi))
-    for key in ("restarts", "max_evals", "n_steps"):
-        if key in config:
-            kwargs[key] = _int(config, key)
-    for key in ("kappa", "gamma_total", "fixed_delta"):
-        if key in config:
-            kwargs[key] = _float(config, key)
-    seed = seed_override if seed_override is not None else _int(config, "seed",
-                                                                defaults["seed"])
-    kwargs["seed"] = seed
+            kwargs[name] = (_key_rule(_finite, config, lo_key, lo),
+                            _key_rule(_finite, config, hi_key, hi))
+    kwargs["seed"] = (seed_override if seed_override is not None
+                      else _number(config, "seed", int, defaults["seed"]))
     try:
         return OptimizationProblem(**kwargs)
     except ValueError as exc:   # bounds and search settings are config input
@@ -301,7 +291,7 @@ def _read_sweep(config: dict, args: argparse.Namespace) -> tuple:
     if max(coops, default=0.0) < 1.0:
         raise ConfigError("cooperativities must include a value >= 1, as the scaling "
                           f"fit uses only those: {config['cooperativities']!r}")
-    ratio = _positive_key(config, "kappa_over_gamma")
+    ratio = _key_rule(_positive, config, "kappa_over_gamma")
     return template, coops, ratio
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .moments import (MomentState, SqueezingTrace, _refined_min, _squeezing_trace,
                       _xi2)
-from .params import PhysicalParams, _check_detunings, _count, _times
+from .params import PhysicalParams, _check_detunings, _count, _finite, _times
 
 logger = logging.getLogger(__name__)
 
@@ -41,7 +41,8 @@ MAX_ATOMS = 10_000
 
 @dataclass(frozen=True)
 class EffectiveCoeffs:
-    """Coefficients of the four quadratic collective terms of the ideal Hamiltonian."""
+    """Coefficients of the four quadratic collective terms of the ideal Hamiltonian,
+    each finite (``_finite``)."""
 
     c_pm: complex
     c_mp: complex
@@ -49,6 +50,8 @@ class EffectiveCoeffs:
     c_mm: complex
 
     def __post_init__(self):
+        for name in ("c_pm", "c_mp", "c_pp", "c_mm"):
+            _finite(getattr(self, name), name)
         if abs(self.c_mm - np.conj(self.c_pp)) > 1e-12 * max(1.0, abs(self.c_pp)):
             raise ValueError("c_mm must equal conj(c_pp) for a Hermitian Hamiltonian")
         for name in ("c_pm", "c_mp"):

@@ -34,7 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moments import PropagationError, evolve_squeezing
-from .params import WARN_THRESHOLD, PhysicalParams, _count, _positive, check_validity, kappa_prime
+from .params import (WARN_THRESHOLD, PhysicalParams, _count, _finite, _positive, check_validity,
+                     kappa_prime)
 
 #: cavity adiabaticity ratio at which |Omega_1| is pinned
 DRIVE_PIN_RATIO = 1e-3
@@ -44,8 +45,8 @@ DRIVE_PIN_RATIO = 1e-3
 class OptimizationProblem:
     """Fixed system parameters, search box and optimizer settings.
 
-    Its five counts (``_count``) are stored as ``int``; the three search
-    bounds are finite.
+    Its five counts (``_count``) are stored as ``int``; every other field is
+    finite (``_finite``), ``fixed_delta`` where given.
     """
 
     n_atoms: int
@@ -70,20 +71,28 @@ class OptimizationProblem:
         for name, least in (("n_atoms", 1), ("restarts", 1), ("max_evals", 1),
                             ("n_steps", 2), ("seed", 0)):
             object.__setattr__(self, name, _count(getattr(self, name), name, least))
+        for name in ("g_a", "g_b", "kappa", "gamma_total", "omega_ab", "gamma_split",
+                     "r_bounds", "delta_bounds", "delta1_bounds"):
+            _finite(getattr(self, name), name)
+        if self.fixed_delta is not None:
+            _finite(self.fixed_delta, "fixed_delta")
         for name in ("kappa", "gamma_total"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.g_a * self.g_b == 0:
             raise ValueError("g_a and g_b must be nonzero")
-        for name in ("r_bounds", "delta_bounds", "delta1_bounds"):
-            if not all(map(math.isfinite, getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.omega_ab == 0:
+            raise ValueError("omega_ab must be nonzero: the validity ratio ratio_freqs "
+                             "divides by it")
         for name in ("r_bounds", "delta1_bounds"):
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi):
                 raise ValueError(f"{name} must be positive and ordered")
         if not self.delta_bounds[0] <= self.delta_bounds[1]:
             raise ValueError("delta_bounds must be ordered")
+        if len(self.gamma_split) != 3:
+            raise ValueError(f"gamma_split needs exactly three weights, got "
+                             f"{self.gamma_split!r}")
         if min(self.gamma_split) < 0 or sum(self.gamma_split) <= 0:
             raise ValueError("gamma_split weights must be nonnegative with positive sum")
 

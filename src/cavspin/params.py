@@ -9,7 +9,7 @@ The config file names each field by the key or keys of one table,
 ``_FIELD_KEYS``; ``CONFIG_KEYS``, ``params_from_mapping`` and
 ``params_to_mapping`` all go through it.  The config number readers that
 every command shares sit next to ``read_config``, beside the input rules of
-every layer and the CLI: ``_count``, ``_times`` and ``_positive``.
+every layer and the CLI: ``_count``, ``_times``, ``_positive`` and ``_finite``.
 """
 
 from __future__ import annotations
@@ -84,8 +84,7 @@ class PhysicalParams:
         object.__setattr__(self, "n_atoms", _count(self.n_atoms, "n_atoms"))
         for name in ("g_a", "g_b", "omega_1", "omega_2", "delta_1", "omega_ab", "delta",
                      "kappa", "gamma_a", "gamma_b", "gamma_o"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            _finite(getattr(self, name), name)
         for name in ("kappa", "gamma_a", "gamma_b", "gamma_o"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -388,8 +387,22 @@ def _positive(x, name: str) -> float:
     raise ValueError(f"{name} must be finite and positive, got {x!r}")
 
 
-def _number(mapping: dict, key: str, kind=float):
-    """``mapping[key]`` as a ``kind`` (float or int), finite or not."""
+def _finite(x, name: str):
+    """The one finite-number rule: ``x``, a real or complex number or a tuple of them,
+    as it is if every entry is finite, else ``ValueError`` naming ``name``."""
+    try:
+        if all(map(cmath.isfinite, x)) if isinstance(x, tuple) else cmath.isfinite(x):
+            return x
+    except TypeError:   # no number
+        pass
+    raise ValueError(f"{name} must be finite, got {x!r}")
+
+
+def _number(mapping: dict, key: str, kind=float, default=None):
+    """``mapping[key]`` parsed as a ``kind`` (float or int), finite or not, or
+    ``default`` where the key is absent; the input rules check the value."""
+    if key not in mapping:
+        return default
     try:
         return kind(mapping[key])
     except ValueError as exc:
@@ -397,30 +410,12 @@ def _number(mapping: dict, key: str, kind=float):
         raise ConfigError(f"key {key!r}: not {noun}: {mapping[key]!r}") from exc
 
 
-def _float(mapping: dict, key: str, default: float | None = None) -> float | None:
-    """The finite number under ``key``, or ``default`` where the key is absent."""
-    if key not in mapping:
-        return default
-    value = _number(mapping, key)
-    if not math.isfinite(value):
-        raise ConfigError(f"key {key!r}: not a finite number: {mapping[key]!r}")
-    return value
-
-
-def _int(mapping: dict, key: str, default: int | None = None) -> int | None:
-    """The integer under ``key``, or ``default`` where the key is absent."""
-    return default if key not in mapping else _number(mapping, key, int)
-
-
 def _float_list(mapping: dict, key: str) -> list[float]:
-    """The comma-separated finite numbers under ``key``."""
+    """The comma-separated numbers under ``key``, finite or not."""
     try:
-        values = [float(tok) for tok in mapping[key].split(",") if tok.strip()]
+        return [float(tok) for tok in mapping[key].split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: not a comma-separated number list") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"key {key!r}: not a list of finite numbers: {mapping[key]!r}")
-    return values
 
 
 def params_from_mapping(mapping: dict[str, str]) -> PhysicalParams:

@@ -382,7 +382,8 @@ OPTIMIZE_MAPPING = {"command": "optimize", "n_atoms": "1000000", "omega_ab": "10
 class TestSearchSettings:
     BAD = [("restarts", "0"), ("max_evals", "0"), ("n_steps", "1"),
            ("r_min", "-1"), ("delta1_min", "0"), ("r_min", "40"),
-           ("n_atoms", "0"), ("gamma_split", "2,-1,0"), ("g_b", "0"), ("seed", "-1")]
+           ("n_atoms", "0"), ("gamma_split", "2,-1,0"), ("g_b", "0"), ("seed", "-1"),
+           ("omega_ab", "0"), ("gamma_split", "1,1")]
     #: keys that sweep refuses as unknown
     BAD_OPTIMIZE_ONLY = [("kappa", "-1"), ("gamma_total", "-1")]
 
@@ -474,15 +475,34 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("key,value", [("cooperativities", "10,inf"),
                                            ("cooperativities", "nan"),
-                                           ("r_max", "inf"), ("gamma_split", "1,nan,1")])
+                                           ("r_max", "inf"), ("gamma_split", "1,nan,1"),
+                                           ("omega_ab", "nan"), ("g_a", "nan"),
+                                           ("g_b", "inf"), ("r_min", "nan"),
+                                           ("delta_min", "-inf"), ("delta_max", "nan"),
+                                           ("delta1_min", "nan"), ("delta1_max", "inf"),
+                                           ("fixed_delta", "inf"), ("kappa", "nan"),
+                                           ("gamma_total", "inf")])
     def test_non_finite_search_key_is_config_error(self, tmp_path, capsys, key, value):
-        mapping = {"command": "sweep", "n_atoms": "1000000", "omega_ab": "100000",
-                   "cooperativities": "100", "kappa_over_gamma": "1", key: value}
-        cfg = write_config(tmp_path, "sweep.cfg", mapping)
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert key in capsys.readouterr().err
-        assert not (tmp_path / "fit.json").exists()
+        # every float key of optimize and sweep is refused by a rule of params,
+        # in its words, under the key's name
+        bad = next(v for v in map(float, value.split(",")) if not math.isfinite(v))
+        if key == "cooperativities":
+            message = f"cooperativities must be finite and positive, got {bad!r}"
+        else:
+            message = f"{key} must be finite, got {bad!r}"
+        if key in COMMAND_KEYS["sweep"]["required"] | COMMAND_KEYS["sweep"]["optional"]:
+            command, out_file = "sweep", "fit.json"
+            mapping = {"command": "sweep", "n_atoms": "1000000", "omega_ab": "100000",
+                       "cooperativities": "100", "kappa_over_gamma": "1", key: value}
+        else:
+            command, out_file = "optimize", "optimum.json"
+            mapping = {**OPTIMIZE_MAPPING, key: value}
+        cfg = write_config(tmp_path, "search.cfg", mapping)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / out_file).exists()
         assert main(["validate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("coops", ["-5,100", "0,100", ","])
     def test_non_positive_cooperativity_is_config_error(self, tmp_path, capsys, coops):

@@ -363,10 +363,52 @@ def assert_rule(call, name, valid):
         assert valid, f"{name}: an input the rule refuses was accepted"
 
 
+#: a valid value of every real or complex field of each class the finite rule
+#: guards (a tuple field holds several); scaling every number by one positive
+#: factor keeps them valid
+FINITE_FIELDS = {
+    PhysicalParams: dict(n_atoms=3, g_a=1.0 + 0.5j, g_b=0.8, omega_1=2.0j, omega_2=1.0,
+                         delta_1=9.0, omega_ab=4.0, delta=-0.5, kappa=0.3, gamma_a=0.2,
+                         gamma_b=0.1, gamma_o=0.0),
+    OptimizationProblem: dict(n_atoms=10 ** 6, g_a=1.0, g_b=0.5j, kappa=1.0, gamma_total=2.0,
+                              omega_ab=1e5, gamma_split=(1.0, 2.0, 0.0), r_bounds=(0.2, 30.0),
+                              delta_bounds=(-4000.0, 4000.0), delta1_bounds=(1e4, 3e6),
+                              fixed_delta=10.0),
+    EffectiveCoeffs: dict(c_pm=0.01, c_mp=0.02, c_pp=0.03 + 0.01j, c_mm=0.03 - 0.01j),
+}
+NON_FINITE = [math.nan, math.inf, -math.inf, complex(math.nan, math.nan),
+              complex(0.0, math.inf)]
+
+
+def scaled(value, factor):
+    return tuple(factor * v for v in value) if isinstance(value, tuple) else factor * value
+
+
 class TestInputRules:
     """The time rule and the positive-number rule at every entry point that takes
     a time, a horizon or a ratio: never a TypeError, a KeyError or a numpy
-    broadcast error."""
+    broadcast error.  The finite rule on every number field of the problem
+    classes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), factor=st.floats(min_value=1e-3, max_value=1e3))
+    def test_finite_rule(self, data, factor):
+        cls = data.draw(st.sampled_from(list(FINITE_FIELDS)))
+        kwargs = {name: value if name == "n_atoms" else scaled(value, factor)
+                  for name, value in FINITE_FIELDS[cls].items()}
+        name = data.draw(st.sampled_from([n for n in kwargs if n != "n_atoms"]))
+        bad = data.draw(st.none() | st.sampled_from(NON_FINITE))
+        if bad is None:
+            cls(**kwargs)   # valid values pass
+            return
+        value = kwargs[name]
+        if isinstance(value, tuple):
+            i = data.draw(st.integers(0, len(value) - 1))
+            kwargs[name] = value[:i] + (bad,) + value[i + 1:]
+        else:
+            kwargs[name] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            cls(**kwargs)
 
     @pytest.mark.parametrize("entry", sorted(TIME_CALLS))
     @settings(max_examples=25, deadline=None)
