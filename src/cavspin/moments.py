@@ -27,9 +27,10 @@ infinite xi^2; a non-finite point or a bad first point raises instead.
 
 A squeezing trace evaluates v(t) = V e^{w t} V^-1 v(0) on its whole grid
 from one eigendecomposition M = V diag(w) V^-1.  Every other exp(M s) v is
-one Taylor kernel, ``_exp_action``: the grid where V is ill-conditioned,
-each read of the refinement of the minimum (``_refined_min``),
-``propagate`` and the oracle's linear level.  This module imports no scipy.
+``_exp_action``, one Taylor table or the package's Taylor kernel: the grid
+where V is ill-conditioned, each read of the refinement of the minimum
+(``_refined_min``), ``propagate`` and the oracle's linear level.  This
+module imports no scipy.
 
 ``trace_csv_rows`` exports a trace through ``_csv_table``, the one writer of
 the CLI's CSV tables: each cell has the bytes of ``"%.17g"``, produced for
@@ -45,6 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._taylor import _TAYLOR_BOUND, _taylor_pass, _taylor_terms
 from .params import PhysicalParams, _check_detunings, _count, _positive, _times, kappa_prime
 
 #: component ordering of the moment vector
@@ -55,9 +57,6 @@ PHYSICALITY_TOL = 1e-8
 
 #: largest ||V||_1 ||V^-1||_1 of the generator's eigenbasis that is trusted
 _COND_LIMIT = 1e4
-
-#: largest ||M||_1 h of a block of width h that one Taylor table serves
-_TAYLOR_BOUND = 8.0
 
 #: |<J_z>| below this fraction of N leaves the squeezing parameter undefined
 _JZ_FLOOR = 1e-12
@@ -210,7 +209,8 @@ def assemble_generator(params: PhysicalParams) -> MomentGenerator:
 
 
 def propagate(gen: MomentGenerator, v0: MomentState, t: float) -> MomentState:
-    """exp(M t) v0 by the Taylor kernel ``_exp_action``, for one time t (``_times``)."""
+    """exp(M t) v0 by ``_exp_action``, for one time t (``_times``), at a cost
+    linear in ||M||_1 t; a t beyond the kernel's block budget is a ``ValueError``."""
     t = float(_times(t, "t", single=True)[0])
     out = _exp_action(gen.m, v0.as_array(), t)(t)
     if not np.all(np.isfinite(out.view(float))):
@@ -410,74 +410,32 @@ def _moment_kernel(m: np.ndarray, v0: np.ndarray, times: np.ndarray):
     return grid
 
 
-def _taylor_terms(x: float) -> int:
-    """The number K of Taylor terms of a block with ||M||_1 h = x: least K >= 1 with
-    x^K/K! <= 1e-18."""
-    n_terms, term = 1, x            # term = x^K / K! for K = n_terms
-    while term > 1e-18:
-        n_terms += 1
-        term *= x / n_terms
-    return n_terms
-
-
-def _taylor_table(m: np.ndarray, v: np.ndarray, x: float) -> np.ndarray:
-    """T_k = M^k v / k! (v a vector or columns) for k < ``_taylor_terms(x)``."""
-    n_terms = _taylor_terms(x)
-    table = np.empty((n_terms,) + v.shape, dtype=complex)
-    table[0] = v
-    for k in range(1, n_terms):
-        np.dot(m, table[k - 1] / k, out=table[k])
-    return table
-
-
 def _exp_action(m: np.ndarray, v: np.ndarray, width: float):
     """The function s -> exp(M s) v for 0 <= s <= width, shaped s.shape + (6,).
 
-    A Taylor series re-anchored every block (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 488, 2011): n = ceil(||M||_1 width / ``_TAYLOR_BOUND``)
-    blocks bound the cancellation between the terms.  One block is one table
-    T_k = M^k v / k!, read at the times s as (s^0, ..., s^{K-1}) @ T.  More
-    shift M by mu = Re tr(M) / 6, taking a common decay out of the
-    cancellation, and read P(r) = e^{mu r} sum_k r^k (M - mu)^k / k! at
-    r = s - j h off the anchor exp(M j h) v of block j, walked in increasing
-    j by E = P(h), each gap in binary digits over the squares E^(2^i): the
-    work grows with the reads and log n.  Squaring amplifies rounding where
-    ||E^k|| has a hump (Moler & Van Loan, SIAM Rev. 45, 3, 2003), as in
-    scipy's expm.  A non-finite ||M||_1 width gives non-finite rows.
+    Up to x = ||M||_1 width = ``_TAYLOR_BOUND`` one table T_k = M^k v / k!
+    serves every read, as (s^0, ..., s^{K-1}) @ T.  A wider read, clamped to
+    [0, width], is e^{mu s} times one ``_taylor_pass`` over M - mu, where
+    mu = Re tr(M) / 6 takes a common decay out of the cancellation between
+    the terms.  A non-finite x gives non-finite rows.
     """
     x = float(np.abs(m).sum(axis=0).max()) * width
     if not math.isfinite(x):
         return lambda s: np.full(np.shape(s) + v.shape, complex(math.nan, math.nan))
-    blocks = max(math.ceil(x / _TAYLOR_BOUND), 1)
-    if blocks == 1:
-        table = _taylor_table(m, v, x)
+    if x <= _TAYLOR_BOUND:
+        table = np.empty((_taylor_terms(x),) + v.shape, dtype=complex)
+        table[0] = v
+        for k in range(1, len(table)):
+            np.dot(m, table[k - 1] / k, out=table[k])
         return lambda s: (np.asarray(s)[..., None] ** np.arange(len(table))) @ table
-    h, mu = width / blocks, np.trace(m).real / len(m)
+    mu = np.trace(m).real / len(m)
     shifted = m - mu * np.eye(len(m))
-    terms = _taylor_table(shifted, np.eye(len(m)), np.abs(shifted).sum(axis=0).max() * h)
-    terms = terms.reshape(len(terms), -1).view(float)
-
-    def taylor(r):      # e^{-mu r} P(r): one real product with the (Re, Im) of the terms
-        return ((r[:, None] ** np.arange(len(terms))) @ terms).view(complex).reshape(-1, 6, 6)
-
-    squares = [math.exp(mu * h) * taylor(np.array([h]))[0]]   # E^(2^i), as reads need
 
     def read(s):
-        s = np.asarray(s, dtype=float)
-        j = np.clip(np.nan_to_num(np.floor(s.ravel() / h)), 0.0, blocks - 1)
-        targets, at = np.unique(j, return_inverse=True)
-        anchors, anchor, done = [], v, 0
+        s = np.clip(np.asarray(s, dtype=float), 0.0, width)
+        r = s.ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            for target in targets.tolist():
-                gap, done = int(target) - done, int(target)
-                for bit in range(gap.bit_length()):     # E^gap from the last anchor
-                    if bit == len(squares):
-                        squares.append(squares[-1] @ squares[-1])
-                    if gap >> bit & 1:
-                        anchor = squares[bit] @ anchor
-                anchors.append(anchor)
-            r = np.clip(s.ravel() - j * h, 0.0, h)
-            rows = np.exp(mu * r)[:, None] * (taylor(r) @ np.array(anchors)[at, :, None])[..., 0]
+            rows = np.exp(mu * r)[:, None] * _taylor_pass(shifted, np.zeros(1), v, r)[0]
         return rows.reshape(s.shape + v.shape)
 
     return read

@@ -10,21 +10,17 @@ moment equations:
   excited state, with the six composite relaxation operators, made fully
   static by shifting the cavity frame by the two-photon detuning.
 
-One Taylor kernel, ``_taylor_pass``, is the one place that cuts time into
-blocks: for y' = sum_k e^{i w_k t} L_k y it takes y from t = 0 through
-sorted output times on one clock, in equal blocks, each a Taylor series
-about its start with the phases expanded exactly there.  A dissipative
-model makes one pass of it over the output times (``integrate_master``),
-taking its density matrix through the Lindblad master equation on one
-sparse CSR superoperator; a dissipation-free model makes one pass with the
-identity over the output remainders r = t mod T and T itself, and an
-output is U(r) U(T)^n, with T the drive period of a periodic model and one
-kernel block of a static one.
-``validate_elimination`` compares the two models, level by level, against
-the linearized moment equations.  The moment equations use the moment
-layer's kernel ``_exp_action``, whose term-count rule the oracle kernel
-shares; the one scipy import, ``scipy.sparse``, comes with a dissipative
-superoperator.
+Both models go through the package's one Taylor kernel,
+``_taylor._taylor_pass``, on one clock from t = 0.  A dissipative model
+makes one pass over the output times (``integrate_master``), taking its
+density matrix through the Lindblad master equation on one sparse CSR
+superoperator; a dissipation-free model makes one pass with the identity
+over the output remainders r = t mod T and T itself, and an output is
+U(r) U(T)^n, with T the drive period of a periodic model and one kernel
+block of a static one.  ``validate_elimination`` compares the two models,
+level by level, against the linearized moment equations
+(``moments._exp_action``); the one scipy import, ``scipy.sparse``, comes
+with a dissipative superoperator.
 
 Both models are built on the tensor-product ``Basis`` and propagated in
 exchange-orbit coordinates: with collective drives and cavity and one jump
@@ -49,8 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import (_TAYLOR_BOUND, MOMENT_ORDER, MomentState, PropagationError,
-                      _exp_action, _taylor_terms, assemble_generator, initial_state)
+from ._taylor import _TAYLOR_BOUND, _taylor_pass, _taylor_rate
+from .moments import (MOMENT_ORDER, MomentState, PropagationError, _exp_action,
+                      assemble_generator, initial_state)
 from .params import (PhysicalParams, _count, _positive, _times, check_validity, kappa_prime,
                      stark_shifts)
 
@@ -409,68 +406,6 @@ class MasterResult:
     steps: int
     dt: float
     states: tuple
-
-
-def _taylor_rate(stacked, freqs: np.ndarray) -> float:
-    """sum_k ||L_k||_1 + max |w_k| of the L_k side by side in ``stacked``."""
-    sums = np.asarray(abs(stacked).sum(axis=0)).reshape(len(freqs), -1)
-    return float(sums.max(axis=1).sum() + np.abs(freqs).max())
-
-
-def _taylor_pass(stacked, freqs: np.ndarray, y: np.ndarray, times: np.ndarray,
-                 dt: float | None = None, adjoint=None) -> tuple[list, int, float]:
-    """y at each sorted output time for y' = sum_k e^{i w_k t} L_k y, from y at t = 0.
-
-    ``stacked`` holds the L_k side by side, [L_0 L_1 ...] (a dense array or a
-    CSR matrix), and ``freqs`` their w_k, w_0 = 0.  [0, times[-1]] is cut
-    into the fewest equal blocks of width h with x = ``_taylor_rate`` h
-    <= ``_TAYLOR_BOUND`` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488,
-    2011), and h <= ``dt`` where given, a positive number (``_positive``)
-    checked before the first block.  On the block from t_0, y is
-    the series sum_n c_n s^n in s = t - t_0 with ``_taylor_terms(x)`` terms,
-    each phase expanded exactly about t_0: (n + 1) c_{n+1} is one product of
-    [L_0 L_1 ...] with the stacked z_k = e^{i w_k t_0} sum_{m <= n}
-    (i w_k)^m / m! c_{n-m}.  The static row's phase series is [1, 0, 0, ...],
-    so z_0 = c_n is taken as it is: only the oscillating rows are convolved,
-    and a static-only model makes no convolution product.  An output in
-    (t_0, t_0 + h] is read off the block's polynomial, one at t = 0 is y.
-    Where given, ``adjoint`` maps y to its adjoint in y's coordinates, and
-    every block ends with
-    y = (y + adjoint(y)) / 2, which re-Hermitizes a density matrix.
-    Returns ``(outputs, n_blocks, h)``.
-    """
-    dt = None if dt is None else _positive(dt, "dt")
-    span, rate = float(times[-1]), _taylor_rate(stacked, freqs)
-    n_blocks = 0
-    if span > 0.0:
-        n_blocks = max(math.ceil(span * rate / _TAYLOR_BOUND),
-                       math.ceil(span / dt) if dt else 0, 1)
-    h = span / n_blocks if n_blocks else 0.0
-    n_terms = _taylor_terms(rate * h)
-    powers = np.arange(n_terms)
-    # (i w_k)^m / m!: the Taylor coefficients of e^{i w_k s}
-    series = np.cumprod(np.column_stack(
-        [np.ones(len(freqs)), np.outer(1j * freqs, 1.0 / powers[1:])]), axis=1)
-    # the block that reaches each output, -1 at t = 0
-    owner = np.minimum(np.ceil(times / h), n_blocks) - 1 if n_blocks else -np.ones(len(times))
-    outputs = [y] * len(times)
-    table = np.empty((n_terms,) + y.shape, dtype=complex)
-    flat = table.reshape(n_terms, -1)
-    z = np.empty((len(freqs), flat.shape[1]), dtype=complex)
-    for j in range(n_blocks):
-        table[0] = y
-        phased = np.exp(1j * freqs[1:] * (j * h))[:, None] * series[1:]
-        for n in range(1, n_terms):
-            z[0] = flat[n - 1]
-            if len(phased):
-                np.matmul(phased[:, n - 1::-1], flat[:n], out=z[1:])
-            table[n] = stacked @ z.reshape((-1,) + y.shape[1:]) / n
-        for i in np.flatnonzero(owner == j):
-            outputs[i] = ((times[i] - j * h) ** powers @ flat).reshape(y.shape)
-        y = (h ** powers @ flat).reshape(y.shape)
-        if adjoint:
-            y = 0.5 * (y + adjoint(y))
-    return outputs, n_blocks, h
 
 
 def _orbit_projection(labels: np.ndarray, start: np.ndarray, parts, sparse: bool = False):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -320,6 +321,17 @@ class TestOracle:
             docs.append(json.loads((tmp_path / name / "validation.json").read_text()))
         assert docs[0]["validation"] == docs[1]["validation"]
         assert docs[0]["config"] != docs[1]["config"]
+
+    def test_runaway_step_exits_numerical_at_once(self, tmp_path, capsys):
+        # dt_full = 1e-12 over t_final = 3 would be 3e12 Taylor blocks
+        mapping = read_config(config_path("oracle_n2_dissipative.cfg"))
+        mapping["dt_full"] = "1e-12"
+        cfg = write_config(tmp_path, "runaway.cfg", mapping)
+        start = time.perf_counter()
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert f"needs {math.ceil(3.0 / 1e-12)} blocks" in capsys.readouterr().err
+        assert not (tmp_path / "validation.json").exists()
 
     def test_hilbert_space_error_exits_numerical_under_validate_too(self, tmp_path):
         mapping = read_config(config_path("oracle_n2.cfg"))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cavspin import oracle
+from cavspin import _taylor, oracle
 from cavspin.dicke import DickePropagator, effective_coeffs, stretched_state
 from cavspin.moments import (MomentGenerator, PropagationError, assemble_generator,
                              initial_state, propagate)
@@ -359,7 +359,7 @@ class TestIntegrateMaster:
         liou = build_full_model(p, HilbertSpec(1, 4, 1))
         rho0 = DensityMatrix.from_pure(liou.basis.vacuum_all_a())
         coarse = integrate_master(liou, rho0, 0.8)
-        monkeypatch.setattr(oracle, "_TAYLOR_BOUND", 0.5)
+        monkeypatch.setattr(_taylor, "_TAYLOR_BOUND", 0.5)
         fine = integrate_master(liou, rho0, 0.8)
         assert fine.steps > 10 * coarse.steps > 10
         scale = np.abs(fine.rho.entries).max()
@@ -377,9 +377,17 @@ class TestIntegrateMaster:
         rho0 = DensityMatrix.from_pure(liou.basis.vacuum_all_a())
         args = {"t": 0.8, "dt": 0.01}
         args[name] = value
-        monkeypatch.setattr(oracle, "_taylor_terms", None)   # refused before any block
+        monkeypatch.setattr(_taylor, "_taylor_terms", None)   # refused before any block
         with pytest.raises(ValueError, match=rf"^{name} must "):
             integrate_master(liou, rho0, **args)
+
+    def test_runaway_step_refused_before_any_block(self, monkeypatch):
+        # dt = 1e-12 over t = 0.8 would be 8e11 blocks, over the kernel's budget
+        liou = build_full_model(lossy_params(1, 4), HilbertSpec(1, 4, 1))
+        rho0 = DensityMatrix.from_pure(liou.basis.vacuum_all_a())
+        monkeypatch.setattr(_taylor, "_taylor_terms", None)   # refused before any block
+        with pytest.raises(ValueError, match=rf"needs {math.ceil(0.8 / 1e-12)} blocks"):
+            integrate_master(liou, rho0, 0.8, dt=1e-12)
 
     def test_zero_start_grid_matches_scalar_time(self):
         liou = build_full_model(lossy_params(1, 4), HilbertSpec(1, 4, 1))
@@ -608,7 +616,7 @@ class TestUnitaryStates:
         models = [build(p, spec, compensate_stark=True)
                   for build in (build_full_model, build_intermediate_model)]
         coarse = [oracle._run_brute_force(liou, times, None)[0] for liou in models]
-        monkeypatch.setattr(oracle, "_TAYLOR_BOUND", 0.5)
+        monkeypatch.setattr(_taylor, "_TAYLOR_BOUND", 0.5)
         fine = [oracle._run_brute_force(liou, times, None)[0] for liou in models]
         widths = [h for _, _, h in kernel_passes]
         assert all(wide > 10.0 * narrow for wide, narrow in zip(widths[:2], widths[2:]))
