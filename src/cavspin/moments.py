@@ -47,7 +47,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._taylor import _TAYLOR_BOUND, _taylor_pass, _taylor_terms
-from .params import PhysicalParams, _check_detunings, _count, _positive, _times, kappa_prime
+from .params import (PhysicalParams, _check_detunings, _count, _lorentzian, _positive, _times,
+                     kappa_prime)
 
 #: component ordering of the moment vector
 MOMENT_ORDER = ("jz", "nab", "jpp", "jmm", "jpm", "jmp")
@@ -128,9 +129,8 @@ def assemble_generator(params: PhysicalParams) -> MomentGenerator:
     ga_, gb_, go = params.gamma_a, params.gamma_b, params.gamma_o
     gt = params.gamma_total
     kp = kappa_prime(params)
-    big_d1 = d1 * d1 + gt * gt / 4.0
-    big_d2 = d2 * d2 + gt * gt / 4.0
-    dc = de * de + kp * kp / 4.0
+    big_d1, big_d2 = _lorentzian(d1, gt), _lorentzian(d2, gt)
+    dc = _lorentzian(de, kp)
     if dc == 0.0:
         raise ValueError("delta and kappa' both zero: cavity cannot be eliminated")
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moments import PropagationError, evolve_squeezing
-from .params import (WARN_THRESHOLD, PhysicalParams, _count, _finite, _positive, check_validity,
-                     kappa_prime)
+from .params import (WARN_THRESHOLD, PhysicalParams, _count, _finite, _kappa_prime, _lorentzian,
+                     _positive, check_validity, kappa_prime)
 
 #: cavity adiabaticity ratio at which |Omega_1| is pinned
 DRIVE_PIN_RATIO = 1e-3
@@ -101,20 +101,16 @@ class OptimizationProblem:
         return tuple(self.gamma_total * s / total for s in self.gamma_split)
 
     def params_at(self, r: float, delta: float, delta_1: float) -> PhysicalParams:
-        """Physical parameters at a candidate point, with |Omega_1| pinned."""
+        """Physical parameters at a finite candidate point, with |Omega_1| pinned."""
+        delta_1, delta = _finite(delta_1, "delta_1"), _finite(delta, "delta")
         g_a, g_b, g_o = self.gammas()
-        base = PhysicalParams(
-            n_atoms=self.n_atoms, g_a=self.g_a, g_b=self.g_b,
-            omega_1=0.0, omega_2=0.0,
-            delta_1=delta_1, omega_ab=self.omega_ab, delta=delta,
-            kappa=self.kappa, gamma_a=g_a, gamma_b=g_b, gamma_o=g_o)
-        gt = base.gamma_total
-        kp = kappa_prime(base)
-        d1sq = delta_1 ** 2 + gt * gt / 4.0
-        csq = delta ** 2 + kp * kp / 4.0
-        omega_1 = 2.0 * math.sqrt(
-            DRIVE_PIN_RATIO * d1sq * csq / (self.n_atoms * abs(self.g_b) ** 2))
-        return base.with_drives(omega_1, r * omega_1)
+        gt = g_a + g_b + g_o    # in the order of PhysicalParams.gamma_total
+        kp = _kappa_prime(self.kappa, self.n_atoms, gt, self.g_a, delta_1 + self.omega_ab)
+        pin = DRIVE_PIN_RATIO * _lorentzian(delta_1, gt) * _lorentzian(delta, kp)
+        omega_1 = 2.0 * math.sqrt(pin / (self.n_atoms * abs(self.g_b) ** 2))
+        return PhysicalParams(n_atoms=self.n_atoms, g_a=self.g_a, g_b=self.g_b, omega_1=omega_1,
+                              omega_2=r * omega_1, delta_1=delta_1, omega_ab=self.omega_ab,
+                              delta=delta, kappa=self.kappa, gamma_a=g_a, gamma_b=g_b, gamma_o=g_o)
 
 
 @dataclass(frozen=True)
@@ -514,10 +510,9 @@ def delta_zero_check(problem: OptimizationProblem) -> DeltaZeroReport:
     opt0 = optimize(base)
     p0 = opt0.params()
 
-    gt = p0.gamma_total
     weak_coupling = math.sqrt(p0.n_atoms) * abs(p0.omega_1 * p0.g_b / p0.delta_1)
-    absorb = abs(p0.omega_2 * p0.g_a) / (p0.delta_2 ** 2 + gt * gt / 4.0)
-    emit = abs(p0.omega_1 * p0.g_b) / (p0.delta_1 ** 2 + gt * gt / 4.0)
+    absorb = abs(p0.omega_2 * p0.g_a) / _lorentzian(p0.delta_2, p0.gamma_total)
+    emit = abs(p0.omega_1 * p0.g_b) / _lorentzian(p0.delta_1, p0.gamma_total)
     if weak_coupling > 0.1 * p0.kappa:
         return DeltaZeroReport(False, "collective coupling not small against kappa: "
                                f"sqrt(N)|Omega_1 g_b/Delta_1| = {weak_coupling:.3g} "

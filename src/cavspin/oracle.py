@@ -48,8 +48,8 @@ import numpy as np
 from ._taylor import _TAYLOR_BOUND, _taylor_pass, _taylor_rate
 from .moments import (MOMENT_ORDER, MomentState, PropagationError, _exp_action,
                       assemble_generator, initial_state)
-from .params import (PhysicalParams, _count, _positive, _times, check_validity, kappa_prime,
-                     stark_shifts)
+from .params import (PhysicalParams, _count, _lorentzian, _positive, _times, check_validity,
+                     kappa_prime, stark_shifts)
 
 DIM_BUDGET = 1024
 
@@ -352,8 +352,7 @@ def build_intermediate_model(params: PhysicalParams, spec: HilbertSpec,
                   spec.cavity_cutoff)
     gt = params.gamma_total
     d1, d2 = params.delta_1, params.delta_2
-    big_d1 = d1 * d1 + gt * gt / 4.0
-    big_d2 = d2 * d2 + gt * gt / 4.0
+    big_d1, big_d2 = _lorentzian(d1, gt), _lorentzian(d2, gt)
 
     c = basis.annihilator()
     num = c.conj().T @ c
@@ -650,8 +649,7 @@ def photon_estimate(params: PhysicalParams, moments: np.ndarray) -> np.ndarray:
                                                                  -gt / 2.0)
     amp_2 = 0.5 * params.omega_2 * np.conj(params.g_a) / complex(params.delta_2,
                                                                  -gt / 2.0)
-    kp = kappa_prime(params)
-    dc = params.delta ** 2 + kp * kp / 4.0
+    dc = _lorentzian(params.delta, kappa_prime(params))
     est = (abs(amp_1) ** 2 * moments[:, 4].real
            + abs(amp_2) ** 2 * moments[:, 5].real
            + 2.0 * np.real(np.conj(amp_1) * amp_2 * moments[:, 2])) / dc

@@ -10,6 +10,9 @@ The config file names each field by the key or keys of one table,
 ``params_to_mapping`` all go through it.  The config number readers that
 every command shares sit next to ``read_config``, beside the input rules of
 every layer and the CLI: ``_count``, ``_times``, ``_positive`` and ``_finite``.
+Both eliminations divide by one rule, ``_lorentzian`` (Delta^2 + width^2/4, its
+squares formed as products), with the kappa' rule ``_kappa_prime`` on it; the
+validity ratios, Stark shifts, moments, oracle and optimizer pin all read them.
 """
 
 from __future__ import annotations
@@ -138,13 +141,23 @@ class ValidityReport:
         return max(self.verdicts.values(), key=order.__getitem__)
 
 
-def kappa_prime(params: PhysicalParams) -> float:
-    """Effective cavity decay rate, broadened by photon scattering off the atoms."""
-    g = params.gamma_total
-    d2sq = params.delta_2 ** 2 + g * g / 4.0
+def _lorentzian(detuning: float, width: float) -> float:
+    """The one elimination denominator, detuning^2 + width^2/4, its squares formed as products."""
+    return detuning * detuning + width * width / 4.0
+
+
+def _kappa_prime(kappa: float, n_atoms: int, gamma: float, g_a: complex, delta_2: float) -> float:
+    """The one kappa' rule: kappa + N Gamma |g_a|^2 / (Delta_2^2 + Gamma^2/4)."""
+    d2sq = _lorentzian(delta_2, gamma)
     if d2sq == 0.0:
         raise ValueError("delta_2 and Gamma both zero: effective cavity rate undefined")
-    return params.kappa + params.n_atoms * g * abs(params.g_a) ** 2 / d2sq
+    return kappa + n_atoms * gamma * abs(g_a) ** 2 / d2sq
+
+
+def kappa_prime(params: PhysicalParams) -> float:
+    """Effective cavity decay rate, broadened by photon scattering off the atoms."""
+    return _kappa_prime(params.kappa, params.n_atoms, params.gamma_total, params.g_a,
+                        params.delta_2)
 
 
 def _check_detunings(params: PhysicalParams) -> None:
@@ -206,10 +219,9 @@ def check_validity(params: PhysicalParams) -> ValidityReport:
     ``WARN_THRESHOLD`` (1e-1) and fails from there on.
     """
     g = params.gamma_total
-    d1sq = params.delta_1 ** 2 + g * g / 4.0
-    d2sq = params.delta_2 ** 2 + g * g / 4.0
+    d1sq = _lorentzian(params.delta_1, g)
     kp = kappa_prime(params)
-    csq = params.delta ** 2 + kp * kp / 4.0
+    csq = _lorentzian(params.delta, kp)
 
     def _ratio(num: float, den: float) -> float:
         if den == 0.0:
@@ -217,7 +229,7 @@ def check_validity(params: PhysicalParams) -> ValidityReport:
         return num / den
 
     r1 = _ratio(abs(params.omega_1) ** 2 / 4.0, d1sq)
-    r2 = _ratio(abs(params.omega_2) ** 2 / 4.0, d2sq)
+    r2 = _ratio(abs(params.omega_2) ** 2 / 4.0, _lorentzian(params.delta_2, g))
     rf = _ratio(max(abs(params.delta), kp), abs(params.omega_ab))
     # the photon number of the eliminated cavity at t=0, all population in |a>
     rc = _ratio(params.n_atoms * abs(params.omega_1 * params.g_b) ** 2 / 4.0, d1sq * csq)
@@ -268,11 +280,11 @@ def stark_shifts(params: PhysicalParams) -> tuple[float, float]:
     """
     g = params.gamma_total
     for name, d in (("delta_1", params.delta_1), ("delta_2", params.delta_2)):
-        if d ** 2 + g * g / 4.0 == 0.0:
+        if _lorentzian(d, g) == 0.0:
             raise ValueError(f"{name} = {d:g} with no excited-state decay: "
                              f"the AC-Stark shift divides by {name}^2 + gamma^2/4 = 0")
-    s_a = params.delta_1 * abs(params.omega_1) ** 2 / (4.0 * (params.delta_1 ** 2 + g * g / 4.0))
-    s_b = params.delta_2 * abs(params.omega_2) ** 2 / (4.0 * (params.delta_2 ** 2 + g * g / 4.0))
+    s_a = params.delta_1 * abs(params.omega_1) ** 2 / (4.0 * _lorentzian(params.delta_1, g))
+    s_b = params.delta_2 * abs(params.omega_2) ** 2 / (4.0 * _lorentzian(params.delta_2, g))
     return s_a, s_b
 
 
@@ -291,7 +303,7 @@ def balance_stark(params: PhysicalParams) -> float:
     if d1 * d2 <= 0.0:
         raise ValueError("no real balanced drive for opposite-sign detunings")
     g = params.gamma_total
-    ratio = (d1 / (d1 * d1 + g * g / 4.0)) * ((d2 * d2 + g * g / 4.0) / d2)
+    ratio = (d1 / _lorentzian(d1, g)) * (_lorentzian(d2, g) / d2)
     return abs(params.omega_1) * math.sqrt(ratio)
 
 

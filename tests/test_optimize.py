@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import math
@@ -11,8 +12,9 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from cavspin.moments import evolve_squeezing
-from cavspin.optimize import (OptimizationProblem, delta_zero_check, optimize,
+from cavspin.optimize import (DRIVE_PIN_RATIO, OptimizationProblem, delta_zero_check, optimize,
                               problem_for_cooperativity, scaling_sweep)
+from cavspin.params import PhysicalParams, check_validity, kappa_prime
 
 # the package re-exports the function optimize under the module's own name
 optimize_mod = importlib.import_module("cavspin.optimize")
@@ -23,6 +25,31 @@ def quick_problem(**overrides):
                 n_steps=160, seed=7)
     base.update(overrides)
     return OptimizationProblem(**base)
+
+
+def base_with_drives(prob, r, delta, delta_1):
+    """A driveless point of ``prob`` given the drives pinned by the product rule, in two steps."""
+    g_a, g_b, g_o = prob.gammas()
+    base = PhysicalParams(n_atoms=prob.n_atoms, g_a=prob.g_a, g_b=prob.g_b, omega_1=0.0,
+                          omega_2=0.0, delta_1=delta_1, omega_ab=prob.omega_ab, delta=delta,
+                          kappa=prob.kappa, gamma_a=g_a, gamma_b=g_b, gamma_o=g_o)
+    gt, kp = base.gamma_total, kappa_prime(base)
+    d1sq = delta_1 * delta_1 + gt * gt / 4.0
+    csq = delta * delta + kp * kp / 4.0
+    omega_1 = 2.0 * math.sqrt(DRIVE_PIN_RATIO * d1sq * csq
+                              / (prob.n_atoms * abs(prob.g_b) ** 2))
+    return base.with_drives(omega_1, r * omega_1)
+
+
+def field_bits(p):
+    """Each field's type and repr, which tells apart any two different floats."""
+    return [(f.name, type(v), repr(v))
+            for f, v in ((f, getattr(p, f.name)) for f in dataclasses.fields(p))]
+
+
+def in_box(bounds):
+    """A float of the closed interval ``bounds``, its two faces drawn often."""
+    return st.one_of(st.sampled_from(bounds), st.floats(*bounds))
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +75,47 @@ class TestProblem:
 
     def test_drive_pinned_inside_validity(self, cheap_optimum):
         prob, rep = cheap_optimum
-        assert rep.validity_ratios["ratio_cavity"] == pytest.approx(1e-3, rel=1e-6)
+        pin_error = abs(rep.validity_ratios["ratio_cavity"] - DRIVE_PIN_RATIO)
+        assert pin_error <= 4 * math.ulp(DRIVE_PIN_RATIO)
         assert all(r < 1e-1 for r in rep.validity_ratios.values())
+
+    def test_params_at_builds_one_params(self):
+        prob = problem_for_cooperativity(quick_problem(), 100.0, 1.0)
+        post_init = PhysicalParams.__post_init__
+        with mock.patch.object(PhysicalParams, "__post_init__", autospec=True,
+                               side_effect=post_init) as spy:
+            p = prob.params_at(2.0, 10.0, 1e5)
+        assert spy.call_count == 1
+        assert field_bits(p) == field_bits(base_with_drives(prob, 2.0, 10.0, 1e5))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cooperativity=st.floats(1.0, 1000.0), loss_ratio=st.floats(0.1, 10.0),
+           r=in_box((0.2, 30.0)), delta=in_box((-4000.0, 4000.0)),
+           delta_1=in_box((1e4, 3e6)))
+    def test_params_at_matches_base_with_drives(self, cooperativity, loss_ratio, r, delta,
+                                                delta_1):
+        # one construction gives, bit for bit, a driveless point handed its
+        # drives by with_drives, and its drive reads back the pin to a few ulps
+        prob = problem_for_cooperativity(quick_problem(), cooperativity, loss_ratio)
+        p = prob.params_at(r, delta, delta_1)
+        assert field_bits(p) == field_bits(base_with_drives(prob, r, delta, delta_1))
+        pin_error = abs(check_validity(p).ratio_cavity - DRIVE_PIN_RATIO)
+        assert pin_error <= 4 * math.ulp(DRIVE_PIN_RATIO)
+
+    @pytest.mark.parametrize("name,point", [("delta", (2.0, math.nan, 1e5)),
+                                            ("delta_1", (2.0, 10.0, math.inf)),
+                                            ("omega_2", (math.nan, 10.0, 1e5))])
+    def test_params_at_names_non_finite_coordinate(self, name, point):
+        prob = problem_for_cooperativity(quick_problem(), 100.0, 1.0)
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            prob.params_at(*point)
+
+    def test_lossless_zero_delta_pins_no_drive(self):
+        # no loss and delta = 0 leave both Lorentzians of the pin at 0
+        prob = quick_problem(fixed_delta=0.0)
+        p = prob.params_at(2.0, 0.0, 1e5)
+        assert p.omega_1 == 0.0 and p.omega_2 == 0.0
+        assert field_bits(p) == field_bits(base_with_drives(prob, 2.0, 0.0, 1e5))
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):

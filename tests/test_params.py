@@ -117,6 +117,20 @@ class TestValidity:
         assert v.ratio_excited_1 == pytest.approx(1.0)
         assert v.verdicts["ratio_excited_1"] == "fail"
 
+    def test_cavity_ratio_squares_by_products(self):
+        # a seeded fig2 variant where delta ** 2 (libm pow) and delta * delta
+        # differ in the last bit: the ratio divides by the product Lorentzians
+        n, w1, d1, delta = 2075516, 10000.0, 100000.0, 599.63000091668141
+        p = params_from_mapping({
+            "n_atoms": str(n), "g_a_re": "1", "g_a_im": "0", "g_b_re": "1", "g_b_im": "0",
+            "omega1_re": "10000", "omega1_im": "0", "omega2_re": "10000", "omega2_im": "0",
+            "delta1": "100000", "omega_ab": "10000", "delta": "599.63000091668141",
+            "kappa": "0", "gamma_a": "0", "gamma_b": "0", "gamma_o": "0"})
+        gt = kp = 0.0
+        expected = (n * abs(w1 * 1.0) ** 2 / 4.0) / (
+            (d1 * d1 + gt * gt / 4.0) * (delta * delta + kp * kp / 4.0))
+        assert check_validity(p).ratio_cavity == expected == 0.014431098378327595
+
     def test_zero_splitting_fails_freq_ratio(self):
         p = PhysicalParams(n_atoms=1, delta_1=10.0, omega_ab=0.0, delta=1.0)
         assert check_validity(p).verdicts["ratio_freqs"] == "fail"
