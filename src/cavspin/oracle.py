@@ -12,22 +12,25 @@ moment equations:
 
 Both models go through the package's one Taylor kernel,
 ``_taylor._taylor_pass``, on one clock from t = 0.  A dissipative model
-makes one pass over the output times (``integrate_master``), taking its
-density matrix through the Lindblad master equation on one sparse CSR
-superoperator; a dissipation-free model makes one pass with the identity
-over the output remainders r = t mod T and T itself, and an output is
-U(r) U(T)^n, with T the drive period of a periodic model and one kernel
-block of a static one.  ``validate_elimination`` compares the two models,
-level by level, against the linearized moment equations
-(``moments._exp_action``); the one scipy import, ``scipy.sparse``, comes
-with a dissipative superoperator.
+makes one real pass over the output times (``integrate_master``), taking
+the real Hermitian coordinates of its density matrix through the Lindblad
+master equation on one real sparse CSR superoperator, in which each
+conjugate pair of oscillating couplings is one cos and one sin part, so
+every output is Hermitian by construction; a dissipation-free model makes
+one complex pass with the identity over the output remainders
+r = t mod T and T itself, and an output is U(r) U(T)^n, with T the drive
+period of a periodic model and one kernel block of a static one.
+``validate_elimination`` compares the two models, level by level, against
+the linearized moment equations (``moments._exp_action``); the one scipy
+import, ``scipy.sparse``, comes with a dissipative superoperator.
 
 Both models are built on the tensor-product ``Basis`` and propagated in
 exchange-orbit coordinates: with collective drives and cavity and one jump
 set per atom, a start state symmetric under atom exchange stays symmetric.
 The isometry onto the orbits of basis states (or of index pairs, for
-vec(rho)) is the identity where the start state or the model breaks the
-symmetry, and the block width comes from the parts that are propagated.
+vec(rho), there composed with the map onto real Hermitian coordinates) is
+the identity where the start state or the model breaks the symmetry, and
+the block width comes from the parts that are propagated.
 
 Frame bookkeeping: the full model rotates |b> at twice the ground-state
 splitting while the intermediate model (and hence the moment equations)
@@ -220,6 +223,32 @@ class DensityMatrix:
         return t_err, lam
 
 
+def _conjugate_pairs(oscillating) -> list[int]:
+    """The index of one term of each adjoint pair (V, w), (V^dag, -w) in
+    ``oscillating``, in order: the term with w > 0, or the first of a pair at
+    w = 0.
+
+    Each term is paired with a later one whose frequency is -w and whose
+    matrix is V^dag, both to 1e-12 of scale, so H(t) is Hermitian at every t;
+    a term left without a partner is a ``ModelError``.
+    """
+    unpaired, kept = list(range(len(oscillating))), []
+    while unpaired:
+        k = unpaired.pop(0)
+        v, f = oscillating[k]
+        adjoint, scale = v.conj().T, 1e-12 * max(1.0, float(np.abs(v).max()))
+        for i, j in enumerate(unpaired):
+            w, g = oscillating[j]
+            if abs(f + g) <= 1e-12 * max(1.0, abs(f)) and np.abs(w - adjoint).max() <= scale:
+                kept.append(j if g > f else k)
+                del unpaired[i]
+                break
+        else:
+            raise ModelError(f"oscillating term {k} at frequency {f:g} has no adjoint "
+                             "partner at the opposite frequency")
+    return sorted(kept)
+
+
 @dataclass(frozen=True)
 class Liouvillian:
     """Static + periodically oscillating Hamiltonian parts and jump operators."""
@@ -235,9 +264,7 @@ class Liouvillian:
         scale = max(1.0, float(np.abs(h).max()))
         if float(np.abs(h - h.conj().T).max()) > 1e-12 * scale:
             raise ModelError("static Hamiltonian is not Hermitian")
-        freqs = sorted(f for _, f in self.hamiltonian_oscillating)
-        if any(abs(f + g) > 1e-12 * max(1.0, abs(f)) for f, g in zip(freqs, reversed(freqs))):
-            raise ModelError("oscillating terms must come in conjugate-frequency pairs")
+        _conjugate_pairs(self.hamiltonian_oscillating)
 
     @property
     def has_dissipation(self) -> bool:
@@ -407,39 +434,58 @@ class MasterResult:
     states: tuple
 
 
-def _orbit_projection(labels: np.ndarray, start: np.ndarray, parts, sparse: bool = False):
+def _orbit_projection(labels: np.ndarray, start: np.ndarray, parts, transpose=None):
     """Isometry onto the orbits that ``labels`` mark, and ``parts`` projected onto it.
 
     ``labels[i]`` is the smallest index in the orbit of i.  Column k of the
-    real isometry is the normalized indicator of the k-th orbit in label
+    real isometry Q is the normalized indicator of the k-th orbit in label
     order, 1/sqrt(|orbit|) on each member, so every row holds one entry; it
-    is a CSR matrix with ``sparse``, else a dense array.  Returns
-    ``(iso, [iso^T A iso for A in parts])`` where ``start`` lies in
-    range(iso) and every part A maps that range into itself, each to a
-    residual of 1e-12 of its own scale.  Otherwise every orbit is a
-    singleton: the isometry is the identity and the parts come back as given.
+    is a dense array.  With ``transpose``, the index of (j, i) for each index
+    (i, j) of a row-major vec(rho), Q is composed with the map onto real
+    Hermitian coordinates, a CSR matrix U: for an orbit o whose transposed
+    orbit o' comes later, column o is (Q_o + Q_o') / sqrt 2 and column o' is
+    i (Q_o - Q_o') / sqrt 2, and an orbit that is its own transpose keeps
+    Q_o.  U has orthonormal columns, and a Hermitian rho has the real
+    coordinates U^H vec(rho): sqrt 2 Re y_o, sqrt 2 Im y_o and y_o of its
+    orbit coordinates y = Q^T vec(rho).  Returns ``(iso, [iso^H A iso for A
+    in parts])`` where ``start`` lies in range(iso) and every part A maps
+    that range into itself, each to a residual of 1e-12 of its own scale.
+    Otherwise every orbit is a singleton: the isometry is the identity and
+    the parts come back as given, or, with ``transpose``, are projected onto
+    the Hermitian coordinates of the singletons.
     """
     rows = len(labels)
 
     def isometry(columns: np.ndarray):
+        """The isometry of the orbits ``columns`` marks, and its adjoint."""
         sizes = np.bincount(columns)
-        values = 1.0 / np.sqrt(sizes[columns])
-        if sparse:
-            from scipy.sparse import csr_matrix
-            return csr_matrix((values, columns, np.arange(rows + 1)),
-                              shape=(rows, len(sizes)))
-        iso = np.zeros((rows, len(sizes)))
-        iso[np.arange(rows), columns] = values
-        return iso
+        if transpose is None:
+            iso = np.zeros((rows, len(sizes)))
+            iso[np.arange(rows), columns] = 1.0 / np.sqrt(sizes[columns])
+            return iso, iso.T
+        from scipy.sparse import csr_matrix
+        partner = columns[transpose]
+        paired = columns != partner
+        # sqrt 2 for the two rows of a pair of orbits, as (y + y*) / sqrt 2
+        values = 1.0 / np.sqrt(np.where(paired, 2.0, 1.0) * sizes[columns])
+        data = np.column_stack([values, np.where(columns < partner, 1j, -1j) * values])
+        cols = np.column_stack([np.minimum(columns, partner), np.maximum(columns, partner)])
+        kept = np.column_stack([np.ones(rows, dtype=bool), paired])
+        iso = csr_matrix((data[kept], cols[kept], np.append(0, np.cumsum(kept.sum(axis=1)))),
+                         shape=(rows, len(sizes)))
+        return iso, iso.conj().T.tocsr()
 
-    iso = isometry((np.cumsum(labels == np.arange(rows)) - 1)[labels])
+    iso, adj = isometry((np.cumsum(labels == np.arange(rows)) - 1)[labels])
     projected = []
     for x in itertools.chain([start], (part @ iso for part in parts)):
-        y = iso.T @ x
+        y = adj @ x
         if abs(x - iso @ y).max() > 1e-12 * abs(x).max():
-            return isometry(np.arange(rows)), parts
+            break
         projected.append(y)
-    return iso, projected[1:]
+    else:
+        return iso, projected[1:]
+    iso, adj = isometry(np.arange(rows))
+    return iso, parts if transpose is None else [adj @ (part @ iso) for part in parts]
 
 
 def _kron_sum(dim: int, terms):
@@ -469,22 +515,30 @@ def _kron_sum(dim: int, terms):
 
 
 def _lindblad_generator(liou: Liouvillian, rho0: np.ndarray):
-    """Sparse Lindblad generator in exchange-orbit coordinates.
+    """Sparse Lindblad generator in real Hermitian exchange-orbit coordinates.
 
     On row-major vec(rho), X rho Y is (X kron Y^T) vec(rho).  With
     G = 1/2 sum_D D^dag D, the static part is
     L0 = (-i H - G) x I + I x (i H - G)^T + sum_D D x D*, and each
     oscillating term V e^{i w t} adds -i (V x I - I x V^T).  Each part is
-    one :func:`_kron_sum` of its terms in the order written here.
+    one :func:`_kron_sum` of its terms in the order written here.  Of each
+    adjoint pair of terms (:func:`_conjugate_pairs`) only the kept one is
+    built.
 
     Index pairs (i, j) form orbits under permutations of the atoms in both
-    indices.  Their isometry Q (:func:`_orbit_projection`) is the identity
-    unless ``rho0`` and every part keep range(Q).  The projected parts
-    Q^T L Q are set side by side in one CSR matrix [L_0 L_1 ...], the
-    generator of :func:`_taylor_pass` on y = Q^T vec(rho) with the
-    frequencies (0, w_1, ...).  Returns ``(stacked, freqs, Q, adjoint)``;
-    ``adjoint`` maps y to the coordinates of rho^dag, the conjugate at the
-    transposed orbit.
+    indices, and the pairs (j, i) form the transposed orbit.  Their isometry
+    U (:func:`_orbit_projection` with the transpose) takes the real
+    coordinates u of a Hermitian rho to vec(rho) = U u; its orbits are
+    singletons unless ``rho0`` and every part keep range(U).  The projected
+    parts M_k = U^H L_k U carry the structure of a generator that maps
+    Hermitian matrices to Hermitian ones: M_0 is real, and the dropped
+    partner of a kept term is conj(M_k), so the pair adds
+    2 Re(e^{i w t} M_k) = cos(w t) 2 Re M_k - sin(w t) 2 Im M_k.  Returns
+    ``(stacked, freqs, U, parts)``: ``stacked`` is the real CSR matrix
+    [Re M_0  2 Re M_1  -2 Im M_1 ...], its zeros dropped and its indices
+    sorted, the generator of :func:`_taylor_pass` on u with the frequencies
+    ``freqs`` (0, w_1, ...) of the kept terms, and ``parts`` the complex
+    [M_0 M_1 ...].
     """
     from scipy import sparse
     dim = liou.basis.dim
@@ -495,16 +549,21 @@ def _lindblad_generator(liou: Liouvillian, rho0: np.ndarray):
     jumps = [d.astype(complex, copy=False) for d in liou.jump_operators]
     parts = [_kron_sum(dim, [(1, -1j * h - g, eye), (1, eye, (1j * h - g).T)]
                        + [(1, d, d.conj()) for d in jumps])]
-    for mat, _ in liou.hamiltonian_oscillating:
+    osc = liou.hamiltonian_oscillating
+    kept = [osc[k] for k in _conjugate_pairs(osc)]
+    for mat, _ in kept:
         v = mat.astype(complex, copy=False)
         parts.append(-1j * _kron_sum(dim, [(1, v, eye), (-1, eye, v.T)]))
     pairs = functools.reduce(np.minimum, (np.add.outer(row * dim, row).ravel()
                                           for row in liou.basis.atom_permutations()))
-    q, parts = _orbit_projection(pairs, rho0.ravel(), parts, sparse=True)
-    freqs = np.array([0.0] + [f for _, f in liou.hamiltonian_oscillating])
-    dag = np.empty(q.shape[1], dtype=np.intp)
-    dag[q.indices] = q.indices.reshape(dim, dim).T.ravel()
-    return sparse.hstack(parts, format="csr"), freqs, q, lambda y: y[dag].conj()
+    transpose = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    q, parts = _orbit_projection(pairs, rho0.ravel(), parts, transpose)
+    stacked = sparse.hstack([parts[0].real]
+                            + [m for part in parts[1:] for m in (2.0 * part.real, -2.0 * part.imag)],
+                            format="csr")
+    stacked.eliminate_zeros()
+    stacked.sort_indices()
+    return stacked, np.array([0.0] + [f for _, f in kept]), q, parts
 
 
 def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t,
@@ -514,26 +573,31 @@ def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t,
     ``t`` is one end time or a non-decreasing sequence of output times
     (``_times``): the model's clock starts at rho0 at t = 0 and runs through
     every output, so oscillating couplings keep their phase; an output at
-    t = 0 is rho0.  One sparse superoperator (:func:`_lindblad_generator`)
-    acts on the exchange-orbit coordinates y = Q^T vec(rho) (Q = I unless
-    rho0 and the model are exchange symmetric).  One :func:`_taylor_pass`
-    takes it through the outputs in equal blocks, each ending with a
-    re-Hermitization; a given ``dt`` caps the block width.  Each output after
-    t = 0 is checked by :meth:`DensityMatrix.validate`; the result holds the
-    worst trace drift and minimum eigenvalue over them (rho0's if there is
-    none), the block count as ``steps`` and the block width as ``dt``.
+    t = 0 is rho0.  rho0 is checked by :meth:`DensityMatrix.validate`
+    first, as real coordinates hold Hermitian matrices only.  One sparse
+    superoperator (:func:`_lindblad_generator`) acts on the real
+    exchange-orbit coordinates u = U^H vec(rho) (U maps them onto the orbits
+    of index pairs where rho0 and the model are exchange symmetric).  One
+    real :func:`_taylor_pass` takes u through the outputs in equal blocks,
+    and every output U u is Hermitian by construction; a given ``dt`` caps
+    the block width.  Each output after t = 0 is checked by
+    :meth:`DensityMatrix.validate`; the result holds the worst trace drift
+    and minimum eigenvalue over them (rho0's if there is none), the block
+    count as ``steps`` and the block width as ``dt``.
     """
     times = _times(t, "t")
     if (np.diff(times) < 0.0).any():
         raise ValueError(f"t must be non-decreasing, got {t!r}")
     state = DensityMatrix(rho0.entries.astype(complex))  # astype copies rho0
-    stacked, freqs, q, adjoint = _lindblad_generator(liou, state.entries)
-    ys, blocks, h = _taylor_pass(stacked, freqs, q.T @ state.entries.ravel(), times, dt, adjoint)
+    initial = state.validate()
+    stacked, freqs, q, _ = _lindblad_generator(liou, state.entries)
+    u = (q.conj().T @ state.entries.ravel()).real
+    ys, blocks, h = _taylor_pass(stacked, freqs, u, times, dt)
     later = (times > 0.0).tolist()
     states = [DensityMatrix((q @ y).reshape(state.entries.shape)) if moved else state
               for y, moved in zip(ys, later)]
     checks = [s.validate() for s, moved in zip(states, later) if moved]
-    drifts, eigs = zip(*checks or [state.validate()])
+    drifts, eigs = zip(*checks or [initial])
     return MasterResult(states[-1], max(drifts), min(eigs), blocks, h, tuple(states))
 
 
@@ -578,7 +642,7 @@ def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray,
     remainders = times - n_periods * period
     stops = np.unique(np.append(remainders, period))
     u = dict(zip(stops.tolist(),
-                 _taylor_pass(stacked, freqs, np.eye(p.shape[1]), stops, dt)[0]))
+                 _taylor_pass(stacked, freqs, np.eye(p.shape[1], dtype=complex), stops, dt)[0]))
     phi0 = p.T @ psi0
     return np.array([u[r] @ (np.linalg.matrix_power(u[period], int(n)) @ phi0)
                      for n, r in zip(n_periods, remainders.tolist())]) @ p.T
