@@ -25,7 +25,8 @@ from .optimize import (OptimizationProblem, SweepResult, optimize,
                        problem_for_cooperativity, scaling_sweep)
 from .oracle import HilbertSpec, _check_model, validate_elimination
 from .params import (CONFIG_KEYS, ConfigError, _count, _finite, _float_list, _number, _positive,
-                     check_validity, decoherence_budget, params_from_mapping, read_config)
+                     _splitting, check_validity, decoherence_budget, params_from_mapping,
+                     read_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -128,6 +129,7 @@ def _csv_text(config: dict, rows) -> str:
 
 def _read_evolve(config: dict, args: argparse.Namespace) -> tuple:
     params = params_from_mapping(config)
+    _config_rule(_splitting, params.omega_ab, "omega_ab")
     n_steps = _config_rule(_count, _number(config, "n_steps", int, 400), "n_steps", 2)
     t_max = _key_rule(_positive, config, "t_max")
     max_ext = _config_rule(_count, _number(config, "max_extensions", int, 0),

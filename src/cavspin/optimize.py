@@ -35,7 +35,7 @@ import numpy as np
 
 from .moments import PropagationError, evolve_squeezing
 from .params import (WARN_THRESHOLD, PhysicalParams, _count, _finite, _kappa_prime, _lorentzian,
-                     _positive, check_validity, kappa_prime)
+                     _positive, _splitting, check_validity, kappa_prime)
 
 #: cavity adiabaticity ratio at which |Omega_1| is pinned
 DRIVE_PIN_RATIO = 1e-3
@@ -81,9 +81,7 @@ class OptimizationProblem:
                 raise ValueError(f"{name} must be nonnegative")
         if self.g_a * self.g_b == 0:
             raise ValueError("g_a and g_b must be nonzero")
-        if self.omega_ab == 0:
-            raise ValueError("omega_ab must be nonzero: the validity ratio ratio_freqs "
-                             "divides by it")
+        _splitting(self.omega_ab, "omega_ab")
         for name in ("r_bounds", "delta1_bounds"):
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi):

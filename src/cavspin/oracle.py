@@ -22,7 +22,10 @@ r = t mod T and T itself, and an output is U(r) U(T)^n, with T the drive
 period of a periodic model and one kernel block of a static one.
 ``validate_elimination`` compares the two models, level by level, against
 the linearized moment equations (``moments._exp_action``); the one scipy
-import, ``scipy.sparse``, comes with a dissipative superoperator.
+import, ``scipy.sparse``, comes with a dissipative superoperator.  One
+readout table per basis (``Basis.readout``) reads every recorded quantity,
+the six moments, the photon number and the excited population, of every
+state of a run in one product.
 
 Both models are built on the tensor-product ``Basis`` and propagated in
 exchange-orbit coordinates: with collective drives and cavity and one jump
@@ -98,7 +101,10 @@ class Basis:
     """Dense operator algebra on (atom levels)^n_atoms x Fock(cutoff).
 
     Atom 0 is the most significant digit of a basis index, the photon number
-    the least.  Everything the basis holds is built with it and never changes.
+    the least.  Everything the basis holds is built with it and never changes:
+    the exchange table and the readout table, one row vec(O^T) per recorded
+    quantity O (the moments in ``MOMENT_ORDER``, c^dag c, and the collective
+    |e><e|, a zero row without |e>), so that tr(O rho) = vec(O^T) . vec(rho).
     """
 
     def __init__(self, n_atoms: int, levels: tuple[str, ...], cavity_cutoff: int):
@@ -113,15 +119,11 @@ class Basis:
         na = self.collective("a", "a")
         nb = self.collective("b", "b")
         c = self.annihilator()
-        self._collective_ops = {
-            "jz": 0.5 * (na - nb),
-            "nab": na + nb,
-            "jpp": jp @ jp,
-            "jmm": jm @ jm,
-            "jpm": jp @ jm,
-            "jmp": jm @ jp,
-            "photons": c.conj().T @ c,
-        }
+        excited = self.collective("e", "e") if "e" in levels else np.zeros_like(na)
+        ops = (0.5 * (na - nb), na + nb, jp @ jp, jm @ jm, jp @ jm, jm @ jp, c.conj().T @ c,
+               excited)
+        self._readout = np.array([op.T.ravel() for op in ops])
+        self._readout.flags.writeable = False
         shape = (self.n_levels,) * n_atoms + (cavity_cutoff + 1,)
         digits = np.unravel_index(np.arange(self.dim), shape)
         table = np.array([np.ravel_multi_index([digits[k] for k in order] + [digits[-1]],
@@ -166,9 +168,9 @@ class Basis:
         psi[0] = 1.0        # level 'a' is index 0 in every layout, Fock 0 likewise
         return psi
 
-    def collective_ops(self) -> dict[str, np.ndarray]:
-        """The moment and photon-number operators, built with the basis."""
-        return self._collective_ops
+    def readout(self, rhos: np.ndarray) -> np.ndarray:
+        """tr(O rho) of every recorded quantity for a (..., dim, dim) stack, as (..., 8)."""
+        return rhos.reshape(rhos.shape[:-2] + (self.dim * self.dim,)) @ self._readout.T
 
     def atom_permutations(self) -> np.ndarray:
         """Read-only (N!, dim) table: each state's index under each atom permutation.
@@ -602,17 +604,9 @@ def integrate_master(liou: Liouvillian, rho0: DensityMatrix, t,
 
 
 def extract_moments(rho: DensityMatrix, basis: Basis) -> tuple[MomentState, float]:
-    """Collective moments and mean photon number of a brute-force state."""
-    ops = basis.collective_ops()
-    r = rho.entries
-
-    def ev(op: np.ndarray) -> complex:
-        return complex(np.trace(op @ r))
-
-    state = MomentState(jz=ev(ops["jz"]), nab=ev(ops["nab"]),
-                        jpp=ev(ops["jpp"]), jmm=ev(ops["jmm"]),
-                        jpm=ev(ops["jpm"]), jmp=ev(ops["jmp"]))
-    return state, float(ev(ops["photons"]).real)
+    """Collective moments and mean photon number of a brute-force state (``Basis.readout``)."""
+    values = basis.readout(rho.entries)
+    return MomentState.from_array(values[:6]), float(values[6].real)
 
 
 def _unitary_states(liou: Liouvillian, psi0: np.ndarray, times: np.ndarray,
@@ -747,24 +741,22 @@ def _frame_aligned(moments: np.ndarray, times: np.ndarray, omega_ab: float) -> n
 
 def _run_brute_force(liou: Liouvillian, times: np.ndarray,
                      dt: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    basis = liou.basis
-    psi0 = basis.vacuum_all_a()
+    """The moments, photon numbers and excited populations of one model at ``times``."""
+    psi0 = liou.basis.vacuum_all_a()
     if liou.has_dissipation:
         states = integrate_master(liou, DensityMatrix.from_pure(psi0), times, dt).states
+        rhos = np.array([rho.entries for rho in states])
     else:
-        states = []
-        for t, psi in zip(times, _unitary_states(liou, psi0, times, dt)):
-            norm = np.linalg.norm(psi)
-            if abs(norm - 1.0) > 1e-6:
-                raise IntegrationError(f"unitarity loss {abs(norm - 1.0):.2e} at t={t}")
-            states.append(DensityMatrix.from_pure(psi / norm))
-    records = [extract_moments(rho, basis) for rho in states]
-    moments = np.array([state.as_array() for state, _ in records])
-    photons = np.array([ph for _, ph in records])
-    if "e" not in basis.levels:
-        return moments, photons, np.zeros(len(times))
-    excited = basis.collective("e", "e")
-    return moments, photons, np.array([np.trace(excited @ rho.entries).real for rho in states])
+        psis = _unitary_states(liou, psi0, times, dt)
+        norms = np.linalg.norm(psis, axis=1)
+        lost = np.abs(norms - 1.0) > 1e-6
+        if lost.any():
+            k = lost.argmax()
+            raise IntegrationError(f"unitarity loss {abs(norms[k] - 1.0):.2e} at t={times[k]}")
+        psis /= norms[:, None]
+        rhos = psis[:, :, None] * psis[:, None, :].conj()
+    values = liou.basis.readout(rhos)
+    return values[:, :6], values[:, 6].real, values[:, 7].real
 
 
 def validate_elimination(params: PhysicalParams, spec: HilbertSpec, t_grid,
@@ -805,16 +797,9 @@ def validate_elimination(params: PhysicalParams, spec: HilbertSpec, t_grid,
         raise PropagationError("non-finite moments after propagation to "
                                f"t={times[finite.argmin()]}")
 
-    rel_fi = {}
-    rel_il = {}
-    for j, name in enumerate(MOMENT_ORDER):
-        sup_f = np.abs(m_full[:, j]).max()
-        sup_i = np.abs(m_int[:, j]).max()
-        sup_l = np.abs(m_lin[:, j]).max()
-        den_fi = max(sup_f, sup_i) or 1.0
-        den_il = max(sup_i, sup_l) or 1.0
-        rel_fi[name] = np.abs(m_full[:, j] - m_int[:, j]) / den_fi
-        rel_il[name] = np.abs(m_int[:, j] - m_lin[:, j]) / den_il
+    def deviation(x: np.ndarray, y: np.ndarray) -> dict:
+        scale = np.maximum(np.abs(x).max(axis=0), np.abs(y).max(axis=0))
+        return dict(zip(MOMENT_ORDER, (np.abs(x - y) / np.where(scale > 0.0, scale, 1.0)).T))
 
     nab_lin = m_lin[:, 1].real
     growth = bool(np.any(nab_lin > nab_lin[0] * (1.0 + 1e-9) + 1e-12))
@@ -824,8 +809,8 @@ def validate_elimination(params: PhysicalParams, spec: HilbertSpec, t_grid,
         moments={"full": m_full, "intermediate": m_int, "linear": m_lin},
         photons={"full": ph_full, "intermediate": ph_int},
         excited_population=e_pop,
-        rel_dev_fi=rel_fi,
-        rel_dev_il=rel_il,
+        rel_dev_fi=deviation(m_full, m_int),
+        rel_dev_il=deviation(m_int, m_lin),
         validity=validity,
         in_validity_regime=validity.worst == "pass",
         population_growth=growth,

@@ -9,7 +9,8 @@ The config file names each field by the key or keys of one table,
 ``_FIELD_KEYS``; ``CONFIG_KEYS``, ``params_from_mapping`` and
 ``params_to_mapping`` all go through it.  The config number readers that
 every command shares sit next to ``read_config``, beside the input rules of
-every layer and the CLI: ``_count``, ``_times``, ``_positive`` and ``_finite``.
+every layer and the CLI: ``_count``, ``_times``, ``_positive`` and ``_finite``,
+and ``_splitting`` where a command writes the validity ratios.
 Both eliminations divide by one rule, ``_lorentzian`` (Delta^2 + width^2/4, its
 squares formed as products), with the kappa' rule ``_kappa_prime`` on it; the
 validity ratios, Stark shifts, moments, oracle and optimizer pin all read them.
@@ -408,6 +409,14 @@ def _finite(x, name: str):
     except TypeError:   # no number
         pass
     raise ValueError(f"{name} must be finite, got {x!r}")
+
+
+def _splitting(x, name: str):
+    """The ground-splitting rule of every command that writes the validity ratios:
+    ``x`` as it is if nonzero, else ``ValueError`` naming ``name``."""
+    if x == 0:
+        raise ValueError(f"{name} must be nonzero: the validity ratio ratio_freqs divides by it")
+    return x
 
 
 def _number(mapping: dict, key: str, kind=float, default=None):

@@ -140,6 +140,20 @@ class TestEvolve:
         assert not (tmp_path / "trace.csv").exists()
         assert main(["validate", "--config", cfg]) == 2
 
+    def test_zero_ground_splitting_is_config_error(self, tmp_path, capsys):
+        # ratio_freqs divides by omega_ab: the run would write it as inf
+        mapping = read_config(config_path("fig2.cfg"))
+        mapping["omega_ab"] = "0"
+        cfg = write_config(tmp_path, "bad.cfg", mapping)
+        out = tmp_path / "run"
+        message = ("config error: omega_ab must be nonzero: the validity ratio ratio_freqs "
+                   "divides by it\n")
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+        assert main(["validate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize("key", ["t_max", "ref_rate_hz"])
     def test_non_finite_grid_key_is_config_error(self, tmp_path, key):
         cfg = write_config(tmp_path, "bad.cfg", evolve_mapping(**{key: "inf"}))

@@ -989,12 +989,97 @@ class TestExtractMoments:
         assert state.jpp == pytest.approx(0.5)
         assert photons == pytest.approx(0.0)
 
-    def test_operators_built_once_per_basis(self):
+    def test_operators_built_once_per_basis(self, monkeypatch):
         basis = Basis(2, ("a", "b", "e"), 1)
-        ops = basis.collective_ops()
-        assert basis.collective_ops() is ops
-        jp = basis.collective("a", "b")
-        assert np.array_equal(ops["jpm"], jp @ jp.conj().T)
+        table = basis._readout
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        rho = random_density_matrix(basis.dim, np.random.default_rng(5))
+        before = basis.readout(rho)
+
+        def refuse(*args):
+            raise AssertionError("operator rebuilt after construction")
+        for name in ("collective", "annihilator", "atom_op", "transition"):
+            monkeypatch.setattr(Basis, name, refuse)
+        assert_same_bits(basis.readout(rho), before)
+        extract_moments(DensityMatrix(rho), basis)
+        assert basis._readout is table
+
+
+def random_density_matrix(dim, rng):
+    """A full-rank density matrix with random complex entries."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def reference_operators(basis):
+    """The eight recorded operators, in readout order, built from the basis's own operators."""
+    jp = basis.collective("a", "b")
+    jm = jp.conj().T
+    na, nb = basis.collective("a", "a"), basis.collective("b", "b")
+    c = basis.annihilator()
+    excited = (basis.collective("e", "e") if "e" in basis.levels
+               else np.zeros((basis.dim, basis.dim), dtype=complex))
+    return [0.5 * (na - nb), na + nb, jp @ jp, jm @ jm, jp @ jm, jm @ jp, c.conj().T @ c,
+            excited]
+
+
+class TestReadout:
+    """``Basis.readout``: every recorded quantity of a stack of states in one product."""
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3])
+    @pytest.mark.parametrize("levels", [("a", "b", "e"), ("a", "b", "e", "o")])
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_matches_trace_reference(self, n_atoms, levels, cutoff):
+        basis = Basis(n_atoms, levels, cutoff)
+        rho = random_density_matrix(basis.dim, np.random.default_rng(n_atoms * 10 + cutoff))
+        values = basis.readout(rho)
+        assert values.shape == (8,)
+        for value, op in zip(values, reference_operators(basis)):
+            ref = np.trace(op @ rho)
+            assert abs(value - ref) <= 1e-14 * np.linalg.norm(op, 2)
+        state, photons = extract_moments(DensityMatrix(rho), basis)
+        assert_same_bits(state.as_array(), values[:6])
+        assert photons == values[6].real
+
+    @pytest.mark.parametrize("levels", [("a", "b", "e"), ("a", "b"), ("a", "b", "o")])
+    def test_stack_reads_row_for_row(self, levels):
+        basis = Basis(2, levels, 2)
+        rng = np.random.default_rng(11)
+        stack = np.array([[random_density_matrix(basis.dim, rng) for _ in range(3)]
+                          for _ in range(2)])
+        values = basis.readout(stack)
+        assert values.shape == (2, 3, 8)
+        scale = [np.linalg.norm(op, 2) for op in reference_operators(basis)]
+        for i, j in itertools.product(range(2), range(3)):
+            single = basis.readout(stack[i, j])
+            assert (np.abs(values[i, j] - single) <= 1e-14 * np.array(scale)).all()
+
+    @pytest.mark.parametrize("levels", [("a", "b"), ("a", "b", "o")])
+    def test_intermediate_excited_population_is_zero(self, levels):
+        basis = Basis(2, levels, 1)
+        assert not basis._readout[7].any()
+        rho = random_density_matrix(basis.dim, np.random.default_rng(2))
+        assert basis.readout(rho)[7] == 0.0
+        inter = build_intermediate_model(lossy_params(2, len(levels) + 1),
+                                         HilbertSpec(2, len(levels) + 1, 1))
+        _, _, excited = oracle._run_brute_force(inter, np.array([0.0, 0.1]), None)
+        assert excited.tolist() == [0.0, 0.0]
+
+    def test_unitarity_loss_names_the_first_time(self, monkeypatch):
+        liou = build_full_model(n2_matched(), HilbertSpec(2, 3, 1))
+        times = np.array([0.0, 0.25, 0.5])
+        exact = _unitary_states
+
+        def leaky(*args):
+            states = exact(*args)
+            states[1:] *= 1.1
+            return states
+        monkeypatch.setattr(oracle, "_unitary_states", leaky)
+        with pytest.raises(IntegrationError, match=r"^unitarity loss 1\.00e-01 at t=0\.25$"):
+            oracle._run_brute_force(liou, times, None)
 
 
 def cavity_frame_shifted(p, base, lam=37.0):
