@@ -197,7 +197,10 @@ def _run_budget(config: dict, params, out_dir: str) -> int:
 
 
 def _read_oracle(config: dict, args: argparse.Namespace) -> tuple:
+    """The oracle settings: ``omega_ab`` by the splitting rule, as in ``evolve``,
+    then the grid and the refusals of the models ``validate_elimination`` builds."""
     params = params_from_mapping(config)
+    _config_rule(_splitting, params.omega_ab, "omega_ab")
     spec = HilbertSpec(n_atoms=params.n_atoms,
                        atom_levels=_number(config, "atom_levels", int),
                        cavity_cutoff=_number(config, "cavity_cutoff", int))

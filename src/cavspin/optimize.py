@@ -35,7 +35,7 @@ import numpy as np
 
 from .moments import PropagationError, evolve_squeezing
 from .params import (WARN_THRESHOLD, PhysicalParams, _count, _finite, _kappa_prime, _lorentzian,
-                     _positive, _splitting, check_validity, kappa_prime)
+                     _nonnegative, _positive, _splitting, check_validity, kappa_prime)
 
 #: cavity adiabaticity ratio at which |Omega_1| is pinned
 DRIVE_PIN_RATIO = 1e-3
@@ -77,8 +77,7 @@ class OptimizationProblem:
         if self.fixed_delta is not None:
             _finite(self.fixed_delta, "fixed_delta")
         for name in ("kappa", "gamma_total"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
+            _nonnegative(getattr(self, name), name)
         if self.g_a * self.g_b == 0:
             raise ValueError("g_a and g_b must be nonzero")
         _splitting(self.omega_ab, "omega_ab")
@@ -139,6 +138,20 @@ class OptimumReport:
         return self.problem.params_at(self.r_opt, self.delta_opt, self.delta1_opt)
 
 
+#: horizon doublings of every squeezing trace the optimizer reads
+_MAX_EXTENSIONS = 5
+
+
+def _trace_minimum(params: PhysicalParams, n_steps: int) -> tuple[float, float]:
+    """``(min xi^2, t_min)`` of the squeezing trace at ``params``: (1.0, 0.0)
+    without a drive, where no pair-transfer mechanism leaves xi^2 at 1, else
+    by ``evolve_squeezing`` with up to ``_MAX_EXTENSIONS`` horizon doublings."""
+    if params.omega_1 == 0 or params.omega_2 == 0:
+        return 1.0, 0.0
+    trace = evolve_squeezing(params, n_steps=n_steps, max_extensions=_MAX_EXTENSIONS)
+    return float(trace.min_xi2), float(trace.t_min)
+
+
 class _Objective:
     """min_t xi^2(t) with validity penalties; counts evaluations.
 
@@ -167,16 +180,12 @@ class _Objective:
         r, delta, d1 = self.unpack(x)
         try:
             params = self.problem.params_at(r, delta, d1)
-            if params.omega_1 == 0 or params.omega_2 == 0:
-                return 1.0     # no pair-transfer mechanism, trace stays at 1
             report = check_validity(params)
             excess = sum(max(0.0, ratio / WARN_THRESHOLD - 1.0)
                          for ratio in report.ratios().values())
             if excess > 0.0:
                 return 1.0 + excess
-            trace = evolve_squeezing(params, n_steps=self.problem.n_steps,
-                                     max_extensions=5)
-            return trace.min_xi2
+            return _trace_minimum(params, self.problem.n_steps)[0]
         except (ValueError, PropagationError):
             return self.PENALTY_FAILURE
 
@@ -255,15 +264,20 @@ def _start_points(problem: OptimizationProblem) -> np.ndarray:
     return lo + np.array(_sobol(problem.restarts, problem.seed)) * (hi - lo)
 
 
+#: the Nelder-Mead stopping tolerances on the vertices and on their values
+_XATOL = 1e-4
+_FATOL = 1e-7
+
+
 class _BudgetSpent(Exception):
     """The evaluation budget of a Nelder-Mead search is used up."""
 
 
-def _nelder_mead(f, x0, lo, hi, max_evals: int, xatol: float, fatol: float):
+def _nelder_mead(f, x0, lo, hi, max_evals: int):
     """Bounded Nelder-Mead minimization of ``f`` from x0: ``(x, fun, n_evals)``.
 
     scipy's ``minimize(f, x0, method="Nelder-Mead", bounds=zip(lo, hi),
-    options={"maxfev": max_evals, "xatol": xatol, "fatol": fatol})`` (Nelder &
+    options={"maxfev": max_evals, "xatol": _XATOL, "fatol": _FATOL})`` (Nelder &
     Mead, Comput. J. 7, 308, 1965) in plain floats, iterate for iterate, so
     it reads ``f`` at the same points and returns the same result:
 
@@ -272,8 +286,8 @@ def _nelder_mead(f, x0, lo, hi, max_evals: int, xatol: float, fatol: float):
       above the box reflected at the upper bound and then clipped;
     * reflection, expansion, contraction and shrink coefficients are
       1, 2, 1/2 and 1/2, and every trial point is clipped into the box;
-    * the search stops when all vertices lie within xatol of the best one
-      and their values within fatol, or at the call after the budget is
+    * the search stops when all vertices lie within ``_XATOL`` of the best one
+      and their values within ``_FATOL``, or at the call after the budget is
       spent, which may fall inside the initial simplex (unread vertices keep
       +inf) or inside a shrink;
     * wherever scipy orders the vertices, a stable sort with NaN last orders
@@ -333,8 +347,8 @@ def _nelder_mead(f, x0, lo, hi, max_evals: int, xatol: float, fatol: float):
 
     while n_evals < max_evals:
         best = sim[0]
-        if (all(abs(c - b) <= xatol for vertex in sim[1:] for c, b in zip(vertex, best))
-                and all(abs(fsim[0] - fk) <= fatol for fk in fsim[1:])):
+        if (all(abs(c - b) <= _XATOL for vertex in sim[1:] for c, b in zip(vertex, best))
+                and all(abs(fsim[0] - fk) <= _FATOL for fk in fsim[1:])):
             break
         xbar = list(best)
         for vertex in sim[1:-1]:
@@ -373,9 +387,9 @@ def _nelder_mead(f, x0, lo, hi, max_evals: int, xatol: float, fatol: float):
 def optimize(problem: OptimizationProblem) -> OptimumReport:
     """Multi-start Nelder-Mead minimization of the squeezing objective.
 
-    Deterministic for a given problem: one ``_nelder_mead`` search (xatol
-    1e-4, fatol 1e-7, at most ``max_evals`` evaluations) from each of the
-    ``restarts`` seeded Sobol' starts of ``_start_points``.  The reported
+    Deterministic for a given problem: one ``_nelder_mead`` search (at most
+    ``max_evals`` evaluations) from each of the ``restarts`` seeded Sobol'
+    starts of ``_start_points``.  The reported
     minimum is re-evaluated with a fresh squeezing trace at the argmin, so it
     is reproducible to full precision.
     """
@@ -384,8 +398,7 @@ def optimize(problem: OptimizationProblem) -> OptimumReport:
     records = []
     best = None
     for x0 in _start_points(problem).tolist():
-        x, fun, n_evals = _nelder_mead(objective, x0, lo, hi, problem.max_evals,
-                                       xatol=1e-4, fatol=1e-7)
+        x, fun, n_evals = _nelder_mead(objective, x0, lo, hi, problem.max_evals)
         rec = RestartRecord(x0=tuple(x0), x_best=tuple(x), f_best=fun,
                             n_evals=n_evals, success=fun <= 1.0)
         records.append(rec)
@@ -398,11 +411,7 @@ def optimize(problem: OptimizationProblem) -> OptimumReport:
     r, delta, d1 = objective.unpack(x_best)
     params = problem.params_at(r, delta, d1)
     report = check_validity(params)
-    if params.omega_1 == 0 or params.omega_2 == 0:
-        xi2_min, t_min = 1.0, 0.0
-    else:
-        trace = evolve_squeezing(params, n_steps=problem.n_steps, max_extensions=5)
-        xi2_min, t_min = float(trace.min_xi2), float(trace.t_min)
+    xi2_min, t_min = _trace_minimum(params, problem.n_steps)
     return OptimumReport(
         xi2_min=xi2_min,
         r_opt=float(r), delta_opt=float(delta), delta1_opt=float(d1),

@@ -276,14 +276,6 @@ class Liouvillian:
     def max_frequency(self) -> float:
         return max((abs(f) for _, f in self.hamiltonian_oscillating), default=0.0)
 
-    def hamiltonian_at(self, t: float) -> np.ndarray:
-        h = self.hamiltonian_static
-        if self.hamiltonian_oscillating:
-            h = h.copy()
-            for mat, freq in self.hamiltonian_oscillating:
-                h += np.exp(1j * freq * t) * mat
-        return h
-
 
 def _check_model(params: PhysicalParams, spec: HilbertSpec) -> None:
     """Refuse parameters that neither brute-force model can represent.
@@ -294,7 +286,9 @@ def _check_model(params: PhysicalParams, spec: HilbertSpec) -> None:
     (``omega_ab = 0``) are refused for both; decay into |o> needs the fourth
     level, and the models hold the parameters' atom number, which the moment
     equations they are compared with take.  Both builders and the ``oracle``
-    settings reader call this check.
+    settings reader call this check; the reader refuses ``omega_ab = 0``
+    first, as a config error by the splitting rule of every command that
+    writes the validity ratios, so only a library call meets this one.
     """
     if spec.n_atoms != params.n_atoms:
         raise ModelError(f"HilbertSpec has {spec.n_atoms} atoms, the parameters {params.n_atoms}")
@@ -712,22 +706,6 @@ def photon_estimate(params: PhysicalParams, moments: np.ndarray) -> np.ndarray:
            + abs(amp_2) ** 2 * moments[:, 5].real
            + 2.0 * np.real(np.conj(amp_1) * amp_2 * moments[:, 2])) / dc
     return np.maximum(est, 0.0)
-
-
-def coherent_pair_transfer_time(params: PhysicalParams) -> float:
-    """Time for full coherent transfer of the first atom pair, pi / (2 V).
-
-    V is the ladder matrix element of the pair-creation term between the
-    stretched state and its two-excitation partner.
-    """
-    from .dicke import effective_coeffs
-
-    co = effective_coeffs(params)
-    n = params.n_atoms
-    element = abs(co.c_pp) * math.sqrt(n * max(2.0 * n - 2.0, 0.0))
-    if element == 0.0:
-        raise ValueError("no pair coupling: pair-transfer time undefined")
-    return math.pi / (2.0 * element)
 
 
 def _frame_aligned(moments: np.ndarray, times: np.ndarray, omega_ab: float) -> np.ndarray:

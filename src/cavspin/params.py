@@ -9,8 +9,8 @@ The config file names each field by the key or keys of one table,
 ``_FIELD_KEYS``; ``CONFIG_KEYS``, ``params_from_mapping`` and
 ``params_to_mapping`` all go through it.  The config number readers that
 every command shares sit next to ``read_config``, beside the input rules of
-every layer and the CLI: ``_count``, ``_times``, ``_positive`` and ``_finite``,
-and ``_splitting`` where a command writes the validity ratios.
+every layer and the CLI: ``_count``, ``_times``, ``_positive``, ``_nonnegative``
+and ``_finite``, and ``_splitting`` where a command writes the validity ratios.
 Both eliminations divide by one rule, ``_lorentzian`` (Delta^2 + width^2/4, its
 squares formed as products), with the kappa' rule ``_kappa_prime`` on it; the
 validity ratios, Stark shifts, moments, oracle and optimizer pin all read them.
@@ -90,8 +90,7 @@ class PhysicalParams:
                      "kappa", "gamma_a", "gamma_b", "gamma_o"):
             _finite(getattr(self, name), name)
         for name in ("kappa", "gamma_a", "gamma_b", "gamma_o"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            _nonnegative(getattr(self, name), name)
 
     @property
     def delta_2(self) -> float:
@@ -398,6 +397,14 @@ def _positive(x, name: str) -> float:
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{name} must be finite and positive, got {x!r}")
+
+
+def _nonnegative(x, name: str):
+    """The one nonnegative-number rule: ``x`` as it is if >= 0, else ``ValueError``
+    naming ``name``."""
+    if not x >= 0:
+        raise ValueError(f"{name} must be nonnegative, got {x}")
+    return x
 
 
 def _finite(x, name: str):

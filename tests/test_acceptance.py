@@ -20,12 +20,12 @@ from cavspin.cli import main
 from cavspin.dicke import effective_coeffs, ideal_trace, oat_min_squeezing
 from cavspin.moments import (assemble_generator, evolve_squeezing, initial_state,
                              propagate, squeezing_parameter)
-from cavspin.oracle import (DensityMatrix, HilbertSpec, build_full_model,
-                            coherent_pair_transfer_time, integrate_master,
+from cavspin.oracle import (DensityMatrix, HilbertSpec, build_full_model, integrate_master,
                             validate_elimination)
 from cavspin.optimize import (OptimizationProblem, delta_zero_check, optimize,
                               problem_for_cooperativity)
 from cavspin.params import PhysicalParams, demo_params, match_raman
+from references import coherent_pair_transfer_time
 
 warnings.filterwarnings("ignore", message="The balance properties of Sobol")
 

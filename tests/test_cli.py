@@ -140,15 +140,17 @@ class TestEvolve:
         assert not (tmp_path / "trace.csv").exists()
         assert main(["validate", "--config", cfg]) == 2
 
-    def test_zero_ground_splitting_is_config_error(self, tmp_path, capsys):
-        # ratio_freqs divides by omega_ab: the run would write it as inf
-        mapping = read_config(config_path("fig2.cfg"))
+    @pytest.mark.parametrize("name", ["fig2.cfg", "oracle_n2.cfg", "fig3.cfg"])
+    def test_zero_ground_splitting_is_config_error(self, tmp_path, capsys, name):
+        # ratio_freqs divides by omega_ab: the run would write it as inf, and
+        # the oracle's frame and elimination need the splitting too
+        mapping = read_config(config_path(name))
         mapping["omega_ab"] = "0"
         cfg = write_config(tmp_path, "bad.cfg", mapping)
         out = tmp_path / "run"
         message = ("config error: omega_ab must be nonzero: the validity ratio ratio_freqs "
                    "divides by it\n")
-        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+        assert main([mapping["command"], "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == message
         assert not out.exists()
         assert main(["validate", "--config", cfg]) == 2
@@ -602,14 +604,13 @@ class TestValidate:
 
     @pytest.mark.parametrize("command,source,overrides,message", [
         ("oracle", "oracle_n2.cfg", {"gamma_o": "0.1"}, "requires atom_levels = 4"),
-        ("oracle", "oracle_n2.cfg", {"omega_ab": "0"}, "omega_ab = 0"),
         ("oracle", "oracle_n2.cfg", {"delta1": "0"}, "delta_1 and delta_2 must be nonzero"),
         ("evolve", "fig2.cfg", {"omega1_re": "0"}, "no drive"),
         ("budget", "fig2.cfg", {"command": "budget", "g_b_re": "0"},
          "cavity couplings must be nonzero"),
         ("evolve", "fig2.cfg", {"delta1": "0"}, "delta_1 and delta_2 must be nonzero"),
         ("evolve", "fig2.cfg", {"delta1": "-10000"}, "delta_1 and delta_2 must be nonzero"),
-    ], ids=["three_levels_with_gamma_o", "degenerate_ground_states", "oracle_zero_delta_1",
+    ], ids=["three_levels_with_gamma_o", "oracle_zero_delta_1",
             "no_drive", "zero_coupling_budget", "zero_delta_1", "zero_delta_2"])
     def test_model_refusal_matches_the_command(self, tmp_path, capsys, command, source,
                                                overrides, message):
@@ -630,6 +631,41 @@ class TestValidate:
         assert code == 3
         assert err.startswith("numerical failure: ") and message in err
         assert not out.exists()
+
+    #: each field's bad values, with the refusal every command that reads the
+    #: field gives, and those commands (budget reads no n_steps); omega_ab = 0
+    #: is TestEvolve::test_zero_ground_splitting_is_config_error's
+    FIELD_REFUSALS = [
+        ("n_atoms", "0", "n_atoms must be >= 1, got 0", "evolve budget oracle optimize sweep"),
+        ("n_atoms", "2.5", "key 'n_atoms': not an integer: '2.5'",
+         "evolve budget oracle optimize sweep"),
+        ("n_atoms", "nan", "key 'n_atoms': not an integer: 'nan'",
+         "evolve budget oracle optimize sweep"),
+        ("omega_ab", "nan", "omega_ab must be finite, got nan",
+         "evolve budget oracle optimize sweep"),
+        ("kappa", "-1", "kappa must be nonnegative, got -1.0", "evolve budget oracle optimize"),
+        ("kappa", "nan", "kappa must be finite, got nan", "evolve budget oracle optimize"),
+        ("gamma_total", "-1", "gamma_total must be nonnegative, got -1.0", "optimize"),
+        ("n_steps", "1", "n_steps must be >= 2, got 1", "evolve optimize sweep"),
+        ("n_steps", "2.5", "key 'n_steps': not an integer: '2.5'", "evolve optimize sweep"),
+        ("seed", "-1", "seed must be >= 0, got -1", "optimize sweep"),
+    ]
+
+    @pytest.mark.parametrize("key,value,message,commands", FIELD_REFUSALS,
+                             ids=[f"{key}={value}" for key, value, *_ in FIELD_REFUSALS])
+    def test_one_refusal_per_field(self, tmp_path, capsys, key, value, message, commands):
+        sources = {"evolve": read_config(config_path("fig2.cfg")),
+                   "budget": {**read_config(config_path("fig2.cfg")), "command": "budget"},
+                   "oracle": read_config(config_path("oracle_n2.cfg")),
+                   "optimize": OPTIMIZE_MAPPING,
+                   "sweep": read_config(config_path("fig3.cfg"))}
+        for command in commands.split():
+            cfg = write_config(tmp_path, f"{command}.cfg", {**sources[command], key: value})
+            out = tmp_path / command
+            for argv in ([command, "--config", cfg, "--out", str(out)],
+                         ["validate", "--config", cfg]):
+                assert (main(argv), capsys.readouterr().err) == (2, f"config error: {message}\n")
+            assert not out.exists()
 
     def test_command_key_cross_checks(self, tmp_path):
         cfg = write_config(tmp_path, "x.cfg", evolve_mapping())

@@ -214,8 +214,7 @@ def ported_nelder_mead(f, x0, lo, hi, max_evals):
         points.append(list(x))
         return f(list(x))
 
-    x, fun, n_evals = optimize_mod._nelder_mead(read, list(x0), list(lo), list(hi),
-                                                max_evals, xatol=XATOL, fatol=FATOL)
+    x, fun, n_evals = optimize_mod._nelder_mead(read, list(x0), list(lo), list(hi), max_evals)
     return points, list(x), fun, n_evals
 
 
@@ -320,6 +319,21 @@ class TestOptimize:
         fresh = evolve_squeezing(rep.params(), n_steps=prob.n_steps,
                                  max_extensions=5)
         assert fresh.min_xi2 == pytest.approx(rep.xi2_min, rel=1e-6)
+
+    def test_every_trace_reads_the_module_binding_with_one_cap(self, monkeypatch):
+        # the objective and the final re-evaluation take one trace rule, and
+        # the benchmark's tracer wraps the module-level binding it calls
+        calls = []
+
+        def recording(params, **kwargs):
+            calls.append(kwargs)
+            return evolve_squeezing(params, **kwargs)
+
+        monkeypatch.setattr(optimize_mod, "evolve_squeezing", recording)
+        prob = problem_for_cooperativity(quick_problem(restarts=1, max_evals=15), 100.0, 1.0)
+        rep = optimize(prob)
+        assert calls and rep.xi2_min < 1.0
+        assert all(kw == {"n_steps": prob.n_steps, "max_extensions": 5} for kw in calls)
 
     def test_overall_drive_scale_is_immaterial(self, cheap_optimum):
         prob, rep = cheap_optimum

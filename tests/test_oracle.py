@@ -15,10 +15,11 @@ from cavspin.moments import (MomentGenerator, PropagationError, assemble_generat
 from cavspin.oracle import (Basis, DensityMatrix, HilbertSpec, IntegrationError,
                             Liouvillian, ModelError, _lindblad_generator, _taylor_rate,
                             _unitary_states, build_full_model, build_intermediate_model,
-                            coherent_pair_transfer_time, extract_moments,
-                            integrate_master, photon_estimate, validate_elimination)
+                            extract_moments, integrate_master, photon_estimate,
+                            validate_elimination)
 from cavspin.params import (PhysicalParams, check_validity, match_raman,
                             params_from_mapping, read_config, stark_shifts)
+from references import coherent_pair_transfer_time
 
 
 def n2_matched(omega1=4.0, dissipation=0.0):
@@ -48,6 +49,14 @@ def bundled_oracle(name):
     p = params_from_mapping(config)
     spec = HilbertSpec(p.n_atoms, int(config["atom_levels"]), int(config["cavity_cutoff"]))
     return p, spec, np.linspace(0.0, float(config["t_final"]), int(config["n_times"]))
+
+
+def hamiltonian_at(liou, t):
+    """H(t): the static Hamiltonian plus each oscillating part times exp(i w t)."""
+    h = liou.hamiltonian_static.copy()
+    for mat, freq in liou.hamiltonian_oscillating:
+        h += np.exp(1j * freq * t) * mat
+    return h
 
 
 def hamiltonian_rate(liou):
@@ -429,7 +438,7 @@ def dense_lindblad_rhs(liou):
                      np.zeros((liou.basis.dim,) * 2, dtype=complex))
 
     def rhs(t, r):
-        h = liou.hamiltonian_at(t)
+        h = hamiltonian_at(liou, t)
         out = -1j * (h @ r - r @ h)
         if jumps:
             out -= anti @ r + r @ anti
@@ -842,7 +851,7 @@ def assert_rk4_limit(value, stepped):
 def assert_unitary_limit(liou, psi0, times):
     """``_unitary_states`` at ``times`` is the limit of plain full-space RK4."""
     def schroedinger(t, psi):
-        return -1j * (liou.hamiltonian_at(t) @ psi)
+        return -1j * (hamiltonian_at(liou, t) @ psi)
 
     assert_rk4_limit(_unitary_states(liou, psi0, times),
                      rk4_stepping(schroedinger, psi0, times, 0.25 / hamiltonian_rate(liou)))
