@@ -198,12 +198,13 @@ def _run_budget(config: dict, params, out_dir: str) -> int:
 
 def _read_oracle(config: dict, args: argparse.Namespace) -> tuple:
     """The oracle settings: ``omega_ab`` by the splitting rule, as in ``evolve``,
-    then the grid and the refusals of the models ``validate_elimination`` builds."""
+    ``atom_levels`` and ``cavity_cutoff`` by the count rule, then the grid and
+    the refusals of the models ``validate_elimination`` builds."""
     params = params_from_mapping(config)
     _config_rule(_splitting, params.omega_ab, "omega_ab")
-    spec = HilbertSpec(n_atoms=params.n_atoms,
-                       atom_levels=_number(config, "atom_levels", int),
-                       cavity_cutoff=_number(config, "cavity_cutoff", int))
+    levels, cutoff = (_config_rule(_count, _number(config, key, int), key)
+                      for key in ("atom_levels", "cavity_cutoff"))
+    spec = HilbertSpec(n_atoms=params.n_atoms, atom_levels=levels, cavity_cutoff=cutoff)
     t_final = _key_rule(_positive, config, "t_final")
     n_times = _config_rule(_count, _number(config, "n_times", int), "n_times", 2)
     comp = _number(config, "compensate_stark", int, 1)

@@ -47,8 +47,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._taylor import _TAYLOR_BOUND, _taylor_pass, _taylor_terms
-from .params import (PhysicalParams, _check_detunings, _count, _lorentzian, _positive, _times,
-                     kappa_prime)
+from .params import (InfeasiblePoint, PhysicalParams, _check_detunings, _count, _lorentzian,
+                     _positive, _times, kappa_prime)
 
 #: component ordering of the moment vector
 MOMENT_ORDER = ("jz", "nab", "jpp", "jmm", "jpm", "jmp")
@@ -132,7 +132,7 @@ def assemble_generator(params: PhysicalParams) -> MomentGenerator:
     big_d1, big_d2 = _lorentzian(d1, gt), _lorentzian(d2, gt)
     dc = _lorentzian(de, kp)
     if dc == 0.0:
-        raise ValueError("delta and kappa' both zero: cavity cannot be eliminated")
+        raise InfeasiblePoint("delta and kappa' both zero: cavity cannot be eliminated")
 
     w1 = abs(params.omega_1) ** 2 / 4.0
     w2 = abs(params.omega_2) ** 2 / 4.0
@@ -338,7 +338,7 @@ def default_t_max(params: PhysicalParams) -> float:
     slow = max(abs(params.delta), kp / 2.0)
     num = abs(params.omega_1 * params.omega_2 * params.g_a * params.g_b)
     if num == 0.0 or slow == 0.0:
-        raise ValueError("no drive (or no slow scale): supply t_max explicitly")
+        raise InfeasiblePoint("no drive (or no slow scale): supply t_max explicitly")
     chi_eff = num / (abs(params.delta_1 * params.delta_2) * slow)
     return 10.0 / (params.n_atoms * chi_eff)
 

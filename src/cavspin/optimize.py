@@ -8,11 +8,14 @@ in the drive amplitudes, the minimal xi^2 is independent of the overall drive
 scale; |Omega_1| is therefore pinned per evaluation so that the cavity
 adiabaticity ratio sits at a fixed small value inside the validity region.
 
-Candidates violating the validity region (any ratio above
-``WARN_THRESHOLD``) are penalized (objective 1 + excess) rather than
+One rule, ``_evaluate``, scores every point, for the search and for the
+reported optimum alike.  Candidates violating the validity region (any ratio
+above ``WARN_THRESHOLD``) are penalized (objective 1 + excess) rather than
 rejected, which keeps the simplex away from meaningless regions without hard
 walls.  A ratio of exactly ``WARN_THRESHOLD`` has the "fail" verdict but zero
-excess, so it is not penalized.
+excess, so it is not penalized.  Only a point the model refuses
+(``params.InfeasiblePoint``) or a non-finite trace (``PropagationError``)
+scores the failure penalty ``_PENALTY_FAILURE``; any other error surfaces.
 
 The drive ratio is searched over real positive values only; a relative drive
 phase merely rotates the phase of the pair coupling, which the squeezing
@@ -23,19 +26,24 @@ The search is a bounded Nelder-Mead simplex (``_nelder_mead``) from each of
 a few seeded scrambled Sobol' starts (``_sobol``).  Both are written here in
 plain Python and read the objective at exactly the points scipy's
 ``minimize(method="Nelder-Mead")`` and ``qmc.Sobol`` would, so the module
-needs no scipy import and the objective receives Python floats.
+needs no scipy import and the objective receives Python floats.  The
+restarts share no state: ``optimize`` maps one restart rule (``_restart``)
+over the starts and reduces the records to the best one and the summed
+evaluation count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .moments import PropagationError, evolve_squeezing
-from .params import (WARN_THRESHOLD, PhysicalParams, _count, _finite, _kappa_prime, _lorentzian,
-                     _nonnegative, _positive, _splitting, check_validity, kappa_prime)
+from .params import (WARN_THRESHOLD, InfeasiblePoint, PhysicalParams, _count, _finite,
+                     _kappa_prime, _lorentzian, _nonnegative, _positive, _splitting,
+                     check_validity, kappa_prime)
 
 #: cavity adiabaticity ratio at which |Omega_1| is pinned
 DRIVE_PIN_RATIO = 1e-3
@@ -141,53 +149,43 @@ class OptimumReport:
 #: horizon doublings of every squeezing trace the optimizer reads
 _MAX_EXTENSIONS = 5
 
-
-def _trace_minimum(params: PhysicalParams, n_steps: int) -> tuple[float, float]:
-    """``(min xi^2, t_min)`` of the squeezing trace at ``params``: (1.0, 0.0)
-    without a drive, where no pair-transfer mechanism leaves xi^2 at 1, else
-    by ``evolve_squeezing`` with up to ``_MAX_EXTENSIONS`` horizon doublings."""
-    if params.omega_1 == 0 or params.omega_2 == 0:
-        return 1.0, 0.0
-    trace = evolve_squeezing(params, n_steps=n_steps, max_extensions=_MAX_EXTENSIONS)
-    return float(trace.min_xi2), float(trace.t_min)
+#: score of a point the model refuses (``InfeasiblePoint``) or whose trace is
+#: not finite (``PropagationError``)
+_PENALTY_FAILURE = 50.0
 
 
-class _Objective:
-    """min_t xi^2(t) with validity penalties; counts evaluations.
+def _evaluate(problem: OptimizationProblem, x) -> tuple:
+    """The one evaluation rule of a search point x = (log r, delta, log Delta_1):
+    ``(score, (r, delta, delta_1), params, report, t_min)``.
 
-    An evaluable trace always yields a value <= 1 (the grid includes t = 0
-    where xi^2 = 1 exactly); validity penalties are strictly above 1 and
-    outright numerical failures are heavily penalized, so the two regimes
-    never mix.  A trace truncated by the physicality guard (the linearized
-    moments leaving their domain, e.g. in emission-dominated corners) is
-    scored by the minimum over its valid prefix.
+    The score is min_t xi^2(t) of the squeezing trace with up to
+    ``_MAX_EXTENSIONS`` horizon doublings, over the valid prefix of a
+    truncated trace: at most 1, as the grid starts at t = 0, and exactly 1
+    (t_min 0) without a drive.  Outside the validity region it is 1 + excess
+    (t_min ``None``), and at a point the model refuses ``_PENALTY_FAILURE``
+    (params and report ``None``), so the three regimes never mix.
     """
+    log_r, delta, log_d1 = x
+    if problem.fixed_delta is not None:
+        delta = problem.fixed_delta
+    point = (math.exp(log_r), delta, math.exp(log_d1))
+    try:
+        params = problem.params_at(*point)
+        report = check_validity(params)
+        excess = sum(max(0.0, ratio / WARN_THRESHOLD - 1.0) for ratio in report.ratios().values())
+        if excess > 0.0:
+            return 1.0 + excess, point, params, report, None
+        if params.omega_1 == 0 or params.omega_2 == 0:
+            return 1.0, point, params, report, 0.0
+        trace = evolve_squeezing(params, n_steps=problem.n_steps, max_extensions=_MAX_EXTENSIONS)
+        return float(trace.min_xi2), point, params, report, float(trace.t_min)
+    except (InfeasiblePoint, PropagationError):
+        return _PENALTY_FAILURE, point, None, None, None
 
-    PENALTY_FAILURE = 50.0
 
-    def __init__(self, problem: OptimizationProblem):
-        self.problem = problem
-        self.n_evals = 0
-
-    def unpack(self, x: list[float]) -> tuple[float, float, float]:
-        log_r, delta, log_d1 = x
-        if self.problem.fixed_delta is not None:
-            delta = self.problem.fixed_delta
-        return math.exp(log_r), delta, math.exp(log_d1)
-
-    def __call__(self, x: list[float]) -> float:
-        self.n_evals += 1
-        r, delta, d1 = self.unpack(x)
-        try:
-            params = self.problem.params_at(r, delta, d1)
-            report = check_validity(params)
-            excess = sum(max(0.0, ratio / WARN_THRESHOLD - 1.0)
-                         for ratio in report.ratios().values())
-            if excess > 0.0:
-                return 1.0 + excess
-            return _trace_minimum(params, self.problem.n_steps)[0]
-        except (ValueError, PropagationError):
-            return self.PENALTY_FAILURE
+def _score(problem: OptimizationProblem, x) -> float:
+    """The score of ``_evaluate``, which the search minimizes."""
+    return _evaluate(problem, x)[0]
 
 
 def _search_box(problem: OptimizationProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -384,41 +382,37 @@ def _nelder_mead(f, x0, lo, hi, max_evals: int):
     return sim[0], float(np.min(fsim)), n_evals
 
 
+def _restart(problem: OptimizationProblem, x0: list[float]) -> RestartRecord:
+    """One ``_nelder_mead`` search of ``_score`` from the start x0."""
+    lo, hi = (bound.tolist() for bound in _search_box(problem))
+    x, fun, n_evals = _nelder_mead(functools.partial(_score, problem), x0, lo, hi,
+                                   problem.max_evals)
+    return RestartRecord(x0=tuple(x0), x_best=tuple(x), f_best=fun, n_evals=n_evals,
+                         success=fun <= 1.0)
+
+
 def optimize(problem: OptimizationProblem) -> OptimumReport:
     """Multi-start Nelder-Mead minimization of the squeezing objective.
 
-    Deterministic for a given problem: one ``_nelder_mead`` search (at most
+    Deterministic for a given problem: one independent ``_restart`` (at most
     ``max_evals`` evaluations) from each of the ``restarts`` seeded Sobol'
-    starts of ``_start_points``.  The reported
-    minimum is re-evaluated with a fresh squeezing trace at the argmin, so it
-    is reproducible to full precision.
+    starts of ``_start_points``, and ``n_evaluations`` is their sum.  The
+    reported minimum is ``_evaluate`` at the best vertex of the first restart
+    with the least score, a fresh squeezing trace, so it is reproducible to
+    full precision.
     """
-    objective = _Objective(problem)
-    lo, hi = (bound.tolist() for bound in _search_box(problem))
-    records = []
-    best = None
-    for x0 in _start_points(problem).tolist():
-        x, fun, n_evals = _nelder_mead(objective, x0, lo, hi, problem.max_evals)
-        rec = RestartRecord(x0=tuple(x0), x_best=tuple(x), f_best=fun,
-                            n_evals=n_evals, success=fun <= 1.0)
-        records.append(rec)
-        if best is None or fun < best[1]:
-            best = (x, fun)
-
-    x_best, f_best = best
-    if f_best > 1.0:
+    records = tuple(map(functools.partial(_restart, problem), _start_points(problem).tolist()))
+    best = min(records, key=lambda rec: rec.f_best)    # by strict <: the first of the least
+    if best.f_best > 1.0:
         raise RuntimeError("optimization failed: no start reached the validity region")
-    r, delta, d1 = objective.unpack(x_best)
-    params = problem.params_at(r, delta, d1)
-    report = check_validity(params)
-    xi2_min, t_min = _trace_minimum(params, problem.n_steps)
+    xi2_min, (r, delta, d1), params, report, t_min = _evaluate(problem, best.x_best)
     return OptimumReport(
         xi2_min=xi2_min,
         r_opt=float(r), delta_opt=float(delta), delta1_opt=float(d1),
         t_min=t_min,
         omega_1=float(abs(params.omega_1)),
-        n_evaluations=objective.n_evals,
-        restarts=tuple(records),
+        n_evaluations=sum(rec.n_evals for rec in records),
+        restarts=records,
         validity_ratios=report.ratios(),
         problem=problem,
     )

@@ -52,6 +52,12 @@ class ConfigError(ValueError):
     """Raised on malformed configuration input (reports line numbers)."""
 
 
+class InfeasiblePoint(ValueError):
+    """A point outside the model's domain: a vanishing laser detuning, an
+    elimination denominator that vanishes, or no drive or no slow scale.  The
+    optimizer scores such a point as a failure; every other error surfaces."""
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """All physical rates of the bichromatically driven atoms-cavity system.
@@ -150,7 +156,7 @@ def _kappa_prime(kappa: float, n_atoms: int, gamma: float, g_a: complex, delta_2
     """The one kappa' rule: kappa + N Gamma |g_a|^2 / (Delta_2^2 + Gamma^2/4)."""
     d2sq = _lorentzian(delta_2, gamma)
     if d2sq == 0.0:
-        raise ValueError("delta_2 and Gamma both zero: effective cavity rate undefined")
+        raise InfeasiblePoint("delta_2 and Gamma both zero: effective cavity rate undefined")
     return kappa + n_atoms * gamma * abs(g_a) ** 2 / d2sq
 
 
@@ -163,7 +169,7 @@ def kappa_prime(params: PhysicalParams) -> float:
 def _check_detunings(params: PhysicalParams) -> None:
     """Refuse a vanishing laser detuning, which every dispersive formula divides by."""
     if params.delta_1 == 0.0 or params.delta_2 == 0.0:
-        raise ValueError("delta_1 and delta_2 must be nonzero")
+        raise InfeasiblePoint("delta_1 and delta_2 must be nonzero")
 
 
 def raman_mismatch(params: PhysicalParams) -> float:
@@ -428,11 +434,17 @@ def _splitting(x, name: str):
 
 def _number(mapping: dict, key: str, kind=float, default=None):
     """``mapping[key]`` parsed as a ``kind`` (float or int), finite or not, or
-    ``default`` where the key is absent; the input rules check the value."""
+    ``default`` where the key is absent; the input rules check the value.  A
+    count that is no integer literal (``1e6``, ``2.5``, ``nan``) is read as a
+    float, so the count rule alone judges it."""
     if key not in mapping:
         return default
     try:
         return kind(mapping[key])
+    except ValueError:
+        pass
+    try:
+        return float(mapping[key])
     except ValueError as exc:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"key {key!r}: not {noun}: {mapping[key]!r}") from exc

@@ -63,6 +63,24 @@ class TestEvolve:
         assert (out_a / "summary.json").read_bytes() == \
             (out_b / "summary.json").read_bytes()
 
+    def test_count_in_float_notation_reads_as_the_integer(self, tmp_path):
+        # n_atoms = 1e6 is the count 1000000: only the config echo differs
+        runs = {}
+        for text in ("1000000", "1e6"):
+            mapping = {**read_config(config_path("fig2.cfg")), "n_atoms": text}
+            cfg = write_config(tmp_path, "fig2.cfg", mapping)
+            out = tmp_path / text
+            assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+            assert main(["budget", "--config", cfg, "--out", str(out)]) == 0
+            rows = [line for line in (out / "trace.csv").read_text().splitlines()
+                    if not line.startswith("#")]
+            docs = [json.loads((out / name).read_text()) for name in ("summary.json",
+                                                                      "budget.json")]
+            runs[text] = rows, [{k: v for k, v in doc.items() if k != "config"}
+                                for doc in docs]
+        assert runs["1e6"] == runs["1000000"]
+        assert len(runs["1e6"][0]) == 401
+
     def test_dissipation_free_variant_is_lower(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["evolve", "--config", config_path("fig2.cfg"),
@@ -637,9 +655,9 @@ class TestValidate:
     #: is TestEvolve::test_zero_ground_splitting_is_config_error's
     FIELD_REFUSALS = [
         ("n_atoms", "0", "n_atoms must be >= 1, got 0", "evolve budget oracle optimize sweep"),
-        ("n_atoms", "2.5", "key 'n_atoms': not an integer: '2.5'",
+        ("n_atoms", "2.5", "n_atoms must be an integer, got 2.5",
          "evolve budget oracle optimize sweep"),
-        ("n_atoms", "nan", "key 'n_atoms': not an integer: 'nan'",
+        ("n_atoms", "nan", "n_atoms must be an integer, got nan",
          "evolve budget oracle optimize sweep"),
         ("omega_ab", "nan", "omega_ab must be finite, got nan",
          "evolve budget oracle optimize sweep"),
@@ -647,8 +665,10 @@ class TestValidate:
         ("kappa", "nan", "kappa must be finite, got nan", "evolve budget oracle optimize"),
         ("gamma_total", "-1", "gamma_total must be nonnegative, got -1.0", "optimize"),
         ("n_steps", "1", "n_steps must be >= 2, got 1", "evolve optimize sweep"),
-        ("n_steps", "2.5", "key 'n_steps': not an integer: '2.5'", "evolve optimize sweep"),
+        ("n_steps", "2.5", "n_steps must be an integer, got 2.5", "evolve optimize sweep"),
         ("seed", "-1", "seed must be >= 0, got -1", "optimize sweep"),
+        ("atom_levels", "3.5", "atom_levels must be an integer, got 3.5", "oracle"),
+        ("cavity_cutoff", "0", "cavity_cutoff must be >= 1, got 0", "oracle"),
     ]
 
     @pytest.mark.parametrize("key,value,message,commands", FIELD_REFUSALS,
@@ -666,6 +686,16 @@ class TestValidate:
                          ["validate", "--config", cfg]):
                 assert (main(argv), capsys.readouterr().err) == (2, f"config error: {message}\n")
             assert not out.exists()
+
+    @pytest.mark.parametrize("source,key,value", [
+        ("fig2.cfg", "n_atoms", "1e6"), ("fig3.cfg", "n_atoms", "1e6"),
+        ("fig3.cfg", "restarts", "8.0"), ("oracle_n2.cfg", "n_atoms", "2e0"),
+        ("oracle_n2.cfg", "cavity_cutoff", "2.0"), ("oracle_n2.cfg", "compensate_stark", "1.0"),
+    ])
+    def test_count_in_float_notation_validates(self, tmp_path, capsys, source, key, value):
+        cfg = write_config(tmp_path, "x.cfg", {**read_config(config_path(source)), key: value})
+        assert main(["validate", "--config", cfg]) == 0
+        assert "config OK" in capsys.readouterr().out
 
     def test_command_key_cross_checks(self, tmp_path):
         cfg = write_config(tmp_path, "x.cfg", evolve_mapping())

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import importlib
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.stats import qmc
 
-from cavspin.moments import evolve_squeezing
+from cavspin.moments import assemble_generator, default_t_max, evolve_squeezing
 from cavspin.optimize import (DRIVE_PIN_RATIO, OptimizationProblem, delta_zero_check, optimize,
                               problem_for_cooperativity, scaling_sweep)
-from cavspin.params import PhysicalParams, check_validity, kappa_prime
+from cavspin.params import InfeasiblePoint, PhysicalParams, check_validity, kappa_prime
 
 # the package re-exports the function optimize under the module's own name
 optimize_mod = importlib.import_module("cavspin.optimize")
@@ -224,7 +225,7 @@ def box_objective(kind, centre, weights, cut):
         if kind == "kink":
             return sum(w * abs(c - m) for c, m, w in zip(x, centre, weights))
         if kind == "plateau" and x[0] > cut:
-            return optimize_mod._Objective.PENALTY_FAILURE
+            return optimize_mod._PENALTY_FAILURE
         return sum(w * (c - m) ** 2 for c, m, w in zip(x, centre, weights))
     return f
 
@@ -285,7 +286,7 @@ class TestNelderMead:
         prob = problem_for_cooperativity(template, cooperativity)
         lo, hi = optimize_mod._search_box(prob)
         x0 = optimize_mod._start_points(prob)[0].tolist()
-        objective = optimize_mod._Objective(prob)
+        objective = functools.partial(optimize_mod._score, prob)
         assert (ported_nelder_mead(objective, x0, lo, hi, 30)
                 == scipy_nelder_mead(objective, x0, lo, hi, 30))
 
@@ -298,6 +299,12 @@ def test_start_points_match_scipy_sobol():
             lo, hi = optimize_mod._search_box(prob)
             unit = qmc.Sobol(d=3, scramble=True, seed=seed).random(restarts)
             assert (optimize_mod._start_points(prob) == lo + unit * (hi - lo)).all()
+
+
+#: a search point (log r, delta, log Delta_1), and the splitting that puts its
+#: Delta_2 = Delta_1 + omega_ab at exactly 0
+POINT = [math.log(2.0), 10.0, math.log(1e5)]
+ZERO_DELTA_2 = -math.exp(POINT[2])
 
 
 class TestOptimize:
@@ -351,6 +358,64 @@ class TestOptimize:
         rep = optimize(prob)
         assert rep.xi2_min == 1.0
         assert rep.omega_1 == 0.0
+
+    def test_restarts_are_independent_and_counted_once(self):
+        # each restart alone, in reverse start order, is the record optimize
+        # keeps, and the evaluation count is the records' sum
+        prob = problem_for_cooperativity(quick_problem(restarts=3, max_evals=30), 100.0, 1.0)
+        rep = optimize(prob)
+        starts = optimize_mod._start_points(prob).tolist()
+        alone = [optimize_mod._restart(prob, x0) for x0 in reversed(starts)]
+        assert tuple(reversed(alone)) == rep.restarts
+        assert rep.n_evaluations == sum(rec.n_evals for rec in rep.restarts)
+        best = min(rep.restarts, key=lambda rec: rec.f_best)
+        assert rep.xi2_min == best.f_best
+
+    def test_search_objective_pickles(self):
+        prob = problem_for_cooperativity(quick_problem(), 100.0, 1.0)
+        objective = functools.partial(optimize_mod._score, prob)
+        x = optimize_mod._start_points(prob)[0].tolist()
+        assert pickle.loads(pickle.dumps(objective))(x) == objective(x)
+
+    def test_plain_value_error_surfaces(self, monkeypatch):
+        # only an infeasible point or a non-finite trace scores the failure
+        # penalty; a bug's ValueError (numpy's shape errors) is no penalty
+        def broken_below_c100(params, **kwargs):
+            if params.kappa > 200.0:    # kappa = 316 at C = 10, 100 at C = 100
+                raise ValueError("stand-in shape error")
+            return evolve_squeezing(params, **kwargs)
+
+        monkeypatch.setattr(optimize_mod, "evolve_squeezing", broken_below_c100)
+        template = quick_problem(restarts=1, max_evals=15)
+        with pytest.raises(ValueError, match="stand-in shape error"):
+            optimize(problem_for_cooperativity(template, 10.0, 1.0))
+        result = scaling_sweep([10.0, 100.0], template)
+        assert [p.error for p in result.points] == ["stand-in shape error", None]
+        assert result.points[1].report.xi2_min < 1.0
+
+    @pytest.mark.parametrize("overrides,score", [
+        # Delta_2 = 0 exactly: with Gamma = 0 kappa' is undefined, an infeasible
+        # point; with Gamma > 0 the second drive breaks the validity region
+        (dict(omega_ab=ZERO_DELTA_2, kappa=0.0, gamma_total=0.0),
+         optimize_mod._PENALTY_FAILURE),
+        (dict(omega_ab=ZERO_DELTA_2, kappa=0.0, gamma_total=10.0), 640000003638.0004),
+        # lossless at delta = 0: the pinned drive vanishes before kappa' = delta = 0
+        (dict(fixed_delta=0.0), 1.0),
+    ], ids=["zero_delta_2_lossless", "zero_delta_2_lossy", "lossless_zero_delta"])
+    def test_point_scores(self, overrides, score):
+        assert optimize_mod._score(quick_problem(**overrides), POINT) == score
+
+    def test_infeasible_refusals_keep_their_text(self):
+        zero = PhysicalParams(n_atoms=10, delta_1=1.0, omega_ab=-1.0)
+        with pytest.raises(InfeasiblePoint, match="^delta_2 and Gamma both zero"):
+            kappa_prime(zero)
+        with pytest.raises(InfeasiblePoint, match="^delta_1 and delta_2 must be nonzero$"):
+            default_t_max(zero)
+        lossless = PhysicalParams(n_atoms=10, delta_1=1.0, omega_ab=1.0)
+        with pytest.raises(InfeasiblePoint, match="^delta and kappa' both zero"):
+            assemble_generator(lossless)
+        with pytest.raises(InfeasiblePoint, match=r"^no drive \(or no slow scale\)"):
+            default_t_max(lossless)
 
     def test_infeasible_box_raises(self):
         prob = quick_problem(kappa=100.0, gamma_total=100.0, omega_ab=5.0,
